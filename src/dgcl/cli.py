@@ -107,6 +107,16 @@ def _aggregate(cfg: RunConfig, cells: list[Cell],
     return {"config_hash": config_hash(cfg), "cells": rows}
 
 
+# failures of the run itself (bad data, divergence, I/O) rather than bugs
+_RUN_FAULTS = (DgclError, OSError, FloatingPointError)
+
+
+def _failure_line(exc: BaseException) -> str:
+    """``Type: message``: one line per failed cell, the same whether the
+    cell ran in this process or in a worker."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def cmd_run(config_path: str) -> int:
     try:
         cfg = parse_config_file(config_path)
@@ -118,7 +128,7 @@ def cmd_run(config_path: str) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     workers = _worker_count(len(cells))
     summaries: dict[Cell, dict] = {}
-    failures: list[tuple[Cell, str]] = []
+    failures: list[tuple[Cell, Exception]] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {cell: pool.submit(execute_cell, cfg, cell, str(outdir))
@@ -128,18 +138,20 @@ def cmd_run(config_path: str) -> int:
             if exc is None:
                 summaries[cell] = fut.result()
             else:
-                failures.append((cell, str(exc)))
+                failures.append((cell, exc))
     else:
         for cell in cells:
             try:
                 summaries[cell] = execute_cell(cfg, cell, str(outdir))
-            except (DgclError, OSError, FloatingPointError) as e:
-                failures.append((cell, f"{type(e).__name__}: {e}"))
-            except Exception:
-                failures.append((cell, traceback.format_exc(limit=3)))
+            except Exception as e:  # one failed cell must not stop the grid
+                failures.append((cell, e))
     metrics.write_json(_aggregate(cfg, cells, summaries), outdir / "summary.json")
-    for cell, msg in failures:
-        print(f"cell {cell.name} failed: {msg}", file=sys.stderr)
+    for cell, exc in failures:
+        print(f"cell {cell.name} failed: {_failure_line(exc)}", file=sys.stderr)
+        if not isinstance(exc, _RUN_FAULTS):
+            # a bug rather than a run fault: show where it was raised (a
+            # worker's traceback comes back as the exception's cause)
+            traceback.print_exception(exc, limit=3, file=sys.stderr)
     print(f"{len(summaries)}/{len(cells)} cells completed -> {outdir}")
     return 1 if failures else 0
 
@@ -188,8 +200,8 @@ def cmd_drift(config_path: str) -> int:
             _write_accuracy_evolution(
                 results[label].matrix,
                 outdir / f"accuracy_evolution_lam{lam:g}.csv")
-    except (DgclError, OSError, FloatingPointError) as e:
-        print(f"drift run failed: {type(e).__name__}: {e}", file=sys.stderr)
+    except _RUN_FAULTS as e:
+        print(f"drift run failed: {_failure_line(e)}", file=sys.stderr)
         return 1
     print(f"drift report -> {outdir}")
     return 0

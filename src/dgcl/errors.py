@@ -59,3 +59,21 @@ class TruncatedFileError(FileFormatError):
 
 class ConfigError(DgclError):
     """A run configuration failed to parse or validate."""
+
+
+class DivergenceError(DgclError):
+    """Training produced a non-finite value: a loss component, the buffer
+    drift or the parameters. Carries the 1-based update index (the drift
+    log's numbering), the task id and the component's name."""
+
+    def __init__(self, update_index: int, task_id: int, component: str):
+        # the fields go to Exception so the error survives pickling back
+        # from a worker process
+        super().__init__(update_index, task_id, component)
+        self.update_index = update_index
+        self.task_id = task_id
+        self.component = component
+
+    def __str__(self) -> str:
+        return (f"non-finite {self.component} at update {self.update_index}"
+                f" of task {self.task_id}")

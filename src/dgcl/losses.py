@@ -12,7 +12,9 @@ it away from the other snapshots (spread-out).
 
 Each loss has a plain-value form and a tape-node form; both share the same
 forward arithmetic, so the oracle tests and the training path cannot drift
-apart.
+apart. A custom tape op may keep its forward intermediates in the record's
+``aux`` for its gradient: the KISP node computes its softmax pieces once per
+update that way, rather than again in the backward sweep.
 """
 from __future__ import annotations
 
@@ -145,53 +147,51 @@ def kisp_probs(batch: KispBatch) -> np.ndarray:
     return _column_softmax(s)
 
 
-def _kisp_pieces(s: np.ndarray):
-    """Shared stable quantities: column maxes, shifted exponentials, column
-    sums, and the leave-one-out column sums (a nonnegative masked product,
-    so the near-saturated (1 - P) values keep full relative precision)."""
+def _kisp_forward(vals, aux):
+    """KISP value of the similarity matrix ``vals[0]``. Fills ``aux`` with
+    the intermediates the gradient reuses: shifted exponentials ``e``,
+    column sums ``colsum``, leave-one-out column sums ``excl`` (a
+    nonnegative masked product, so the near-saturated (1 - P) values keep
+    full relative precision) and their raw ratio ``one_minus``."""
+    s = vals[0]
     m = s.shape[0]
     colmax = s.max(axis=0, keepdims=True)
     e = np.exp(s - colmax)
     colsum = e.sum(axis=0, keepdims=True)
-    excl = (1.0 - np.eye(m)) @ e
-    return colmax, e, colsum, excl
-
-
-def _kisp_value_from_sim(s: np.ndarray) -> float:
-    colmax, e, colsum, excl = _kisp_pieces(s)
-    m = s.shape[0]
+    leave_one_out = np.ones((m, m))
+    np.fill_diagonal(leave_one_out, 0.0)
+    excl = leave_one_out @ e
+    one_minus = excl / colsum
+    aux.update(e=e, colsum=colsum, excl=excl, one_minus=one_minus)
     # -log P[i,i] = log colsum_i - (s_ii - colmax_i); finite for any s
     invariant = (np.log(colsum[0]) - (np.diag(s) - colmax[0])).sum()
     # -log(1 - P[i,j]) = log colsum_j - log excl_ij, floored at the clamp
-    one_minus = np.maximum(excl / colsum, ONE_MINUS_P_FLOOR)
     off = ~np.eye(m, dtype=bool)
-    spread = -np.log(one_minus[off]).sum()
-    return float(invariant + spread)
-
-
-def _kisp_forward(vals, aux):
-    return np.array([[_kisp_value_from_sim(vals[0])]])
+    spread = -np.log(np.maximum(one_minus, ONE_MINUS_P_FLOOR)[off]).sum()
+    return np.array([[float(invariant + spread)]])
 
 
 def _kisp_grad(vals, out, aux, g):
-    s = vals[0]
-    _, e, colsum, excl = _kisp_pieces(s)
+    e, colsum, excl = aux["e"], aux["colsum"], aux["excl"]
     p = e / colsum
-    m = p.shape[0]
-    eye = np.eye(m, dtype=bool)
-    one_minus = excl / colsum
-    q = np.where(one_minus > ONE_MINUS_P_FLOOR,
+    q = np.where(aux["one_minus"] > ONE_MINUS_P_FLOOR,
                  colsum / np.maximum(excl, 1e-300), 0.0)
-    q[eye] = -colsum[0] / np.maximum(np.diag(e), 1e-300)
+    np.fill_diagonal(q, -colsum[0] / np.maximum(np.diag(e), 1e-300))
     # column-wise softmax Jacobian: dJ/dS[:,j] = P_j * (q_j - <q_j, P_j>)
     col_dot = (q * p).sum(axis=0, keepdims=True)
     return [g[0, 0] * p * (q - col_dot)]
 
 
 def kisp_loss(batch: KispBatch) -> float:
-    """Negative log likelihood of the invariant + spread-out assignment."""
-    s = batch.f_pre_norm @ batch.f_cur_norm.T / batch.tau
-    return _kisp_value_from_sim(s)
+    """Negative log likelihood of the invariant + spread-out assignment.
+
+    Evaluated as :func:`kisp_node` on a throwaway tape, so the value form
+    and the training path agree bit for bit.
+    """
+    tape = Tape()
+    node = kisp_node(tape, batch.f_pre_norm,
+                     tape.constant(batch.f_cur_norm), batch.tau)
+    return float(tape.value(node)[0, 0])
 
 
 def kisp_node(tape: Tape, f_pre_norm: np.ndarray, f_cur_norm: int,
@@ -201,7 +201,9 @@ def kisp_node(tape: Tape, f_pre_norm: np.ndarray, f_cur_norm: int,
         raise ValueError("temperature tau must be positive")
     pre = tape.constant(as_matrix(f_pre_norm))
     s = tape.scale(tape.matmul(pre, tape.transpose(f_cur_norm)), 1.0 / tau)
-    return tape.apply("kisp_penalty", (s,), _kisp_forward, _kisp_grad)
+    # a fresh dict per node: the forward fills it, the gradient reads it
+    return tape.apply("kisp_penalty", (s,), _kisp_forward, _kisp_grad,
+                      aux={})
 
 
 # ---------------------------------------------------------------------------

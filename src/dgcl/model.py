@@ -227,6 +227,13 @@ class Model:
         hi = lo + self.heads.class_count(task_id)
         return np.argmax(logits[:, lo:hi], axis=1) + lo
 
+    def parameters(self) -> list[np.ndarray]:
+        """Every trainable array: encoder layers, then each task's head."""
+        heads = self.heads
+        return (self.encoder.weights + self.encoder.biases
+                + [heads.weight(t) for t in heads.task_ids]
+                + [heads.bias(t) for t in heads.task_ids])
+
     def snapshot(self, include_heads: bool = False) -> ModelSnapshot:
         heads = self.heads.copy() if include_heads else None
         return ModelSnapshot(self.encoder.copy(), heads)

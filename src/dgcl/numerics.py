@@ -286,7 +286,14 @@ class Tape:
 
     def apply(self, op: str, inputs: Sequence[int], fwd: Callable,
               grad: Callable, aux=None) -> int:
-        """Record a custom op; fwd/grad follow the built-in signatures."""
+        """Record a custom op; fwd/grad follow the built-in signatures.
+
+        ``aux`` reaches both ``fwd`` and ``grad``. An op may pass a fresh
+        mutable container there, fill it with forward intermediates in
+        ``fwd`` and read them in ``grad`` instead of recomputing them;
+        ``grad`` must leave them unchanged, so ``backward`` can run twice
+        and ``replay`` (which calls ``fwd`` again) stays reproducible.
+        """
         vals = [self.records[i].value for i in inputs]
         return self._push(Record(op, inputs, fwd(vals, aux), aux, fwd, grad))
 
@@ -296,7 +303,8 @@ class Tape:
             raise ShapeMismatchError(f"{op}: shapes {va.shape} and {vb.shape} differ")
 
     def replay(self) -> list[np.ndarray]:
-        """Recompute every record from the leaves; does not mutate the tape."""
+        """Recompute every record from the leaves; recorded values stay as
+        they are (a custom op's fwd may refill its own aux)."""
         values: list[np.ndarray] = []
         for rec in self.records:
             if rec.op in ("leaf", "constant"):

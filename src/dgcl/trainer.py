@@ -10,13 +10,14 @@ encoder snapshot refreshes exactly once per task boundary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import losses
 from .datasets import TaskData
-from .errors import OverlappingClassesError, UnknownTaskError
+from .errors import DivergenceError, OverlappingClassesError, UnknownTaskError
 from .memory import EpisodicMemory, MemoryItem
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
 from .model import DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, Model, ModelSnapshot
@@ -93,6 +94,13 @@ def _buffer_drift(state: TrainerState) -> float | None:
     return embedding_drift(refs, cur)
 
 
+def _require_finite(update_index: int, task_id: int, **values) -> None:
+    """Raise DivergenceError for the first non-finite scalar in ``values``."""
+    for component, value in values.items():
+        if not math.isfinite(value):
+            raise DivergenceError(update_index, task_id, component)
+
+
 def train_step(state: TrainerState, config: TrainerConfig, batch_x, batch_y,
                example_uids=None) -> losses.LossBreakdown:
     """One batch: ``iterations`` gradient steps, then the memory write."""
@@ -141,6 +149,9 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x, batch_y,
                 # gradient branch, so the trajectory matches plain replay
                 # bit for bit.
                 loss_node = tape.add(ce_node, tape.scale(reg_node, config.lam))
+        total = losses.total_loss(ce_val, reg_val, config.lam)
+        _require_finite(state.update_index + 1, state.task_id, ce=ce_val,
+                        regularizer=reg_val, total=total)
         grads = backward(tape, loss_node)
         for arr, nid in leaves.pairs():
             arr -= config.lr * grads[nid]
@@ -148,12 +159,11 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x, batch_y,
             for uid in example_uids:
                 state.consumption[uid] = state.consumption.get(uid, 0) + 1
         state.update_index += 1
-        breakdown = losses.LossBreakdown(
-            ce_val, reg_val, losses.total_loss(ce_val, reg_val, config.lam),
-            config.lam)
+        breakdown = losses.LossBreakdown(ce_val, reg_val, total, config.lam)
         if config.uses_memory:
             drift = _buffer_drift(state)
             if drift is not None:
+                _require_finite(state.update_index, state.task_id, drift=drift)
                 state.drift.append(state.update_index, state.task_id, drift)
     if config.uses_memory:
         items = [MemoryItem(batch_x[i:i + 1].copy(), int(batch_y[i]),
@@ -179,6 +189,9 @@ def run_task(state: TrainerState, config: TrainerConfig,
         uids = [(task.task_id, i) for i in range(start, stop)]
         train_step(state, config, task.train_x[start:stop],
                    task.train_y[start:stop], example_uids=uids)
+    # once per task, not per update: a full scan of every parameter
+    if not all(np.isfinite(p).all() for p in state.model.parameters()):
+        raise DivergenceError(state.update_index, state.task_id, "parameters")
     state.snapshot = state.model.snapshot()
     return state
 

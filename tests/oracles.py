@@ -3,6 +3,10 @@
 Everything here is written as literal loop transcriptions of the formulas
 (scalar math, no vectorization, no imports from the package's numeric
 paths), so agreement with the package is evidence rather than tautology.
+The exceptions are vectorized on purpose: ``kisp_sim_reference`` keeps the
+KISP kernel's arithmetic before it cached its forward pieces, for checks
+that must agree bit for bit, and ``logistic_regression_fit`` is a plain
+full-batch classifier that calibrates the synthetic stream.
 """
 import math
 
@@ -60,6 +64,27 @@ def kisp_loss_loops(f_pre, f_cur, tau):
     return total
 
 
+def kisp_sim_reference(s, floor):
+    """KISP value, its gradient with respect to the similarity matrix s, and
+    the number of off-diagonal (1 - P) entries under ``floor``. Every piece
+    is recomputed from s, with the leave-one-out mask built as 1 - eye."""
+    m = s.shape[0]
+    colmax = s.max(axis=0, keepdims=True)
+    e = np.exp(s - colmax)
+    colsum = e.sum(axis=0, keepdims=True)
+    excl = (1.0 - np.eye(m)) @ e
+    invariant = (np.log(colsum[0]) - (np.diag(s) - colmax[0])).sum()
+    one_minus = excl / colsum
+    off = ~np.eye(m, dtype=bool)
+    spread = -np.log(np.maximum(one_minus, floor)[off]).sum()
+    p = e / colsum
+    q = np.where(one_minus > floor, colsum / np.maximum(excl, 1e-300), 0.0)
+    q[np.eye(m, dtype=bool)] = -colsum[0] / np.maximum(np.diag(e), 1e-300)
+    col_dot = (q * p).sum(axis=0, keepdims=True)
+    clamped = int((one_minus[off] < floor).sum())
+    return float(invariant + spread), p * (q - col_dot), clamped
+
+
 def lfc_loops(f_pre, f_cur):
     m, d = f_pre.shape
     total = 0.0
@@ -75,6 +100,30 @@ def rld_loops(f_pre, f_cur):
         for c in range(d):
             total += (f_pre[i, c] - f_cur[i, c]) ** 2
     return total / (m * d)
+
+
+def logistic_regression_fit(x, y, steps=1000, lr=1.0, c=1.0):
+    """Multinomial logistic regression by full-batch gradient descent on
+    standardized features, with the L2 penalty ||W||^2 / (2 c n) (the usual
+    C = 1 default) so the optimum is unique. Returns a predict function."""
+    mean, std = x.mean(axis=0), x.std(axis=0)
+    xs = (x - mean) / std
+    n, d = xs.shape
+    classes = int(y.max()) + 1
+    onehot = np.eye(classes)[y]
+    w, b = np.zeros((d, classes)), np.zeros(classes)
+    for _ in range(steps):
+        z = xs @ w + b
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        g = (p - onehot) / n
+        w -= lr * (xs.T @ g + w / (c * n))
+        b -= lr * g.sum(axis=0)
+
+    def predict(x_new):
+        return np.argmax(((x_new - mean) / std) @ w + b, axis=1)
+
+    return predict
 
 
 def fa_loops(rows):

@@ -5,6 +5,7 @@ import pytest
 
 from dgcl.errors import LabelRangeError, ShapeMismatchError
 from dgcl.losses import (
+    ONE_MINUS_P_FLOOR,
     KispBatch,
     LossBreakdown,
     cross_entropy,
@@ -24,6 +25,7 @@ from oracles import (
     cross_entropy_loops,
     kisp_loss_loops,
     kisp_prob_loops,
+    kisp_sim_reference,
     lfc_loops,
     rld_loops,
 )
@@ -204,6 +206,39 @@ class TestKispLoss:
             KispBatch(np.eye(2), np.eye(2), 0.0)
         with pytest.raises(ValueError):
             KispBatch(2.0 * np.eye(2), np.eye(2), 0.1)
+
+
+class TestKispCachedPieces:
+    """The node keeps its forward pieces for the gradient; value and
+    gradient must equal a from-scratch recomputation bit for bit."""
+
+    @pytest.mark.parametrize("tau", [0.1, 1e-3])
+    @pytest.mark.parametrize("m", [1, 2, 10, 300])
+    def test_equals_uncached_reference(self, m, tau):
+        rng = np.random.default_rng([31, m])
+        pre = unit_rows(rng, m, 8)
+        # each live row sits near the next snapshot row, so at tau=1e-3
+        # off-diagonal (1 - P) underflows the floor
+        cur = l2_normalize(np.roll(pre, 1, axis=0)
+                           + 0.1 * rng.standard_normal((m, 8)))
+        tape = Tape()
+        leaf = tape.leaf(cur)
+        node = kisp_node(tape, pre, leaf, tau)
+        value = float(tape.value(node)[0, 0])
+        assert value == kisp_loss(KispBatch(pre, cur, tau))
+        sim = tape.value(tape.records[node].inputs[0])
+        ref_value, ref_dsim, clamped = kisp_sim_reference(sim,
+                                                          ONE_MINUS_P_FLOOR)
+        assert value == ref_value
+        assert (clamped > 0) == (tau == 1e-3 and m > 1)
+        # leaf <- transpose <- matmul(pre, .) <- scale(1/tau) <- kisp
+        expected = (pre.T @ (ref_dsim * (1.0 / tau))).T
+        grad = backward(tape, node)[leaf]
+        assert np.array_equal(grad, expected)
+        assert np.array_equal(backward(tape, node)[leaf], grad)
+        replayed = tape.replay()
+        assert replayed[node].tobytes() == tape.value(node).tobytes()
+        assert np.array_equal(backward(tape, node)[leaf], grad)
 
 
 class TestComparisonLosses:

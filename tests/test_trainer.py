@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgcl.datasets import StreamSpec, TaskData, synth_stream
-from dgcl.errors import OverlappingClassesError, UnknownTaskError
+from dgcl.errors import DivergenceError, OverlappingClassesError, UnknownTaskError
 from dgcl.memory import MemoryItem
 from dgcl.trainer import (
     TrainerConfig,
@@ -276,3 +276,37 @@ class TestMemoryInteraction:
         for item in state.memory.all_items():
             assert isinstance(item, MemoryItem)
             assert id(item) in {id(i) for i in state.memory.all_items()}
+
+
+class TestDivergence:
+    # overflowing weights are the point here, not a warning to report
+    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+    def test_finetune_nan_weights_are_not_a_result(self):
+        cfg = TrainerConfig(method="finetune", lr=50.0)
+        with pytest.raises(DivergenceError) as info:
+            run_stream(cfg, small_tasks())
+        err = info.value
+        assert err.component == "ce"
+        assert err.task_id == 2 and err.update_index == 11
+
+    def test_kisp_nan_drift_is_typed(self):
+        cfg = TrainerConfig(method="kisp", lr=5.0)
+        with pytest.raises(DivergenceError) as info:
+            run_stream(cfg, small_tasks())
+        err = info.value
+        assert err.component == "drift"
+        assert str(err) == "non-finite drift at update 9 of task 2"
+
+    def test_task_boundary_checks_parameters(self):
+        cfg = TrainerConfig(method="er", seed=0)
+        state = init_state(cfg, 8)
+        state.model.add_head(1, 2, state.rng_init)
+        state.memory.register_task(1)
+        state.model.heads.bias(1)[0, 0] = np.inf
+        empty = TaskData(1, (0, 1), np.zeros((0, 8)),
+                         np.array([], dtype=np.int64), np.zeros((0, 8)),
+                         np.array([], dtype=np.int64))
+        with pytest.raises(DivergenceError, match="non-finite parameters"):
+            run_task(state, cfg, empty)
+        assert state.snapshot is None
