@@ -3,9 +3,9 @@ regularizers, evaluation metrics, and a deterministic benchmark CLI."""
 
 from .datasets import StreamSpec, TaskData, synth_stream
 from .losses import KispBatch, LossBreakdown, cross_entropy, kisp_loss, kisp_probs
-from .memory import EpisodicMemory, MemoryItem
+from .memory import EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift, fa, fm, ga, la
-from .model import Model, ModelSnapshot
+from .model import Model
 from .trainer import RunResult, TrainerConfig, run_stream
 
 __version__ = "0.1.0"
@@ -16,9 +16,7 @@ __all__ = [
     "EpisodicMemory",
     "KispBatch",
     "LossBreakdown",
-    "MemoryItem",
     "Model",
-    "ModelSnapshot",
     "RunResult",
     "StreamSpec",
     "TaskData",

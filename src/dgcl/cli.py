@@ -83,8 +83,8 @@ def _worker_count(n_cells: int) -> int:
     return min(cap, n_cells) if n_cells else 1
 
 
-def _aggregate(cfg: RunConfig, cells: list[Cell],
-               summaries: dict[Cell, dict]) -> dict:
+def _aggregate(cfg: RunConfig, cells: list[Cell], summaries: dict[Cell, dict],
+               failures: list[tuple[Cell, BaseException]]) -> dict:
     groups: dict[tuple, list[Cell]] = {}
     for cell in cells:
         if cell in summaries:
@@ -104,7 +104,13 @@ def _aggregate(cfg: RunConfig, cells: list[Cell],
                 row[f"{key}_mean"] = mean
                 row[f"{key}_ci95"] = ci
         rows.append(row)
-    return {"config_hash": config_hash(cfg), "cells": rows}
+    out = {"config_hash": config_hash(cfg), "cells": rows}
+    if failures:  # absent on full success, so those files do not change
+        out["failures"] = [
+            {"cell": cell.name, "method": cell.method, "lambda": cell.lam,
+             "M": cell.memory, "seed": cell.seed, "error": _failure_line(exc)}
+            for cell, exc in failures]
+    return out
 
 
 # failures of the run itself (bad data, divergence, I/O) rather than bugs
@@ -145,7 +151,8 @@ def cmd_run(config_path: str) -> int:
                 summaries[cell] = execute_cell(cfg, cell, str(outdir))
             except Exception as e:  # one failed cell must not stop the grid
                 failures.append((cell, e))
-    metrics.write_json(_aggregate(cfg, cells, summaries), outdir / "summary.json")
+    metrics.write_json(_aggregate(cfg, cells, summaries, failures),
+                       outdir / "summary.json")
     for cell, exc in failures:
         print(f"cell {cell.name} failed: {_failure_line(exc)}", file=sys.stderr)
         if not isinstance(exc, _RUN_FAULTS):

@@ -11,7 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import binio
 from .errors import DuplicateTaskError, NoHeadsError, ShapeMismatchError
 from .numerics import ParamLeaves, as_matrix
 
@@ -158,33 +157,6 @@ class HeadSet:
             return parts[0]
         return tape.hconcat(parts)
 
-    def copy(self) -> "HeadSet":
-        dup = HeadSet()
-        dup._tasks = list(self._tasks)
-        dup._weights = {t: w.copy() for t, w in self._weights.items()}
-        dup._biases = {t: b.copy() for t, b in self._biases.items()}
-        dup._offsets = dict(self._offsets)
-        return dup
-
-
-class ModelSnapshot:
-    """Frozen deep copy of encoder (and optionally head) parameters."""
-
-    def __init__(self, encoder: Encoder, heads: HeadSet | None = None):
-        self._encoder = encoder
-        self._heads = heads
-
-    @property
-    def frozen(self) -> bool:
-        return True
-
-    @property
-    def encoder(self) -> Encoder:
-        return self._encoder
-
-    def embed(self, x) -> np.ndarray:
-        return self._encoder.forward(x)
-
 
 class Model:
     """Shared encoder plus the current head set."""
@@ -234,48 +206,6 @@ class Model:
                 + [heads.weight(t) for t in heads.task_ids]
                 + [heads.bias(t) for t in heads.task_ids])
 
-    def snapshot(self, include_heads: bool = False) -> ModelSnapshot:
-        heads = self.heads.copy() if include_heads else None
-        return ModelSnapshot(self.encoder.copy(), heads)
-
-
-def save_model(model: Model, path) -> None:
-    """Write the versioned binary checkpoint (all floats little-endian f64)."""
-    with open(path, "wb") as f:
-        binio.write_container_header(f, binio.KIND_MODEL)
-        sizes = model.encoder.sizes
-        binio.write_u32(f, len(sizes))
-        for s in sizes:
-            binio.write_u32(f, s)
-        for w, b in zip(model.encoder.weights, model.encoder.biases):
-            binio.write_f64_array(f, w)
-            binio.write_f64_array(f, b)
-        binio.write_u32(f, len(model.heads.task_ids))
-        for t in model.heads.task_ids:
-            binio.write_u32(f, t)
-            binio.write_u32(f, model.heads.class_count(t))
-            binio.write_f64_array(f, model.heads.weight(t))
-            binio.write_f64_array(f, model.heads.bias(t))
-
-
-def load_model(path) -> Model:
-    with open(path, "rb") as f:
-        binio.read_container_header(f, binio.KIND_MODEL)
-        n_sizes = binio.read_u32(f, "layer-size count")
-        sizes = [binio.read_u32(f, "layer size") for _ in range(n_sizes)]
-        weights, biases = [], []
-        for d_in, d_out in zip(sizes, sizes[1:]):
-            weights.append(binio.read_f64_array(f, (d_in, d_out), "layer weight"))
-            biases.append(binio.read_f64_array(f, (1, d_out), "layer bias"))
-        model = Model(Encoder(weights, biases))
-        d_emb = sizes[-1]
-        n_heads = binio.read_u32(f, "head count")
-        for _ in range(n_heads):
-            task_id = binio.read_u32(f, "head task id")
-            c = binio.read_u32(f, "head class count")
-            w = binio.read_f64_array(f, (d_emb, c), "head weight")
-            b = binio.read_f64_array(f, (1, c), "head bias")
-            model.add_head(task_id, c, np.random.default_rng(0))
-            model.heads.weight(task_id)[:] = w
-            model.heads.bias(task_id)[:] = b
-        return model
+    def snapshot(self) -> Encoder:
+        """A frozen copy of the encoder: later updates leave it unchanged."""
+        return self.encoder.copy()

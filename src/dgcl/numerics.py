@@ -28,26 +28,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def _require_finite(m: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(m).all():
-        raise FloatingPointError(f"non-finite values produced by {op}")
-    return m
-
-
-def affine(x, w, b) -> np.ndarray:
-    """x @ w + b with b broadcast across rows."""
-    x, w, b = as_matrix(x), as_matrix(w), as_matrix(b)
-    if x.shape[1] != w.shape[0]:
-        raise ShapeMismatchError(
-            f"affine: x has shape {x.shape} but w has shape {w.shape}"
-        )
-    if b.shape != (1, w.shape[1]):
-        raise ShapeMismatchError(
-            f"affine: bias shape {b.shape} does not match (1, {w.shape[1]})"
-        )
-    return _require_finite(x @ w + b, "affine")
-
-
 def softmax(z) -> np.ndarray:
     """Row-wise softmax, stabilized by per-row max subtraction."""
     z = as_matrix(z)
@@ -74,14 +54,13 @@ def l2_normalize(f) -> np.ndarray:
 class Record:
     """One primitive-op record: kind, operand ids, saved forward value."""
 
-    __slots__ = ("op", "inputs", "value", "aux", "fwd", "grad")
+    __slots__ = ("op", "inputs", "value", "aux", "grad")
 
-    def __init__(self, op, inputs, value, aux=None, fwd=None, grad=None):
+    def __init__(self, op, inputs, value, aux=None, grad=None):
         self.op = op
         self.inputs = tuple(inputs)
         self.value = value
         self.aux = aux
-        self.fwd = fwd
         self.grad = grad
 
 
@@ -291,28 +270,15 @@ class Tape:
         ``aux`` reaches both ``fwd`` and ``grad``. An op may pass a fresh
         mutable container there, fill it with forward intermediates in
         ``fwd`` and read them in ``grad`` instead of recomputing them;
-        ``grad`` must leave them unchanged, so ``backward`` can run twice
-        and ``replay`` (which calls ``fwd`` again) stays reproducible.
+        ``grad`` must leave them unchanged, so ``backward`` can run twice.
         """
         vals = [self.records[i].value for i in inputs]
-        return self._push(Record(op, inputs, fwd(vals, aux), aux, fwd, grad))
+        return self._push(Record(op, inputs, fwd(vals, aux), aux, grad))
 
     def _same_shape(self, a: int, b: int, op: str) -> None:
         va, vb = self.value(a), self.value(b)
         if va.shape != vb.shape:
             raise ShapeMismatchError(f"{op}: shapes {va.shape} and {vb.shape} differ")
-
-    def replay(self) -> list[np.ndarray]:
-        """Recompute every record from the leaves; recorded values stay as
-        they are (a custom op's fwd may refill its own aux)."""
-        values: list[np.ndarray] = []
-        for rec in self.records:
-            if rec.op in ("leaf", "constant"):
-                values.append(rec.value)
-                continue
-            fwd = rec.fwd if rec.fwd is not None else _OPS[rec.op][0]
-            values.append(fwd([values[i] for i in rec.inputs], rec.aux))
-        return values
 
 
 def backward(tape: Tape, loss: int) -> dict[int, np.ndarray]:

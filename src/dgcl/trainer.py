@@ -1,12 +1,15 @@
 """The online continual-learning loop: one pass per task stream, replay,
 encoder snapshots, SGD updates, and per-update drift instrumentation.
 
-Per batch, for each of ``iterations`` repeats: sample a replay mini-batch,
-take the cross-entropy over current plus replayed examples, add the active
-regularizer on the replayed embeddings (snapshot vs. live encoder), and do
-one plain SGD step. The batch is written to memory only after its repeats,
-so an example is never replayed against itself inside its own step. The
-encoder snapshot refreshes exactly once per task boundary.
+Per batch, for each of ``iterations`` repeats: gather a replay mini-batch
+of rows from the memory, take the cross-entropy over current plus replayed
+examples, add the active regularizer on the replayed embeddings (snapshot
+vs. live encoder), and do one plain SGD step. After its repeats the batch
+is written to memory in one call, inputs and labels together with their
+embeddings at that moment, so an example is never replayed against itself
+inside its own step. The drift probe compares those stored embeddings with
+one forward pass over the whole memory. The encoder snapshot refreshes
+exactly once per task boundary.
 """
 from __future__ import annotations
 
@@ -18,9 +21,9 @@ import numpy as np
 from . import losses
 from .datasets import TaskData
 from .errors import DivergenceError, OverlappingClassesError, UnknownTaskError
-from .memory import EpisodicMemory, MemoryItem
+from .memory import EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
-from .model import DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, Model, ModelSnapshot
+from .model import DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, Encoder, Model
 from .numerics import ParamLeaves, Tape, backward, l2_normalize
 
 METHODS = ("finetune", "er", "lfc", "rld", "kisp")
@@ -66,12 +69,10 @@ class TrainerState:
     memory: EpisodicMemory
     rng_sample: np.random.Generator
     rng_init: np.random.Generator
-    snapshot: ModelSnapshot | None = None
+    snapshot: Encoder | None = None
     task_id: int = 0
     update_index: int = 0
-    consumption: dict = field(default_factory=dict)
     drift: DriftLog = field(default_factory=DriftLog)
-    write_refs: dict = field(default_factory=dict)
 
 
 def init_state(config: TrainerConfig, d_in: int,
@@ -81,17 +82,16 @@ def init_state(config: TrainerConfig, d_in: int,
     rng_sample = np.random.default_rng([config.seed, 202])
     model = Model.create(d_in, rng_init, hidden=hidden, embed_dim=embed_dim)
     return TrainerState(model=model,
-                        memory=EpisodicMemory(config.memory_size),
+                        memory=EpisodicMemory(config.memory_size, d_in,
+                                              embed_dim),
                         rng_sample=rng_sample, rng_init=rng_init)
 
 
 def _buffer_drift(state: TrainerState) -> float | None:
-    items = state.memory.all_items()
-    if not items:
+    pool = state.memory.all_items()
+    if not pool:
         return None
-    refs = np.concatenate([state.write_refs[id(it)] for it in items], axis=0)
-    cur = state.model.embed(np.concatenate([it.x for it in items], axis=0))
-    return embedding_drift(refs, cur)
+    return embedding_drift(pool.ref, state.model.embed(pool.x))
 
 
 def _require_finite(update_index: int, task_id: int, **values) -> None:
@@ -101,8 +101,8 @@ def _require_finite(update_index: int, task_id: int, **values) -> None:
             raise DivergenceError(update_index, task_id, component)
 
 
-def train_step(state: TrainerState, config: TrainerConfig, batch_x, batch_y,
-               example_uids=None) -> losses.LossBreakdown:
+def train_step(state: TrainerState, config: TrainerConfig, batch_x,
+               batch_y) -> losses.LossBreakdown:
     """One batch: ``iterations`` gradient steps, then the memory write."""
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=np.int64).reshape(-1)
@@ -111,12 +111,10 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x, batch_y,
     breakdown = losses.LossBreakdown(0.0, 0.0, 0.0, config.lam)
     for _ in range(config.iterations):
         replay = (state.memory.sample(config.batch_size, state.rng_sample)
-                  if config.uses_memory else [])
+                  if config.uses_memory else None)
         if replay:
-            x_all = np.concatenate([batch_x] +
-                                   [it.x for it in replay], axis=0)
-            y_all = np.concatenate([batch_y,
-                                    np.array([it.y for it in replay])])
+            x_all = np.concatenate([batch_x, replay.x], axis=0)
+            y_all = np.concatenate([batch_y, replay.y])
         else:
             x_all, y_all = batch_x, batch_y
         tape = Tape()
@@ -130,9 +128,8 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x, batch_y,
         use_reg = (config.method in REGULARIZED and state.snapshot is not None
                    and replay)
         if use_reg:
-            mem_x = np.concatenate([it.x for it in replay], axis=0)
-            f_pre_raw = state.snapshot.embed(mem_x)
-            f_cur_node = state.model.build_embed(leaves, mem_x)
+            f_pre_raw = state.snapshot.forward(replay.x)
+            f_cur_node = state.model.build_embed(leaves, replay.x)
             if config.method == "rld":
                 reg_node = losses.rld_node(tape, f_pre_raw, f_cur_node)
             else:
@@ -155,9 +152,6 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x, batch_y,
         grads = backward(tape, loss_node)
         for arr, nid in leaves.pairs():
             arr -= config.lr * grads[nid]
-        if example_uids is not None:
-            for uid in example_uids:
-                state.consumption[uid] = state.consumption.get(uid, 0) + 1
         state.update_index += 1
         breakdown = losses.LossBreakdown(ce_val, reg_val, total, config.lam)
         if config.uses_memory:
@@ -166,13 +160,8 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x, batch_y,
                 _require_finite(state.update_index, state.task_id, drift=drift)
                 state.drift.append(state.update_index, state.task_id, drift)
     if config.uses_memory:
-        items = [MemoryItem(batch_x[i:i + 1].copy(), int(batch_y[i]),
-                            state.task_id)
-                 for i in range(batch_x.shape[0])]
-        refs = state.model.embed(batch_x)
-        for i, item in enumerate(items):
-            state.write_refs[id(item)] = refs[i:i + 1].copy()
-        state.memory.write_batch(items)
+        state.memory.write_batch(batch_x, batch_y, state.model.embed(batch_x),
+                                 state.task_id)
     return breakdown
 
 
@@ -186,9 +175,8 @@ def run_task(state: TrainerState, config: TrainerConfig,
     n = task.n_train
     for start in range(0, n, config.batch_size):
         stop = min(start + config.batch_size, n)
-        uids = [(task.task_id, i) for i in range(start, stop)]
         train_step(state, config, task.train_x[start:stop],
-                   task.train_y[start:stop], example_uids=uids)
+                   task.train_y[start:stop])
     # once per task, not per update: a full scan of every parameter
     if not all(np.isfinite(p).all() for p in state.model.parameters()):
         raise DivergenceError(state.update_index, state.task_id, "parameters")
@@ -213,7 +201,6 @@ class RunResult:
     matrix: AccuracyMatrix
     drift: DriftLog
     model: Model
-    consumption: dict
 
 
 def run_stream(config: TrainerConfig, tasks: list[TaskData],
@@ -232,12 +219,16 @@ def run_stream(config: TrainerConfig, tasks: list[TaskData],
     state = init_state(config, tasks[0].train_x.shape[1],
                        hidden=hidden, embed_dim=embed_dim)
     matrix = AccuracyMatrix()
-    for idx, task in enumerate(tasks):
-        state.model.add_head(task.task_id, len(task.class_ids), state.rng_init)
-        state.memory.register_task(task.task_id)
-        run_task(state, config, task)
-        row = [evaluate_accuracy(state.model, tasks[j],
-                                 config.task_incremental_eval)
-               for j in range(idx + 1)]
-        matrix.append_row(row)
-    return RunResult(matrix, state.drift, state.model, state.consumption)
+    # a non-finite loss, drift or parameter raises DivergenceError; numpy's
+    # overflow warnings on the way there would only bury that one line
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, task in enumerate(tasks):
+            state.model.add_head(task.task_id, len(task.class_ids),
+                                 state.rng_init)
+            state.memory.register_task(task.task_id)
+            run_task(state, config, task)
+            row = [evaluate_accuracy(state.model, tasks[j],
+                                     config.task_incremental_eval)
+                   for j in range(idx + 1)]
+            matrix.append_row(row)
+    return RunResult(matrix, state.drift, state.model)

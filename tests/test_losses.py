@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgcl.errors import LabelRangeError, ShapeMismatchError
 from dgcl.losses import (
@@ -236,9 +238,41 @@ class TestKispCachedPieces:
         grad = backward(tape, node)[leaf]
         assert np.array_equal(grad, expected)
         assert np.array_equal(backward(tape, node)[leaf], grad)
-        replayed = tape.replay()
-        assert replayed[node].tobytes() == tape.value(node).tobytes()
-        assert np.array_equal(backward(tape, node)[leaf], grad)
+
+
+class TestKispProperties:
+    """For any batch size, width and temperature down to 1e-3, and for
+    near-duplicate pairs, P is column-stochastic and the loss and its
+    gradient stay finite."""
+
+    batches = st.tuples(st.integers(1, 64), st.integers(2, 16),
+                        st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+
+    @staticmethod
+    def check(pre, cur, tau):
+        p = kisp_probs(KispBatch(pre, cur, tau))
+        assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-12
+        tape = Tape()
+        leaf = tape.leaf(cur)
+        node = kisp_node(tape, pre, tape.l2_normalize(leaf), tau)
+        assert np.isfinite(tape.value(node)).all()
+        assert np.isfinite(backward(tape, node)[leaf]).all()
+
+    @settings(database=None, deadline=None)
+    @given(batches)
+    def test_independent_pairs(self, batch):
+        m, d, tau, seed = batch
+        rng = np.random.default_rng(seed)
+        self.check(unit_rows(rng, m, d), unit_rows(rng, m, d), tau)
+
+    @settings(database=None, deadline=None)
+    @given(batches)
+    def test_near_duplicate_pairs(self, batch):
+        m, d, tau, seed = batch
+        rng = np.random.default_rng(seed)
+        pre = unit_rows(rng, m, d)
+        cur = l2_normalize(pre + 1e-9 * rng.standard_normal((m, d)))
+        self.check(pre, cur, tau)
 
 
 class TestComparisonLosses:

@@ -1,112 +1,196 @@
 import numpy as np
 import pytest
 
-from dgcl.errors import UnknownTaskError
-from dgcl.memory import EpisodicMemory, MemoryItem, dump_memory, load_memory
+from dgcl.errors import ShapeMismatchError, UnknownTaskError
+from dgcl.memory import EpisodicMemory
 
 
-def item(task_id, tag):
-    return MemoryItem(np.array([[float(tag)]]), tag, task_id)
+def memory(capacity):
+    return EpisodicMemory(capacity, x_dim=1, ref_dim=2)
 
 
-def tags(items):
-    return [it.y for it in items]
+def write(mem, task_id, tags):
+    """Rows whose input, label and embedding all encode their tag."""
+    t = np.asarray(tags, dtype=np.float64).reshape(-1, 1)
+    mem.write_batch(t, np.asarray(tags), np.hstack([t, -t]), task_id)
+
+
+def tags(rows):
+    return rows.y.tolist()
+
+
+def assert_aligned(rows):
+    """Row i of x, y and ref all come from the same written example."""
+    assert rows.x.shape == (len(rows), 1) and rows.ref.shape == (len(rows), 2)
+    assert (rows.x[:, 0] == rows.y).all()
+    assert (rows.ref == np.hstack([rows.x, -rows.x])).all()
 
 
 class TestWrites:
     def test_under_capacity_keeps_order(self):
-        mem = EpisodicMemory(3)
+        mem = memory(3)
         mem.register_task(1)
-        mem.write_batch([item(1, 0), item(1, 1), item(1, 2)])
+        write(mem, 1, [0, 1, 2])
         assert tags(mem.all_items()) == [0, 1, 2]
 
     def test_fifo_eviction(self):
-        mem = EpisodicMemory(3)
+        mem = memory(3)
         mem.register_task(1)
-        mem.write_batch([item(1, 0), item(1, 1), item(1, 2)])
-        mem.write_batch([item(1, 3)])
+        write(mem, 1, [0, 1, 2])
+        write(mem, 1, [3])
         assert tags(mem.all_items()) == [1, 2, 3]
+        assert_aligned(mem.all_items())
 
     def test_per_task_isolation(self):
-        mem = EpisodicMemory(2)
+        mem = memory(2)
         mem.register_task(1)
         mem.register_task(2)
-        mem.write_batch([item(1, 0), item(1, 1)])
-        mem.write_batch([item(2, 10), item(2, 11), item(2, 12)])
+        write(mem, 1, [0, 1])
+        write(mem, 2, [10, 11, 12])
         assert tags(mem.all_items()) == [0, 1, 11, 12]
 
+    def test_batch_larger_than_capacity_keeps_its_newest(self):
+        mem = memory(3)
+        mem.register_task(1)
+        mem.register_task(2)
+        write(mem, 1, [0, 1])
+        write(mem, 2, [20])
+        write(mem, 1, [2, 3, 4, 5, 6])
+        assert tags(mem.all_items()) == [4, 5, 6, 20]
+        assert_aligned(mem.all_items())
+
     def test_unknown_task_rejected(self):
-        mem = EpisodicMemory(2)
+        mem = memory(2)
         mem.register_task(1)
         with pytest.raises(UnknownTaskError):
-            mem.write_batch([item(9, 0)])
+            write(mem, 9, [0])
+
+    def test_misaligned_rows_rejected(self):
+        mem = memory(2)
+        mem.register_task(1)
+        with pytest.raises(ShapeMismatchError):
+            mem.write_batch(np.zeros((2, 1)), [0, 1], np.zeros((3, 2)), 1)
+        with pytest.raises(ShapeMismatchError):
+            mem.write_batch(np.zeros((2, 4)), [0, 1], np.zeros((2, 2)), 1)
+        assert len(mem) == 0
 
     def test_capacity_bound_holds(self):
-        mem = EpisodicMemory(4)
+        mem = memory(4)
         for t in (1, 2, 3):
             mem.register_task(t)
         rng = np.random.default_rng(0)
         for step in range(50):
             t = int(rng.integers(1, 4))
-            mem.write_batch([item(t, step)])
+            write(mem, t, [step] * int(rng.integers(1, 7)))
             assert len(mem) <= 3 * 4
+            assert len(mem.all_items()) == len(mem)
+        assert_aligned(mem.all_items())
+
+    def test_matches_a_deque_per_task(self):
+        from collections import deque
+        mem = memory(5)
+        model = {t: deque(maxlen=5) for t in (3, 1, 2)}
+        for t in model:
+            mem.register_task(t)
+        rng = np.random.default_rng(4)
+        for step in range(60):
+            t = int(rng.choice([1, 2, 3]))
+            batch = [100 * step + i for i in range(int(rng.integers(1, 9)))]
+            write(mem, t, batch)
+            model[t].extend(batch)
+            assert tags(mem.all_items()) == [v for t in sorted(model)
+                                             for v in model[t]]
 
     def test_writes_are_deterministic(self):
         def build():
-            mem = EpisodicMemory(2)
+            mem = memory(2)
             mem.register_task(1)
             for i in range(7):
-                mem.write_batch([item(1, i)])
+                write(mem, 1, [i])
             return tags(mem.all_items())
 
         assert build() == build() == [5, 6]
 
+    def test_store_owns_its_rows(self):
+        mem = memory(4)
+        mem.register_task(1)
+        x = np.array([[1.0], [2.0]])
+        mem.write_batch(x, [1, 2], np.hstack([x, -x]), 1)
+        x[:] = 99.0
+        assert tags(mem.all_items()) == [1, 2]
+        assert_aligned(mem.all_items())
+
 
 class TestSampling:
     def test_exhaustion_returns_everything(self):
-        mem = EpisodicMemory(10)
+        mem = memory(10)
         mem.register_task(1)
-        mem.write_batch([item(1, i) for i in range(5)])
+        write(mem, 1, range(5))
         out = mem.sample(10, np.random.default_rng(0))
         assert sorted(tags(out)) == [0, 1, 2, 3, 4]
+        assert_aligned(out)
 
     def test_zero_k_is_a_contract_error(self):
-        mem = EpisodicMemory(2)
+        mem = memory(2)
         with pytest.raises(ValueError):
             mem.sample(0, np.random.default_rng(0))
 
     def test_empty_memory_returns_empty(self):
-        mem = EpisodicMemory(2)
+        mem = memory(2)
         mem.register_task(1)
-        assert mem.sample(3, np.random.default_rng(0)) == []
+        out = mem.sample(3, np.random.default_rng(0))
+        assert len(out) == 0 and not out
+        assert out.x.shape == (0, 1) and out.ref.shape == (0, 2)
+
+    def test_empty_memory_leaves_rng_untouched(self):
+        mem = memory(2)
+        mem.register_task(1)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        mem.sample(3, rng)
+        assert rng.bit_generator.state == before
 
     def test_no_duplicates_within_call(self):
-        mem = EpisodicMemory(10)
+        mem = memory(10)
         mem.register_task(1)
-        mem.write_batch([item(1, i) for i in range(8)])
+        write(mem, 1, range(8))
         rng = np.random.default_rng(1)
         for _ in range(20):
-            out = mem.sample(5, rng)
-            ids = [id(it) for it in out]
-            assert len(set(ids)) == len(ids)
+            out = tags(mem.sample(5, rng))
+            assert len(set(out)) == len(out) == 5
+
+    def test_draw_is_one_choice_over_the_pool(self):
+        # the draw is rng.choice(len(pool), min(k, len(pool)), replace=False)
+        # gathered from the pool order; grid outputs depend on it
+        mem = memory(3)
+        for t in (2, 1):
+            mem.register_task(t)
+        write(mem, 2, [20, 21])
+        write(mem, 1, [10, 11, 12, 13])
+        pool = tags(mem.all_items())
+        assert pool == [11, 12, 13, 20, 21]
+        idx = np.random.default_rng(8).choice(5, size=4, replace=False)
+        out = mem.sample(4, np.random.default_rng(8))
+        assert tags(out) == [pool[i] for i in idx]
+        assert_aligned(out)
 
     def test_uniform_frequencies_within_three_sigma(self):
-        mem = EpisodicMemory(4)
+        mem = memory(4)
         mem.register_task(1)
-        mem.write_batch([item(1, i) for i in range(4)])
+        write(mem, 1, range(4))
         rng = np.random.default_rng(2)
         draws = 10_000
         counts = {i: 0 for i in range(4)}
         for _ in range(draws):
-            counts[mem.sample(1, rng)[0].y] += 1
+            counts[int(mem.sample(1, rng).y[0])] += 1
         sigma = np.sqrt(0.25 * 0.75 / draws)
         for c in counts.values():
             assert abs(c / draws - 0.25) < 3 * sigma
 
     def test_deterministic_for_fixed_rng_state(self):
-        mem = EpisodicMemory(10)
+        mem = memory(10)
         mem.register_task(1)
-        mem.write_batch([item(1, i) for i in range(9)])
+        write(mem, 1, range(9))
         a = tags(mem.sample(4, np.random.default_rng(7)))
         b = tags(mem.sample(4, np.random.default_rng(7)))
         assert a == b
@@ -114,40 +198,23 @@ class TestSampling:
 
 class TestAllItems:
     def test_empty(self):
-        assert EpisodicMemory(3).all_items() == []
+        rows = memory(3).all_items()
+        assert len(rows) == 0
+        assert rows.x.shape == (0, 1) and rows.ref.shape == (0, 2)
 
     def test_task_order_then_write_order(self):
-        mem = EpisodicMemory(3)
+        mem = memory(3)
         mem.register_task(2)
         mem.register_task(1)
-        mem.write_batch([item(2, 10)])
-        mem.write_batch([item(1, 0), item(1, 1)])
+        write(mem, 2, [10])
+        write(mem, 1, [0, 1])
         assert tags(mem.all_items()) == [0, 1, 10]
+        assert_aligned(mem.all_items())
 
     def test_evicted_items_absent(self):
-        mem = EpisodicMemory(2)
+        mem = memory(2)
         mem.register_task(1)
-        victims = [item(1, i) for i in range(4)]
-        for v in victims:
-            mem.write_batch([v])
-        kept = mem.all_items()
-        assert victims[0] not in kept and victims[1] not in kept
-
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        mem = EpisodicMemory(3)
-        mem.register_task(1)
-        mem.register_task(2)
-        rng = np.random.default_rng(3)
-        for t, y in ((1, 0), (1, 1), (2, 5)):
-            mem.write_batch([MemoryItem(rng.standard_normal((1, 4)), y, t)])
-        path = tmp_path / "memory.dgcl"
-        dump_memory(mem, path)
-        loaded = load_memory(path)
-        assert loaded.capacity == 3
-        originals, copies = mem.all_items(), loaded.all_items()
-        assert len(originals) == len(copies)
-        for a, b in zip(originals, copies):
-            assert (a.y, a.task_id) == (b.y, b.task_id)
-            assert a.x.tobytes() == b.x.tobytes()
+        for v in range(4):
+            write(mem, 1, [v])
+        kept = tags(mem.all_items())
+        assert 0 not in kept and 1 not in kept

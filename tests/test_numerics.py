@@ -8,7 +8,6 @@ from dgcl.losses import cross_entropy_node, kisp_node
 from dgcl.numerics import (
     ParamLeaves,
     Tape,
-    affine,
     backward,
     finite_diff_check,
     l2_normalize,
@@ -16,6 +15,12 @@ from dgcl.numerics import (
 )
 
 from oracles import matmul_loops
+
+
+def affine(x, w, b):
+    """Forward value of the tape's affine op on constant operands."""
+    tape = Tape()
+    return tape.value(tape.affine(*(tape.constant(a) for a in (x, w, b))))
 
 
 class TestAffine:
@@ -123,23 +128,6 @@ class TestTape:
         x = tape.leaf([[2.0]])
         loss = tape.add(tape.mul(x, x), tape.scale(x, 3.0))
         assert backward(tape, loss)[x][0, 0] == 7.0
-
-    def test_replay_is_bit_identical(self):
-        rng = np.random.default_rng(5)
-        tape = Tape()
-        leaves = ParamLeaves(tape)
-        x = rng.standard_normal((4, 3))
-        w = rng.standard_normal((3, 6))
-        b = rng.standard_normal((1, 6))
-        h = tape.relu(tape.affine(tape.constant(x), leaves.leaf(w), leaves.leaf(b)))
-        cur = tape.l2_normalize(h)
-        pre = l2_normalize(rng.standard_normal((4, 6)))
-        kisp_node(tape, pre, cur, 0.1)
-        cross_entropy_node(tape, h, rng.integers(0, 6, size=4))
-        replayed = tape.replay()
-        assert len(replayed) == len(tape.records)
-        for rec, new in zip(tape.records, replayed):
-            assert rec.value.tobytes() == new.tobytes()
 
     def test_leaf_copies_value(self):
         arr = np.ones((2, 2))

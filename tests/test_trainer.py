@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from dgcl import trainer
 from dgcl.datasets import StreamSpec, TaskData, synth_stream
 from dgcl.errors import DivergenceError, OverlappingClassesError, UnknownTaskError
-from dgcl.memory import MemoryItem
 from dgcl.trainer import (
     TrainerConfig,
     evaluate_accuracy,
@@ -23,6 +23,23 @@ def small_tasks():
 
 def encoder_bytes(model):
     return b"".join(w.tobytes() for w in model.encoder.weights)
+
+
+def record_feeds(monkeypatch):
+    """Patch ``trainer.train_step`` to log, per call, the task id, the batch
+    ``run_task`` fed and how many updates the call made."""
+    fed = []
+    real = trainer.train_step
+
+    def recording(state, config, batch_x, batch_y):
+        before = state.update_index
+        out = real(state, config, batch_x, batch_y)
+        fed.append((state.task_id, np.array(batch_x), np.array(batch_y),
+                    state.update_index - before))
+        return out
+
+    monkeypatch.setattr(trainer, "train_step", recording)
+    return fed
 
 
 def twin_distribution_tasks(seed, n_train=100, n_test=40, d=8):
@@ -125,7 +142,8 @@ class TestRunTask:
         assert encoder_bytes(state.model) == before
         assert state.snapshot is not None
 
-    def test_batching_arithmetic_and_consumption(self):
+    def test_batching_arithmetic_and_consumption(self, monkeypatch):
+        fed = record_feeds(monkeypatch)
         rng = np.random.default_rng(5)
         task = TaskData(1, (0, 1), rng.standard_normal((35, 8)),
                         rng.integers(0, 2, size=35), np.zeros((0, 8)),
@@ -135,10 +153,14 @@ class TestRunTask:
         state.model.add_head(1, 2, state.rng_init)
         state.memory.register_task(1)
         run_task(state, cfg, task)
-        # 4 batches (last of size 5), each example seen `iterations` times
+        # 4 batches (last of size 5), each fed once and updated on twice
+        assert [len(y) for _, _, y, _ in fed] == [10, 10, 10, 5]
+        assert all(updates == 2 for _, _, _, updates in fed)
         assert state.update_index == 4 * 2
-        assert len(state.consumption) == 35
-        assert all(v == 2 for v in state.consumption.values())
+        assert np.concatenate([x for _, x, _, _ in fed]).tobytes() \
+            == task.train_x.tobytes()
+        assert np.concatenate([y for _, _, y, _ in fed]).tolist() \
+            == task.train_y.tolist()
 
     def test_head_must_exist(self):
         cfg = TrainerConfig(method="er", seed=0)
@@ -156,14 +178,14 @@ class TestRunTask:
         run_task(state, cfg, tasks[0])
         end_of_task1 = encoder_bytes(state.model)
         probe = np.random.default_rng(9).standard_normal((4, SMALL_SPEC.d_in))
-        frozen = state.snapshot.embed(probe).copy()
+        frozen = state.snapshot.forward(probe).copy()
         state.model.add_head(2, 2, state.rng_init)
         state.memory.register_task(2)
         snap_before = state.snapshot
         run_task(state, cfg, tasks[1])
         # training task 2 used the frozen end-of-task-1 encoder throughout
         assert state.snapshot is not snap_before
-        assert snap_before.embed(probe).tobytes() == frozen.tobytes()
+        assert snap_before.forward(probe).tobytes() == frozen.tobytes()
         assert encoder_bytes(state.model) != end_of_task1
 
 
@@ -211,13 +233,19 @@ class TestRunStream:
                 wins += 1
         assert wins >= 3
 
-    def test_consumption_is_single_pass(self):
+    def test_consumption_is_single_pass(self, monkeypatch):
+        fed = record_feeds(monkeypatch)
         tasks = small_tasks()
-        result = run_stream(TrainerConfig(method="er", iterations=1, seed=0),
-                            tasks)
-        total = sum(t.n_train for t in tasks)
-        assert len(result.consumption) == total
-        assert all(v == 1 for v in result.consumption.values())
+        run_stream(TrainerConfig(method="er", iterations=1, seed=0), tasks)
+        assert all(updates == 1 for _, _, _, updates in fed)
+        for task in tasks:
+            mine = [(x, y) for t, x, y, _ in fed if t == task.task_id]
+            # every example exactly once, in stream order
+            assert np.concatenate([x for x, _ in mine]).tobytes() \
+                == task.train_x.tobytes()
+            assert np.concatenate([y for _, y in mine]).tolist() \
+                == task.train_y.tolist()
+        assert [t for t, _, _, _ in fed] == sorted(t for t, _, _, _ in fed)
 
     def test_drift_values_in_range(self):
         result = run_stream(TrainerConfig(method="er", seed=0), small_tasks())
@@ -237,14 +265,14 @@ class TestEvaluation:
             state.memory.register_task(task.task_id)
             run_task(state, cfg, task)
         params = encoder_bytes(state.model)
-        mem_before = [(it.y, it.task_id, it.x.tobytes())
-                      for it in state.memory.all_items()]
+        rows = state.memory.all_items()
+        mem_before = [a.tobytes() for a in (rows.x, rows.y, rows.ref)]
         for task in tasks[:2]:
             evaluate_accuracy(state.model, task)
             evaluate_accuracy(state.model, task, task_incremental=True)
         assert encoder_bytes(state.model) == params
-        assert [(it.y, it.task_id, it.x.tobytes())
-                for it in state.memory.all_items()] == mem_before
+        rows = state.memory.all_items()
+        assert [a.tobytes() for a in (rows.x, rows.y, rows.ref)] == mem_before
 
     def test_task_incremental_never_lower_within_task(self):
         # restricting the argmax to the right task cannot hurt that task
@@ -273,15 +301,48 @@ class TestMemoryInteraction:
         y = np.zeros(10, dtype=np.int64)
         train_step(state, cfg, x, y)
         assert len(state.memory) == 10
-        for item in state.memory.all_items():
-            assert isinstance(item, MemoryItem)
-            assert id(item) in {id(i) for i in state.memory.all_items()}
+        rows = state.memory.all_items()
+        assert rows.x.tobytes() == x.tobytes()
+        assert rows.y.tolist() == y.tolist()
+        # the embedding under the already-updated model, not the pre-step one
+        assert rows.ref.tobytes() == state.model.embed(x).tobytes()
+
+    def test_refs_are_write_time_embeddings(self):
+        cfg = TrainerConfig(method="kisp", seed=2, memory_size=25)
+        state = init_state(cfg, SMALL_SPEC.d_in)
+        for task in small_tasks()[:2]:
+            state.model.add_head(task.task_id, 2, state.rng_init)
+            state.memory.register_task(task.task_id)
+            state.task_id = task.task_id
+            for start in range(0, task.n_train, cfg.batch_size):
+                stop = start + cfg.batch_size
+                bx = task.train_x[start:stop]
+                train_step(state, cfg, bx, task.train_y[start:stop])
+                # the current task has the highest id: its rows come last
+                written = state.memory.all_items().take(slice(-len(bx), None))
+                assert written.x.tobytes() == bx.tobytes()
+                assert written.ref.tobytes() == state.model.embed(bx).tobytes()
+            state.snapshot = state.model.snapshot()
+        # older rows keep the embeddings they were written with
+        rows = state.memory.all_items()
+        assert rows.ref.tobytes() != state.model.embed(rows.x).tobytes()
+
+    def test_state_bounded_after_ten_task_stream(self):
+        spec = StreamSpec(tasks=10, classes_per_task=2, d_in=8,
+                          train_per_class=15, test_per_class=5, seed=3)
+        cfg = TrainerConfig(method="kisp", memory_size=7, seed=0)
+        state = init_state(cfg, spec.d_in)
+        for seen, task in enumerate(synth_stream(spec), start=1):
+            state.model.add_head(task.task_id, 2, state.rng_init)
+            state.memory.register_task(task.task_id)
+            run_task(state, cfg, task)
+            assert len(state.memory) <= 7 * seen
+        assert len(state.memory) == 7 * 10
+        rows = state.memory.all_items()
+        assert len(rows.x) == len(rows.y) == len(rows.ref) == 70
 
 
 class TestDivergence:
-    # overflowing weights are the point here, not a warning to report
-    pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
     def test_finetune_nan_weights_are_not_a_result(self):
         cfg = TrainerConfig(method="finetune", lr=50.0)
         with pytest.raises(DivergenceError) as info:
