@@ -4,12 +4,12 @@ Subcommands::
 
     dgcl run <config>        execute the (method, lambda, M, seed) grid
     dgcl gradcheck [--seed]  finite-difference check of all loss gradients
-    dgcl drift <config>      paired lambda=0 vs lambda=config drift report
+    dgcl drift <config>      paired lambda=0 vs first lambda>0 drift report
 
 ``run`` exits 0 on full success, 1 if any grid cell failed (outputs from
 completed cells are preserved), and 2 on configuration errors. Set the
-``DGCL_THREADS`` environment variable to run grid cells in parallel worker
-processes; output files are identical either way.
+``DGCL_THREADS`` environment variable to a positive integer to run grid
+cells in that many worker processes; output files are identical either way.
 """
 from __future__ import annotations
 
@@ -77,9 +77,12 @@ def execute_cell(cfg: RunConfig, cell: Cell, outdir: str) -> dict:
 def _worker_count(n_cells: int) -> int:
     raw = os.environ.get("DGCL_THREADS", "1")
     try:
-        cap = max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        cap = 1
+        cap = 0
+    if cap < 1:
+        raise ConfigError(
+            f"DGCL_THREADS must be a positive integer, got {raw!r}")
     return min(cap, n_cells) if n_cells else 1
 
 
@@ -126,13 +129,13 @@ def _failure_line(exc: BaseException) -> str:
 def cmd_run(config_path: str) -> int:
     try:
         cfg = parse_config_file(config_path)
+        cells = expand_cells(cfg)
+        workers = _worker_count(len(cells))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    cells = expand_cells(cfg)
     outdir = _cell_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = _worker_count(len(cells))
     summaries: dict[Cell, dict] = {}
     failures: list[tuple[Cell, Exception]] = []
     if workers > 1:
@@ -187,7 +190,12 @@ def cmd_drift(config_path: str) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    lam_reg = cfg.lams[0]
+    # pairing lambda=0 against itself would compare a run with its twin
+    lam_reg = next((lam for lam in cfg.lams if lam != 0.0), None)
+    if lam_reg is None:
+        print("config error: drift needs a nonzero trainer.lambda",
+              file=sys.stderr)
+        return 2
     seed = cfg.seeds[0]
     memory = cfg.memories[0]
     outdir = Path(cfg.output_dir) / f"drift-{config_hash(cfg)}"
@@ -204,7 +212,7 @@ def cmd_drift(config_path: str) -> int:
         _write_paired_drift(results["base"].drift, results["reg"].drift,
                             lam_reg, outdir / "drift_paired.csv")
         for label, lam in (("base", 0.0), ("reg", lam_reg)):
-            _write_accuracy_evolution(
+            metrics.write_accuracy_csv(
                 results[label].matrix,
                 outdir / f"accuracy_evolution_lam{lam:g}.csv")
     except _RUN_FAULTS as e:
@@ -219,18 +227,6 @@ def _write_paired_drift(base, reg, lam_reg: float, path) -> None:
     for eb, er in zip(base.entries, reg.entries):
         lines.append(f"{eb.update_index},{eb.task_id},"
                      f"{eb.value!r},{er.value!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def _write_accuracy_evolution(matrix, path) -> None:
-    t = matrix.T
-    header = "after_task," + ",".join(f"task_{j}_accuracy"
-                                      for j in range(1, t + 1))
-    lines = [header]
-    for i in range(1, t + 1):
-        cells = [repr(v) for v in matrix.row(i)] + [""] * (t - i)
-        lines.append(f"{i}," + ",".join(cells))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 

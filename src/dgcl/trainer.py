@@ -10,10 +10,16 @@ embeddings at that moment, so an example is never replayed against itself
 inside its own step. The drift probe compares those stored embeddings with
 one forward pass over the whole memory. The encoder snapshot refreshes
 exactly once per task boundary.
+
+``run_stream`` first asks glibc to keep freed heap in the process: KISP's
+m x m temporaries (720 KB each at m=300) are otherwise unmapped on free and
+page-faulted back in on every update.
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +202,30 @@ def evaluate_accuracy(model: Model, task: TaskData,
     return float(np.mean(pred == task.test_y))
 
 
+# glibc <malloc.h> mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Serve blocks below 32 MiB (glibc's 64-bit maximum) from the heap and
+    return free heap to the kernel only above 256 MiB. Both must be set:
+    a fixed trim threshold alone also turns off glibc's dynamic mmap
+    threshold, and the faults get worse. A no-op off glibc."""
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 @dataclass
 class RunResult:
     matrix: AccuracyMatrix
@@ -206,6 +236,7 @@ class RunResult:
 def run_stream(config: TrainerConfig, tasks: list[TaskData],
                hidden=DEFAULT_HIDDEN, embed_dim=DEFAULT_EMBED_DIM) -> RunResult:
     """Train across the task sequence and fill the accuracy matrix."""
+    _keep_freed_heap()
     if not tasks:
         raise ValueError("need at least one task")
     seen: set[int] = set()

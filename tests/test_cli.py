@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dgcl.cli import main
 
 GRID = """\
@@ -64,3 +66,72 @@ def test_successful_grid_has_no_failures_key(tmp_path):
     (run_dir,) = (tmp_path / "ok").iterdir()
     summary = json.loads((run_dir / "summary.json").read_text())
     assert "failures" not in summary and len(summary["cells"]) == 2
+
+
+def _grid_config(tmp_path, name, methods, lams="1", seeds="0,1"):
+    config = tmp_path / f"{name}.cfg"
+    config.write_text(GRID.replace("trainer.lr = 50", "trainer.lr = 0.05")
+                      .replace("trainer.methods = finetune,er",
+                               f"trainer.methods = {methods}\n"
+                               f"trainer.lambda = {lams}")
+                      .replace("seeds = 0,1", f"seeds = {seeds}")
+                      .format(out=tmp_path / name))
+    return config
+
+
+def _run_files(tmp_path, name):
+    (run_dir,) = (tmp_path / name).glob("run-*")
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+
+
+def test_successful_grid_is_identical_serial_and_parallel(tmp_path,
+                                                           monkeypatch):
+    files = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DGCL_THREADS", threads)
+        config = _grid_config(tmp_path, f"t{threads}", "finetune,er,kisp")
+        assert main(["run", str(config)]) == 0
+        files[threads] = _run_files(tmp_path, f"t{threads}")
+    # 3 methods x 2 seeds, three files each, plus the aggregate summary
+    assert len(files["1"]) == 6 * 3 + 1 and "summary.json" in files["1"]
+    assert files["2"] == files["1"]
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-2", ""])
+def test_bad_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                            raw):
+    monkeypatch.setenv("DGCL_THREADS", raw)
+    config = _grid_config(tmp_path, "bad", "er")
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: DGCL_THREADS must be a positive integer, got {raw!r}"]
+    assert not (tmp_path / "bad").exists()  # no cell ran
+
+
+def _csv_column(data: bytes, index: int) -> list[bytes]:
+    return [line.split(b",")[index] for line in data.splitlines()[1:]]
+
+
+def test_drift_pairs_zero_with_first_nonzero_lambda(tmp_path):
+    config = _grid_config(tmp_path, "drift", "kisp", lams="0,1", seeds="0")
+    assert main(["drift", str(config)]) == 0
+    (drift_dir,) = (tmp_path / "drift").glob("drift-*")
+    paired = (drift_dir / "drift_paired.csv").read_bytes()
+    assert (paired.splitlines()[0]
+            == b"update_index,task_id,drift_lam0,drift_lam1")
+    # the drift report and a dgcl run cell of the same lambda agree exactly
+    assert main(["run", str(config)]) == 0
+    cells = _run_files(tmp_path, "drift")
+    for lam, column in (("0", 2), ("1", 3)):
+        cell = f"kisp_lam{lam}_M20_seed0"
+        assert (_csv_column(paired, column)
+                == _csv_column(cells[f"{cell}.drift.csv"], 2))
+        assert ((drift_dir / f"accuracy_evolution_lam{lam}.csv").read_bytes()
+                == cells[f"{cell}.matrix.csv"])
+
+
+def test_drift_needs_a_nonzero_lambda(tmp_path, capsys):
+    config = _grid_config(tmp_path, "zero", "kisp", lams="0", seeds="0")
+    assert main(["drift", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "zero").exists()

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -371,3 +373,22 @@ class TestDivergence:
         with pytest.raises(DivergenceError, match="non-finite parameters"):
             run_task(state, cfg, empty)
         assert state.snapshot is None
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the heap policy is set through glibc")
+    def test_repeat_kisp_run_does_not_page_fault(self):
+        # m=300 replay: each update makes m x m temporaries of 720 KB,
+        # which glibc's default policy unmaps on free (about 13k faults)
+        import resource
+        tasks = synth_stream(StreamSpec(tasks=3, classes_per_task=2, d_in=8,
+                                        train_per_class=300,
+                                        test_per_class=20, seed=11))
+        cfg = TrainerConfig(method="kisp", batch_size=300, memory_size=150,
+                            iterations=3)
+        run_stream(cfg, tasks)  # warm-up: the heap grows to its working size
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_stream(cfg, tasks)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1000
