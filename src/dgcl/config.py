@@ -57,10 +57,17 @@ def _parse_float(key, raw):
 
 
 def _parse_list(key, raw, conv):
+    """Comma-separated values; a value listed twice (after conversion, so
+    ``1`` and ``1.0`` are one lambda) would run its cells twice and pass the
+    copies off as independent repeats, so it is rejected."""
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError(f"{key}: list must not be empty")
-    return [conv(key, p) for p in parts]
+    values = [conv(key, p) for p in parts]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{key}: {parts[i]!r} repeats an earlier value")
+    return values
 
 
 def parse_config(text: str) -> RunConfig:

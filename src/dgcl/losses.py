@@ -12,9 +12,12 @@ it away from the other snapshots (spread-out).
 
 Each loss has a plain-value form and a tape-node form; both share the same
 forward arithmetic, so the oracle tests and the training path cannot drift
-apart. A custom tape op may keep its forward intermediates in the record's
-``aux`` for its gradient: the KISP node computes its softmax pieces once per
-update that way, rather than again in the backward sweep.
+apart. The KISP node is one tape op over the live embeddings: the snapshot
+embeddings are data, copied into the record's ``aux`` and never
+differentiated. It forms the similarity matrix itself with the helper
+``kisp_probs`` uses too, keeps its softmax pieces in ``aux`` so the backward
+sweep reuses them, and returns the gradient of the similarity-matrix chain
+(transpose, product, temperature scale) operand for operand.
 """
 from __future__ import annotations
 
@@ -138,48 +141,73 @@ def _column_softmax(s: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0, keepdims=True)
 
 
+def _kisp_similarity(f_pre_norm: np.ndarray, f_cur_norm: np.ndarray,
+                     tau: float) -> np.ndarray:
+    """S[i, j] = <f_pre_i, f_cur_j> / tau. The transposed operand is copied
+    to C order first: BLAS rounds a product with a transposed view
+    differently in the last bits at some sizes."""
+    s = f_pre_norm @ f_cur_norm.T.copy()
+    s *= 1.0 / tau
+    return s
+
+
 def kisp_probs(batch: KispBatch) -> np.ndarray:
     """Instance-discrimination matrix P[i, j] = p(i | current embedding j).
 
     Columns are softmaxes over snapshot instances; each column sums to 1.
+    The similarity is the one the training node forms.
     """
-    s = batch.f_pre_norm @ batch.f_cur_norm.T / batch.tau
-    return _column_softmax(s)
+    return _column_softmax(_kisp_similarity(batch.f_pre_norm,
+                                            batch.f_cur_norm, batch.tau))
 
 
 def _kisp_forward(vals, aux):
-    """KISP value of the similarity matrix ``vals[0]``. Fills ``aux`` with
-    the intermediates the gradient reuses: shifted exponentials ``e``,
-    column sums ``colsum``, leave-one-out column sums ``excl`` (a
-    nonnegative masked product, so the near-saturated (1 - P) values keep
-    full relative precision) and their raw ratio ``one_minus``."""
-    s = vals[0]
+    """KISP value for the live embeddings ``vals[0]`` against the snapshot
+    ``aux["pre"]``. Fills ``aux`` with the intermediates the gradient
+    reuses: shifted exponentials ``e``, column sums ``colsum``, leave-one-out
+    column sums ``excl`` (a nonnegative masked product, so the
+    near-saturated (1 - P) values keep full relative precision) and their
+    raw ratio ``one_minus``."""
+    s = _kisp_similarity(aux["pre"], vals[0], aux["tau"])
     m = s.shape[0]
     colmax = s.max(axis=0, keepdims=True)
-    e = np.exp(s - colmax)
+    # -log P[i,i] = log colsum_i - (s_ii - colmax_i); finite for any s
+    diag_shifted = np.diag(s) - colmax[0]
+    e = s
+    e -= colmax
+    np.exp(e, out=e)
     colsum = e.sum(axis=0, keepdims=True)
     leave_one_out = np.ones((m, m))
     np.fill_diagonal(leave_one_out, 0.0)
     excl = leave_one_out @ e
     one_minus = excl / colsum
     aux.update(e=e, colsum=colsum, excl=excl, one_minus=one_minus)
-    # -log P[i,i] = log colsum_i - (s_ii - colmax_i); finite for any s
-    invariant = (np.log(colsum[0]) - (np.diag(s) - colmax[0])).sum()
-    # -log(1 - P[i,j]) = log colsum_j - log excl_ij, floored at the clamp
-    off = ~np.eye(m, dtype=bool)
-    spread = -np.log(np.maximum(one_minus, ONE_MINUS_P_FLOOR)[off]).sum()
+    invariant = (np.log(colsum[0]) - diag_shifted).sum()
+    # -log(1 - P[i,j]) = log colsum_j - log excl_ij, floored at the clamp,
+    # over the off-diagonal entries in row order: past the first entry,
+    # each run of m + 1 entries ends on a diagonal one, which [:, :m] drops
+    off = one_minus.reshape(-1)[1:].reshape(m - 1, m + 1)[:, :m]
+    floored = np.maximum(off, ONE_MINUS_P_FLOOR)
+    spread = -np.log(floored, out=floored).sum()
     return np.array([[float(invariant + spread)]])
 
 
 def _kisp_grad(vals, out, aux, g):
     e, colsum, excl = aux["e"], aux["colsum"], aux["excl"]
     p = e / colsum
-    q = np.where(aux["one_minus"] > ONE_MINUS_P_FLOOR,
-                 colsum / np.maximum(excl, 1e-300), 0.0)
+    q = np.maximum(excl, 1e-300)
+    np.divide(colsum, q, out=q)
+    np.copyto(q, 0.0, where=~(aux["one_minus"] > ONE_MINUS_P_FLOOR))
     np.fill_diagonal(q, -colsum[0] / np.maximum(np.diag(e), 1e-300))
     # column-wise softmax Jacobian: dJ/dS[:,j] = P_j * (q_j - <q_j, P_j>)
     col_dot = (q * p).sum(axis=0, keepdims=True)
-    return [g[0, 0] * p * (q - col_dot)]
+    q -= col_dot
+    # dS = g * P * (q - col_dot) / tau, one factor at a time in that order
+    p *= g[0, 0]
+    p *= q
+    p *= 1.0 / aux["tau"]
+    # back through S = pre @ cur.T / tau to the live embeddings
+    return [(aux["pre"].T @ p).T]
 
 
 def kisp_loss(batch: KispBatch) -> float:
@@ -196,14 +224,19 @@ def kisp_loss(batch: KispBatch) -> float:
 
 def kisp_node(tape: Tape, f_pre_norm: np.ndarray, f_cur_norm: int,
               tau: float) -> int:
-    """Tape-node KISP; snapshot embeddings enter as a constant."""
+    """Tape-node KISP; the snapshot embeddings are data (no gradient)."""
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
-    pre = tape.constant(as_matrix(f_pre_norm))
-    s = tape.scale(tape.matmul(pre, tape.transpose(f_cur_norm)), 1.0 / tau)
+    pre = as_matrix(f_pre_norm)
+    if pre.shape != tape.value(f_cur_norm).shape:
+        raise ShapeMismatchError(
+            f"paired embeddings differ: {pre.shape} "
+            f"vs {tape.value(f_cur_norm).shape}"
+        )
     # a fresh dict per node: the forward fills it, the gradient reads it
-    return tape.apply("kisp_penalty", (s,), _kisp_forward, _kisp_grad,
-                      aux={})
+    aux = {"pre": pre.copy(), "tau": float(tau)}
+    return tape.apply("kisp_penalty", (f_cur_norm,), _kisp_forward,
+                      _kisp_grad, aux=aux)
 
 
 # ---------------------------------------------------------------------------

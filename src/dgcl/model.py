@@ -4,6 +4,13 @@ The encoder is a small MLP (rectifier on hidden layers, linear output) whose
 final layer produces the embedding the regularizers act on. Classification
 heads are registered one per task; their logits are concatenated in task
 order, so global class indices are per-task offsets plus local indices.
+
+On a tape, one encoder pass is one ``encoder`` op and the whole head block
+one ``heads`` op. The encoder op copies its input batch into the record's
+``aux`` and keeps its hidden activations there for the gradient; the batch
+is data, so its gradient is never formed. Both ops repeat the affine / relu
+/ concatenate chain's arithmetic operand for operand, so values and
+gradients equal that chain's bit for bit.
 """
 from __future__ import annotations
 
@@ -22,6 +29,68 @@ def _init_weight(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     # uniform in +-sqrt(6 / (fan_in + fan_out))
     bound = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-bound, bound, size=(rows, cols))
+
+
+def _encoder_forward(vals, aux):
+    """The MLP on ``aux["x"]`` with ``vals`` = (W1, b1, ..., WL, bL); keeps
+    each hidden layer's rectified output in ``aux["hidden"]``."""
+    h = aux["x"]
+    hidden = []
+    for i in range(0, len(vals), 2):
+        if i:
+            hidden.append(h)
+        h = h @ vals[i] + vals[i + 1]
+        if i + 2 < len(vals):
+            np.maximum(h, 0.0, out=h)
+    aux["hidden"] = hidden
+    return h
+
+
+def _encoder_grad(vals, out, aux, g):
+    # layer inputs: the batch, then each rectified hidden output; a hidden
+    # unit passes gradient where its output is > 0, exactly where its
+    # pre-activation is
+    inputs = [aux["x"], *aux["hidden"]]
+    grads = [None] * len(vals)
+    for layer in range(len(inputs) - 1, -1, -1):
+        grads[2 * layer] = inputs[layer].T @ g
+        grads[2 * layer + 1] = g.sum(axis=0, keepdims=True)
+        if layer:
+            g = g @ vals[2 * layer].T
+            g *= inputs[layer] > 0.0
+    return grads
+
+
+def _heads_forward(vals, aux):
+    """Logits of every head on ``vals[0]``, concatenated in task order."""
+    f = vals[0]
+    parts = [f @ vals[i] + vals[i + 1] for i in range(1, len(vals), 2)]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts, axis=1)
+
+
+def _heads_grad(vals, out, aux, g):
+    # each bias sums its own slice: numpy sums a single column pairwise but
+    # a wider block row by row, so slicing one shared column sum would round
+    # one-class heads differently; the gradient for f adds the heads' terms
+    # last head first, an order the trained weights' rounding depends on
+    f = vals[0]
+    grads = [None] * len(vals)
+    hi = g.shape[1]
+    for i in range(len(vals) - 2, 0, -2):
+        w = vals[i]
+        lo = hi - w.shape[1]
+        g_head = g[:, lo:hi]
+        grads[i] = f.T @ g_head
+        grads[i + 1] = g_head.sum(axis=0, keepdims=True)
+        term = g_head @ w.T
+        if grads[0] is None:
+            grads[0] = term
+        else:
+            grads[0] += term
+        hi = lo
+    return grads
 
 
 class Encoder:
@@ -81,14 +150,10 @@ class Encoder:
             raise ShapeMismatchError(
                 f"input has {x.shape[1]} columns, encoder expects {self.input_dim}"
             )
-        tape = leaves.tape
-        node = tape.constant(x)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            node = tape.affine(node, leaves.leaf(w), leaves.leaf(b))
-            if i != last:
-                node = tape.relu(node)
-        return node
+        params = [leaves.leaf(p) for pair in zip(self.weights, self.biases)
+                  for p in pair]
+        return leaves.tape.apply("encoder", params, _encoder_forward,
+                                 _encoder_grad, aux={"x": x.copy()})
 
     def copy(self) -> "Encoder":
         return Encoder([w.copy() for w in self.weights],
@@ -147,15 +212,16 @@ class HeadSet:
     def build_logits(self, leaves: ParamLeaves, f_node: int) -> int:
         if not self._tasks:
             raise NoHeadsError("no classification heads registered")
-        tape = leaves.tape
-        parts = [
-            tape.affine(f_node, leaves.leaf(self._weights[t]),
-                        leaves.leaf(self._biases[t]))
-            for t in self._tasks
-        ]
-        if len(parts) == 1:
-            return parts[0]
-        return tape.hconcat(parts)
+        width = leaves.tape.value(f_node).shape[1]
+        rows = self._weights[self._tasks[0]].shape[0]
+        if width != rows:
+            raise ShapeMismatchError(
+                f"heads take {rows}-wide embeddings, got {width} columns"
+            )
+        params = [leaves.leaf(p) for t in self._tasks
+                  for p in (self._weights[t], self._biases[t])]
+        return leaves.tape.apply("heads", [f_node, *params], _heads_forward,
+                                 _heads_grad)
 
 
 class Model:

@@ -1,10 +1,17 @@
 """Dense float64 arrays plus a reverse-mode tape for small networks.
 
 Everything downstream (encoder, heads, losses) works on plain 2-D float64
-numpy arrays. Gradients come from a Wengert-style tape: each primitive
-records its operands and saved forward value, and ``backward`` walks the
-records in reverse. The tape is rebuilt on every training step; models here
-are small enough that clarity wins over graph caching.
+numpy arrays. Gradients come from a Wengert-style tape: each op records its
+operands and saved forward value, and ``backward`` walks the records in
+reverse. The tape is rebuilt on every training step; models here are small
+enough that clarity wins over graph caching.
+
+The built-in primitives serve the normalization, the LFC / RLD losses, the
+loss sum and the gradient checks. The encoder pass, the head block and each
+loss's core are coarse ops recorded through ``Tape.apply``; each repeats the
+products, reductions and accumulation order of the primitive chain it
+stands for, so its gradients equal that chain's bit for bit with a
+fraction of the records.
 """
 from __future__ import annotations
 
@@ -112,28 +119,12 @@ def _gr_matmul(v, out, aux, g):
     return [g @ v[1].T, v[0].T @ g]
 
 
-def _fw_transpose(v, aux):
-    return v[0].T.copy()
-
-
-def _gr_transpose(v, out, aux, g):
-    return [g.T]
-
-
 def _fw_affine(v, aux):
     return v[0] @ v[1] + v[2]
 
 
 def _gr_affine(v, out, aux, g):
     return [g @ v[1].T, v[0].T @ g, g.sum(axis=0, keepdims=True)]
-
-
-def _fw_relu(v, aux):
-    return np.maximum(v[0], 0.0)
-
-
-def _gr_relu(v, out, aux, g):
-    return [g * (v[0] > 0.0)]
 
 
 def _fw_l2norm(v, aux):
@@ -145,16 +136,6 @@ def _gr_l2norm(v, out, aux, g):
     norms = np.linalg.norm(v[0], axis=1, keepdims=True)
     gy = (g * out).sum(axis=1, keepdims=True)
     return [(g - out * gy) / norms]
-
-
-def _fw_hconcat(v, aux):
-    return np.concatenate(v, axis=1)
-
-
-def _gr_hconcat(v, out, aux, g):
-    widths = [x.shape[1] for x in v]
-    splits = np.cumsum(widths)[:-1]
-    return list(np.split(g, splits, axis=1))
 
 
 def _fw_sum_all(v, aux):
@@ -172,11 +153,8 @@ _OPS: dict[str, tuple[Callable, Callable]] = {
     "scale": (_fw_scale, _gr_scale),
     "add_scalar": (_fw_add_scalar, _gr_add_scalar),
     "matmul": (_fw_matmul, _gr_matmul),
-    "transpose": (_fw_transpose, _gr_transpose),
     "affine": (_fw_affine, _gr_affine),
-    "relu": (_fw_relu, _gr_relu),
     "l2_normalize": (_fw_l2norm, _gr_l2norm),
-    "hconcat": (_fw_hconcat, _gr_hconcat),
     "sum_all": (_fw_sum_all, _gr_sum_all),
 }
 
@@ -236,9 +214,6 @@ class Tape:
             )
         return self._op("matmul", (a, b))
 
-    def transpose(self, a: int) -> int:
-        return self._op("transpose", (a,))
-
     def affine(self, x: int, w: int, b: int) -> int:
         vx, vw, vb = self.value(x), self.value(w), self.value(b)
         if vx.shape[1] != vw.shape[0]:
@@ -251,14 +226,8 @@ class Tape:
             )
         return self._op("affine", (x, w, b))
 
-    def relu(self, a: int) -> int:
-        return self._op("relu", (a,))
-
     def l2_normalize(self, a: int) -> int:
         return self._op("l2_normalize", (a,))
-
-    def hconcat(self, ids: Sequence[int]) -> int:
-        return self._op("hconcat", tuple(ids))
 
     def sum_all(self, a: int) -> int:
         return self._op("sum_all", (a,))
@@ -271,6 +240,10 @@ class Tape:
         mutable container there, fill it with forward intermediates in
         ``fwd`` and read them in ``grad`` instead of recomputing them;
         ``grad`` must leave them unchanged, so ``backward`` can run twice.
+        Data the op reads but never differentiates (an input batch, the
+        snapshot embeddings) goes in ``aux`` too, copied on entry like a
+        constant: only the tensors in ``inputs`` get gradients, and ``grad``
+        may return ``None`` for an input it does not differentiate.
         """
         vals = [self.records[i].value for i in inputs]
         return self._push(Record(op, inputs, fwd(vals, aux), aux, grad))

@@ -25,6 +25,7 @@ from dgcl.numerics import Tape, backward, finite_diff_check, l2_normalize
 
 from oracles import (
     cross_entropy_loops,
+    kisp_chain_reference,
     kisp_loss_loops,
     kisp_prob_loops,
     kisp_sim_reference,
@@ -204,40 +205,81 @@ class TestKispLoss:
     def test_batch_validation(self):
         with pytest.raises(ShapeMismatchError):
             KispBatch(np.eye(2), np.eye(3), 0.1)
+        for cur in (np.ones((3, 2)), np.ones((2, 3))):
+            tape = Tape()
+            with pytest.raises(ShapeMismatchError):
+                kisp_node(tape, np.eye(2), tape.leaf(cur), 0.1)
         with pytest.raises(ValueError):
             KispBatch(np.eye(2), np.eye(2), 0.0)
         with pytest.raises(ValueError):
             KispBatch(2.0 * np.eye(2), np.eye(2), 0.1)
 
 
+def near_next_rows(rng, pre):
+    """Live rows that each sit near the next snapshot row, so at tau=1e-3
+    the off-diagonal (1 - P) underflows the floor."""
+    m, d = pre.shape
+    return l2_normalize(np.roll(pre, 1, axis=0)
+                        + 0.1 * rng.standard_normal((m, d)))
+
+
 class TestKispCachedPieces:
-    """The node keeps its forward pieces for the gradient; value and
-    gradient must equal a from-scratch recomputation bit for bit."""
+    """The node keeps its forward pieces for the gradient and forms the
+    similarity itself; value and gradient must equal a from-scratch
+    recomputation bit for bit."""
 
     @pytest.mark.parametrize("tau", [0.1, 1e-3])
-    @pytest.mark.parametrize("m", [1, 2, 10, 300])
+    @pytest.mark.parametrize("m", [1, 2, 10, 100, 300])
     def test_equals_uncached_reference(self, m, tau):
         rng = np.random.default_rng([31, m])
         pre = unit_rows(rng, m, 8)
-        # each live row sits near the next snapshot row, so at tau=1e-3
-        # off-diagonal (1 - P) underflows the floor
-        cur = l2_normalize(np.roll(pre, 1, axis=0)
-                           + 0.1 * rng.standard_normal((m, 8)))
+        cur = near_next_rows(rng, pre)
         tape = Tape()
         leaf = tape.leaf(cur)
         node = kisp_node(tape, pre, leaf, tau)
         value = float(tape.value(node)[0, 0])
         assert value == kisp_loss(KispBatch(pre, cur, tau))
-        sim = tape.value(tape.records[node].inputs[0])
+        sim = (pre @ cur.T.copy()) * (1.0 / tau)
         ref_value, ref_dsim, clamped = kisp_sim_reference(sim,
                                                           ONE_MINUS_P_FLOOR)
         assert value == ref_value
         assert (clamped > 0) == (tau == 1e-3 and m > 1)
-        # leaf <- transpose <- matmul(pre, .) <- scale(1/tau) <- kisp
+        # back through S = pre @ cur.T * (1 / tau)
         expected = (pre.T @ (ref_dsim * (1.0 / tau))).T
         grad = backward(tape, node)[leaf]
         assert np.array_equal(grad, expected)
         assert np.array_equal(backward(tape, node)[leaf], grad)
+
+    @pytest.mark.parametrize("tau", [0.1, 1e-3])
+    @pytest.mark.parametrize("m", [1, 2, 10, 100, 300])
+    def test_matches_primitive_chain(self, m, tau):
+        # the node under a weight, as in training: its adjoint is lam, not 1
+        rng = np.random.default_rng([32, m])
+        pre = unit_rows(rng, m, 32)
+        cur = near_next_rows(rng, pre)
+        lam = 0.7
+        tape = Tape()
+        leaf = tape.leaf(cur)
+        node = kisp_node(tape, pre, leaf, tau)
+        loss = tape.scale(node, lam)
+        value, expected, _ = kisp_chain_reference(pre, cur, tau,
+                                                  ONE_MINUS_P_FLOOR, lam)
+        assert float(tape.value(node)[0, 0]) == value
+        grad = backward(tape, loss)[leaf]
+        assert grad.strides == expected.strides
+        assert np.array_equal(grad, expected)
+        assert np.array_equal(backward(tape, loss)[leaf], grad)
+
+    def test_probs_use_the_node_similarity(self):
+        # at m=100 pre @ cur.T and pre @ cur.T.copy() can differ in the
+        # last bits; kisp_probs must form the one the node trains on
+        rng = np.random.default_rng(33)
+        pre = unit_rows(rng, 100, 32)
+        cur = near_next_rows(rng, pre)
+        sim = (pre @ cur.T.copy()) * (1.0 / 0.1)
+        e = np.exp(sim - sim.max(axis=0, keepdims=True))
+        assert np.array_equal(kisp_probs(KispBatch(pre, cur, 0.1)),
+                              e / e.sum(axis=0, keepdims=True))
 
 
 class TestKispProperties:

@@ -1,12 +1,24 @@
 import numpy as np
 import pytest
 
-from dgcl.errors import DuplicateTaskError, NoHeadsError
+from dgcl.errors import DuplicateTaskError, NoHeadsError, ShapeMismatchError
 from dgcl.model import Encoder, Model
-from dgcl.numerics import ParamLeaves, Tape, backward
+from dgcl.numerics import ParamLeaves, Tape, backward, finite_diff_check
 from dgcl.losses import cross_entropy_node
 
-from oracles import matmul_loops
+from oracles import (
+    encoder_chain_reference,
+    heads_chain_reference,
+    matmul_loops,
+)
+
+ROWS = [1, 2, 10, 100, 300]
+
+
+def adjoint_loss(tape, node, adjoint):
+    """A scalar whose gradient with respect to ``node`` is ``adjoint``
+    exactly: sum(node * adjoint)."""
+    return tape.sum_all(tape.mul(node, tape.constant(adjoint)))
 
 
 def small_model(seed=0, d_in=4, hidden=(6,), d_emb=3):
@@ -42,6 +54,15 @@ class TestEncoder:
 
 
 class TestHeads:
+    def test_embedding_width_checked(self):
+        model = small_model()
+        model.add_head(0, 2, np.random.default_rng(1))
+        tape = Tape()
+        f = tape.leaf(np.ones((2, 4)))
+        with pytest.raises(ShapeMismatchError) as exc:
+            model.build_logits(ParamLeaves(tape), f)
+        assert "3-wide" in str(exc.value) and "4 columns" in str(exc.value)
+
     def test_offsets_accumulate(self):
         model = small_model()
         rng = np.random.default_rng(1)
@@ -179,3 +200,101 @@ class TestSnapshot:
         grads = backward(tape, loss)
         for arr, nid in leaves.pairs():
             arr -= lr * grads[nid]
+
+
+class TestFusedOps:
+    """The ``encoder`` and ``heads`` tape ops against plain-numpy copies of
+    the affine / relu / hconcat chains they replaced: value and every leaf
+    gradient equal bit for bit, and a second ``backward`` changes nothing."""
+
+    @pytest.mark.parametrize("hidden", [(), (64,), (16, 8)])
+    @pytest.mark.parametrize("m", ROWS)
+    def test_encoder_matches_primitive_chain(self, m, hidden):
+        rng = np.random.default_rng([41, m, len(hidden)])
+        enc = Encoder.initialize((12, *hidden, 32), rng)
+        for b in enc.biases:
+            b += 0.1 * rng.standard_normal(b.shape)
+        x = rng.standard_normal((m, 12))
+        adjoint = rng.standard_normal((m, 32))
+        tape = Tape()
+        leaves = ParamLeaves(tape)
+        node = enc.build(leaves, x)
+        grads = backward(tape, adjoint_loss(tape, node, adjoint))
+        value, expected = encoder_chain_reference(x, enc.weights, enc.biases,
+                                                  adjoint)
+        assert np.array_equal(tape.value(node), value)
+        assert np.array_equal(tape.value(node), enc.forward(x))
+        pairs = leaves.pairs()
+        assert len(pairs) == 2 * len(enc.weights) and all(
+            arr is p for (arr, _), p in zip(
+                pairs, [p for wb in zip(enc.weights, enc.biases) for p in wb]))
+        for (_, nid), want in zip(pairs, expected):
+            assert np.array_equal(grads[nid], want)
+        again = backward(tape, adjoint_loss(tape, node, adjoint))
+        for _, nid in pairs:
+            assert np.array_equal(again[nid], grads[nid])
+
+    @pytest.mark.parametrize("heads", [1, 2, 10])
+    @pytest.mark.parametrize("m", ROWS)
+    def test_heads_match_primitive_chain(self, m, heads):
+        rng = np.random.default_rng([43, m, heads])
+        model = Model.create(12, rng, hidden=(64,), embed_dim=32)
+        for t in range(heads):
+            model.add_head(t, 1 + t % 3, rng)
+            model.heads.bias(t)[:] = rng.standard_normal((1, 1 + t % 3))
+        f = rng.standard_normal((m, 32))
+        adjoint = rng.standard_normal((m, model.heads.total_classes))
+        tape = Tape()
+        leaves = ParamLeaves(tape)
+        f_leaf = tape.leaf(f)
+        node = model.build_logits(leaves, f_leaf)
+        grads = backward(tape, adjoint_loss(tape, node, adjoint))
+        ws = [model.heads.weight(t) for t in range(heads)]
+        bs = [model.heads.bias(t) for t in range(heads)]
+        value, d_f, expected = heads_chain_reference(f, ws, bs, adjoint)
+        assert np.array_equal(tape.value(node), value)
+        assert np.array_equal(tape.value(node), model.logits_all_heads(f))
+        assert np.array_equal(grads[f_leaf], d_f)
+        pairs = leaves.pairs()
+        assert len(pairs) == 2 * heads and all(arr is p for (arr, _), p in zip(
+            pairs, [p for wb in zip(ws, bs) for p in wb]))
+        for (_, nid), want in zip(pairs, expected):
+            assert np.array_equal(grads[nid], want)
+        again = backward(tape, adjoint_loss(tape, node, adjoint))
+        for nid in [f_leaf] + [nid for _, nid in pairs]:
+            assert np.array_equal(again[nid], grads[nid])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_head_block_matches_differences(self, seed):
+        rng = np.random.default_rng([45, seed])
+        model = small_model(seed)
+        for t in range(3):
+            model.add_head(t, 1 + t, rng)
+        f = rng.standard_normal((5, 3))
+        labels = rng.integers(0, model.heads.total_classes, size=5)
+        params = [f] + [p for t in range(3)
+                        for p in (model.heads.weight(t), model.heads.bias(t))]
+
+        def fn(arrays):
+            tape = Tape()
+            leaves = ParamLeaves(tape)
+            f_leaf = tape.leaf(arrays[0])
+            loss = cross_entropy_node(
+                tape, model.build_logits(leaves, f_leaf), labels)
+            grads = backward(tape, loss)
+            return (float(tape.value(loss)[0, 0]),
+                    [grads[f_leaf]] + [grads[nid] for _, nid in leaves.pairs()])
+
+        assert finite_diff_check(fn, params, h=1e-5) < 1e-6
+
+    def test_encoder_batch_is_copied_on_entry(self):
+        model = small_model()
+        x = np.random.default_rng(2).standard_normal((5, 4))
+        tape = Tape()
+        node = model.build_embed(ParamLeaves(tape), x)
+        loss = tape.sum_all(node)
+        before = [g.copy() for g in backward(tape, loss).values()]
+        x[:] = 0.0
+        after = list(backward(tape, loss).values())
+        assert len(after) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))

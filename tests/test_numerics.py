@@ -5,6 +5,7 @@ import pytest
 
 from dgcl.errors import DegenerateFeatureError, NonScalarLossError, ShapeMismatchError
 from dgcl.losses import cross_entropy_node, kisp_node
+from dgcl.model import Encoder
 from dgcl.numerics import (
     ParamLeaves,
     Tape,
@@ -201,9 +202,8 @@ class TestCompositeGradients:
         def fn(params):
             tape = Tape()
             leaves = ParamLeaves(tape)
-            h = tape.relu(tape.affine(tape.constant(x), leaves.leaf(params[0]),
-                                      leaves.leaf(params[1])))
-            logits = tape.affine(h, leaves.leaf(params[2]), leaves.leaf(params[3]))
+            encoder = Encoder([params[0], params[2]], [params[1], params[3]])
+            logits = encoder.build(leaves, x)
             loss = cross_entropy_node(tape, logits, labels)
             grads = backward(tape, loss)
             return (float(tape.value(loss)[0, 0]),

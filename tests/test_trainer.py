@@ -1,3 +1,4 @@
+import copy
 import sys
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from dgcl import trainer
 from dgcl.datasets import StreamSpec, TaskData, synth_stream
 from dgcl.errors import DivergenceError, OverlappingClassesError, UnknownTaskError
+from dgcl.losses import ONE_MINUS_P_FLOOR
+from dgcl.numerics import l2_normalize
 from dgcl.trainer import (
     TrainerConfig,
     evaluate_accuracy,
@@ -14,6 +17,8 @@ from dgcl.trainer import (
     run_task,
     train_step,
 )
+
+from oracles import kisp_update_chain_reference
 
 SMALL_SPEC = StreamSpec(tasks=3, classes_per_task=2, d_in=8,
                         train_per_class=30, test_per_class=20, seed=11)
@@ -392,3 +397,57 @@ class TestAllocatorPolicy:
         run_stream(cfg, tasks)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 1000
+
+
+class TestUpdateMatchesPrimitiveChain:
+    """A whole KISP update through ``train_step`` moves every parameter
+    exactly as the old primitive tape's gradients would have."""
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    @pytest.mark.parametrize("heads", [1, 2, 10])
+    @pytest.mark.parametrize("tau", [0.1, 1e-3])
+    @pytest.mark.parametrize("m", [1, 2, 10, 100, 300])
+    def test_kisp_update(self, m, tau, heads, lam):
+        d_in = 12
+        config = TrainerConfig(method="kisp", lam=lam, tau=tau, batch_size=m,
+                               memory_size=m, seed=m)
+        state = init_state(config, d_in)
+        model = state.model
+        rng = np.random.default_rng([47, m, heads])
+        for t in range(heads):
+            model.add_head(t, 1 + t % 3, state.rng_init)
+            state.memory.register_task(t)
+        x_mem = rng.standard_normal((m, d_in))
+        state.memory.write_batch(x_mem, rng.integers(0, 1, size=m),
+                                 model.embed(x_mem), 0)
+        snapshot = model.snapshot()
+        for w in snapshot.weights:
+            w += 0.05 * rng.standard_normal(w.shape)
+        state.snapshot = snapshot
+        state.task_id = heads - 1
+        lo = model.heads.offset(state.task_id)
+        batch_x = rng.standard_normal((m, d_in))
+        batch_y = lo + rng.integers(0, model.heads.class_count(state.task_id),
+                                    size=m)
+        replay = state.memory.sample(m, copy.deepcopy(state.rng_sample))
+        # (weight, bias) per layer, then per head: the oracle's order
+        params = [p for pair in [
+            *zip(model.encoder.weights, model.encoder.biases),
+            *((model.heads.weight(t), model.heads.bias(t))
+              for t in range(heads))] for p in pair]
+        assert len(params) == len(model.parameters())
+        before = [p.copy() for p in params]
+        layers = 2 * len(model.encoder.weights)
+
+        breakdown = train_step(state, config, batch_x, batch_y)
+
+        total, grads = kisp_update_chain_reference(
+            np.concatenate([batch_x, replay.x]),
+            np.concatenate([batch_y, replay.y]), replay.x,
+            l2_normalize(snapshot.forward(replay.x)), before[:layers:2],
+            before[1:layers:2], before[layers::2], before[layers + 1::2],
+            tau, lam, ONE_MINUS_P_FLOOR)
+        assert breakdown.total == total
+        assert len(grads) == len(params)
+        for p, p_before, g in zip(params, before, grads):
+            assert np.array_equal(p, p_before - config.lr * g)
