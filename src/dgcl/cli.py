@@ -24,7 +24,7 @@ from pathlib import Path
 from . import gradcheck, metrics
 from .config import RunConfig, build_tasks, config_hash, parse_config_file
 from .errors import ConfigError, DgclError
-from .trainer import REGULARIZED, TrainerConfig, run_stream
+from .trainer import REGULARIZED, run_stream
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,12 @@ def _cell_dir(cfg: RunConfig) -> Path:
 def execute_cell(cfg: RunConfig, cell: Cell, outdir: str) -> dict:
     """Run one grid cell and write its three report files."""
     tasks = build_tasks(cfg, cell.seed)
-    tc = TrainerConfig(method=cell.method, lam=cell.lam, tau=cfg.tau,
-                       lr=cfg.lr, batch_size=cfg.batch_size,
-                       iterations=cfg.iterations, memory_size=cell.memory,
-                       seed=cell.seed)
+    tc = cfg.trainer_config(cell.method, cell.lam, cell.memory, cell.seed)
     result = run_stream(tc, tasks)
     base = Path(outdir) / cell.name
     metrics.write_accuracy_csv(result.matrix, f"{base}.matrix.csv")
     metrics.write_drift_csv(result.drift, f"{base}.drift.csv")
-    summary = metrics.run_summary(cell.method, cell.seed, cell.lam, cfg.tau,
+    summary = metrics.run_summary(cell.method, cell.seed, cell.lam, tc.tau,
                                   cell.memory, result.matrix)
     metrics.write_json(summary, f"{base}.summary.json")
     return summary
@@ -95,7 +92,8 @@ def _aggregate(cfg: RunConfig, cells: list[Cell], summaries: dict[Cell, dict],
                               []).append(cell)
     rows = []
     for (method, lam, memory), members in sorted(groups.items()):
-        row = {"method": method, "lambda": lam, "M": memory, "tau": cfg.tau,
+        row = {"method": method, "lambda": lam, "M": memory,
+               "tau": cfg.trainer.tau,
                "seeds": sorted(c.seed for c in members)}
         for key in ("fa", "ga", "fm", "la"):
             values = [summaries[c][key] for c in members]
@@ -203,11 +201,8 @@ def cmd_drift(config_path: str) -> int:
         tasks = build_tasks(cfg, seed)
         results = {}
         for label, lam in (("base", 0.0), ("reg", lam_reg)):
-            tc = TrainerConfig(method="kisp", lam=lam, tau=cfg.tau, lr=cfg.lr,
-                               batch_size=cfg.batch_size,
-                               iterations=cfg.iterations, memory_size=memory,
-                               seed=seed)
-            results[label] = run_stream(tc, tasks)
+            results[label] = run_stream(
+                cfg.trainer_config("kisp", lam, memory, seed), tasks)
         outdir.mkdir(parents=True, exist_ok=True)
         _write_paired_drift(results["base"].drift, results["reg"].drift,
                             lam_reg, outdir / "drift_paired.csv")

@@ -11,17 +11,24 @@ Example::
     seeds = 0,1,2,3,4
     output_dir = out
 
-Lists are comma-separated. Lines starting with ``#`` are comments. Unknown
-keys are rejected so typos fail loudly at parse time.
+Lists are comma-separated. Lines starting with ``#`` are comments.
+``KEYS`` is the list of keys: each maps to the ``RunConfig`` field it sets
+and the parser that reads it, and both ``parse_config`` and
+``canonical_text`` iterate it. Unknown keys are rejected so typos fail
+loudly at parse time, and so are non-finite numbers. Bounds live in the
+section dataclasses, ``StreamSpec`` and ``TrainerConfig``; their errors
+become ``ConfigError("stream: ...")`` and ``ConfigError("trainer: ...")``.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from .datasets import StreamSpec, load_tensor_file, split_by_class, synth_stream
 from .errors import ConfigError
-from .trainer import METHODS
+from .trainer import TrainerConfig
 
 
 @dataclass
@@ -30,16 +37,32 @@ class RunConfig:
     stream: StreamSpec = field(default_factory=StreamSpec)
     train_path: str | None = None
     test_path: str | None = None
-    file_classes_per_task: int = 2
+    # the settings every cell shares; trainer_config fills in the rest
+    trainer: TrainerConfig = field(default_factory=TrainerConfig)
     methods: list[str] = field(default_factory=lambda: ["kisp"])
     lams: list[float] = field(default_factory=lambda: [1.0])
     memories: list[int] = field(default_factory=lambda: [20])
-    tau: float = 0.1
-    lr: float = 0.05
-    batch_size: int = 10
-    iterations: int = 1
     seeds: list[int] = field(default_factory=lambda: [0])
     output_dir: str = "out"
+
+    # read by bench/harness.py
+    @property
+    def batch_size(self) -> int:
+        return self.trainer.batch_size
+
+    @property
+    def iterations(self) -> int:
+        return self.trainer.iterations
+
+    def trainer_config(self, method: str, lam: float, memory: int,
+                       seed: int) -> TrainerConfig:
+        """The trainer settings of one (method, lambda, M, seed) cell."""
+        return replace(self.trainer, method=method, lam=lam,
+                       memory_size=memory, seed=seed)
+
+
+def _parse_str(key, raw):
+    return raw
 
 
 def _parse_int(key, raw):
@@ -51,23 +74,62 @@ def _parse_int(key, raw):
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
-def _parse_list(key, raw, conv):
+def _list_of(conv):
     """Comma-separated values; a value listed twice (after conversion, so
     ``1`` and ``1.0`` are one lambda) would run its cells twice and pass the
     copies off as independent repeats, so it is rejected."""
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key}: list must not be empty")
-    values = [conv(key, p) for p in parts]
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"{key}: {parts[i]!r} repeats an earlier value")
-    return values
+    def parse(key, raw):
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(f"{key}: list must not be empty")
+        values = [conv(key, p) for p in parts]
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(
+                    f"{key}: {parts[i]!r} repeats an earlier value")
+        return values
+    return parse
+
+
+# key -> (RunConfig attribute path, parser)
+KEYS = {
+    "stream.kind": ("stream_kind", _parse_str),
+    "stream.tasks": ("stream.tasks", _parse_int),
+    "stream.classes_per_task": ("stream.classes_per_task", _parse_int),
+    "stream.d_in": ("stream.d_in", _parse_int),
+    "stream.train_per_class": ("stream.train_per_class", _parse_int),
+    "stream.test_per_class": ("stream.test_per_class", _parse_int),
+    "stream.separation": ("stream.separation", _parse_float),
+    "stream.noise": ("stream.noise", _parse_float),
+    "stream.seed": ("stream.seed", _parse_int),
+    "stream.train_path": ("train_path", _parse_str),
+    "stream.test_path": ("test_path", _parse_str),
+    "trainer.methods": ("methods", _list_of(_parse_str)),
+    "trainer.lambda": ("lams", _list_of(_parse_float)),
+    "trainer.memory": ("memories", _list_of(_parse_int)),
+    "trainer.tau": ("trainer.tau", _parse_float),
+    "trainer.lr": ("trainer.lr", _parse_float),
+    "trainer.batch_size": ("trainer.batch_size", _parse_int),
+    "trainer.iterations": ("trainer.iterations", _parse_int),
+    "seeds": ("seeds", _list_of(_parse_int)),
+    "output_dir": ("output_dir", _parse_str),
+}
+
+
+def _checked(section: str, make, *args, **kwargs):
+    """``make(...)``, with a bound's ValueError as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{section}: {e}") from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -85,53 +147,18 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         pairs[key] = value
 
-    cfg = RunConfig()
-    stream_kw: dict = {}
-    handlers = {
-        "stream.kind": ("stream_kind", str),
-        "stream.train_path": ("train_path", str),
-        "stream.test_path": ("test_path", str),
-        "output_dir": ("output_dir", str),
-    }
-    stream_int = {"stream.tasks": "tasks",
-                  "stream.classes_per_task": "classes_per_task",
-                  "stream.d_in": "d_in",
-                  "stream.train_per_class": "train_per_class",
-                  "stream.test_per_class": "test_per_class",
-                  "stream.seed": "seed"}
-    stream_float = {"stream.separation": "separation", "stream.noise": "noise"}
-
+    # attribute name -> value, per section ("" is RunConfig itself)
+    fields: dict[str, dict] = {"": {}, "stream": {}, "trainer": {}}
     for key, raw in pairs.items():
-        if key in handlers:
-            attr, conv = handlers[key]
-            setattr(cfg, attr, conv(raw))
-        elif key in stream_int:
-            stream_kw[stream_int[key]] = _parse_int(key, raw)
-        elif key in stream_float:
-            stream_kw[stream_float[key]] = _parse_float(key, raw)
-        elif key == "trainer.methods":
-            cfg.methods = _parse_list(key, raw, lambda k, p: p)
-        elif key == "trainer.lambda":
-            cfg.lams = _parse_list(key, raw, _parse_float)
-        elif key == "trainer.memory":
-            cfg.memories = _parse_list(key, raw, _parse_int)
-        elif key == "trainer.tau":
-            cfg.tau = _parse_float(key, raw)
-        elif key == "trainer.lr":
-            cfg.lr = _parse_float(key, raw)
-        elif key == "trainer.batch_size":
-            cfg.batch_size = _parse_int(key, raw)
-        elif key == "trainer.iterations":
-            cfg.iterations = _parse_int(key, raw)
-        elif key == "seeds":
-            cfg.seeds = _parse_list(key, raw, _parse_int)
-        else:
+        if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}")
-
-    try:
-        cfg.stream = replace(cfg.stream, **stream_kw)
-    except ValueError as e:
-        raise ConfigError(f"stream: {e}") from None
+        path, parse = KEYS[key]
+        section, _, name = path.rpartition(".")
+        fields[section][name] = parse(key, raw)
+    cfg = RunConfig(stream=_checked("stream", StreamSpec, **fields["stream"]),
+                    trainer=_checked("trainer", TrainerConfig,
+                                     **fields["trainer"]),
+                    **fields[""])
 
     if cfg.stream_kind not in ("synth", "file"):
         raise ConfigError(f"stream.kind must be synth or file, "
@@ -139,27 +166,12 @@ def parse_config(text: str) -> RunConfig:
     if cfg.stream_kind == "file" and not (cfg.train_path and cfg.test_path):
         raise ConfigError("file streams need stream.train_path and "
                           "stream.test_path")
-    if cfg.stream_kind == "file":
-        cfg.file_classes_per_task = cfg.stream.classes_per_task
-    if not cfg.methods:
-        raise ConfigError("trainer.methods must not be empty")
-    for m in cfg.methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
-    if not cfg.seeds:
-        raise ConfigError("seeds must not be empty")
-    if any(l < 0 for l in cfg.lams):
-        raise ConfigError("trainer.lambda values must be >= 0")
-    if any(m < 1 for m in cfg.memories):
-        raise ConfigError("trainer.memory values must be >= 1")
-    if cfg.tau <= 0:
-        raise ConfigError("trainer.tau must be > 0")
-    if cfg.lr <= 0:
-        raise ConfigError("trainer.lr must be > 0")
-    if cfg.batch_size < 1:
-        raise ConfigError("trainer.batch_size must be >= 1")
-    if cfg.iterations not in (1, 2, 3):
-        raise ConfigError("trainer.iterations must be 1, 2, or 3")
+    # one trainer config per list position (a shorter list repeats its last
+    # value) puts every listed value through the trainer's bounds
+    axes = (cfg.methods, cfg.lams, cfg.memories, cfg.seeds)
+    for i in range(max(map(len, axes))):
+        _checked("trainer", cfg.trainer_config,
+                 *(axis[min(i, len(axis) - 1)] for axis in axes))
     return cfg
 
 
@@ -172,30 +184,20 @@ def parse_config_file(path) -> RunConfig:
     return parse_config(text)
 
 
+def _render(value) -> str:
+    if value is None:  # an unset path
+        return ""
+    if isinstance(value, list):
+        return ",".join(_render(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def canonical_text(cfg: RunConfig) -> str:
-    """Normalized key=value rendering used for the output-path hash."""
-    items = {
-        "stream.kind": cfg.stream_kind,
-        "stream.tasks": cfg.stream.tasks,
-        "stream.classes_per_task": cfg.stream.classes_per_task,
-        "stream.d_in": cfg.stream.d_in,
-        "stream.train_per_class": cfg.stream.train_per_class,
-        "stream.test_per_class": cfg.stream.test_per_class,
-        "stream.separation": repr(cfg.stream.separation),
-        "stream.noise": repr(cfg.stream.noise),
-        "stream.seed": cfg.stream.seed,
-        "stream.train_path": cfg.train_path or "",
-        "stream.test_path": cfg.test_path or "",
-        "trainer.methods": ",".join(cfg.methods),
-        "trainer.lambda": ",".join(repr(l) for l in cfg.lams),
-        "trainer.memory": ",".join(str(m) for m in cfg.memories),
-        "trainer.tau": repr(cfg.tau),
-        "trainer.lr": repr(cfg.lr),
-        "trainer.batch_size": cfg.batch_size,
-        "trainer.iterations": cfg.iterations,
-        "seeds": ",".join(str(s) for s in cfg.seeds),
-    }
-    return "\n".join(f"{k}={items[k]}" for k in sorted(items))
+    """Normalized key=value rendering used for the output-path hash; the
+    output directory is left out, so moving a grid keeps its hash."""
+    return "\n".join(f"{key}={_render(attrgetter(path)(cfg))}"
+                     for key, (path, _) in sorted(KEYS.items())
+                     if key != "output_dir")
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -213,5 +215,5 @@ def build_tasks(cfg: RunConfig, run_seed: int):
         return synth_stream(replace(cfg.stream, seed=effective_seed))
     train_x, train_y, _ = load_tensor_file(cfg.train_path)
     test_x, test_y, _ = load_tensor_file(cfg.test_path)
-    return split_by_class(train_x, train_y, cfg.file_classes_per_task,
+    return split_by_class(train_x, train_y, cfg.stream.classes_per_task,
                           test_x=test_x, test_y=test_y, seed=effective_seed)

@@ -45,10 +45,15 @@ class StreamSpec:
             raise ValueError("tasks must be >= 1")
         if self.classes_per_task < 1:
             raise ValueError("classes_per_task must be >= 1")
+        for name in ("d_in", "train_per_class", "test_per_class"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.separation <= 0:
             raise ValueError("separation must be > 0")
         if self.noise <= 0:
             raise ValueError("noise must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

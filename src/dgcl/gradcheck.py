@@ -2,15 +2,18 @@
 
 Each loss gets a population of small random instances (feature counts up to
 6, embedding widths up to 8); the analytic gradient from the tape must match
-central differences coordinate-wise. The ``total`` instance wires a linear
-encoder and head into cross-entropy plus the weighted invariance penalty, so
-parameter sharing across both branches is exercised too.
+central differences coordinate-wise. The ``total`` instance records a
+training update's tape: the fused encoder op (one rectified hidden layer)
+and head-block op (two or three heads) into cross-entropy, plus the
+weighted KISP penalty on a second encoder pass, so the relu mask and
+parameter sharing across both branches are exercised too.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import losses
+from .model import Encoder, HeadSet
 from .numerics import ParamLeaves, Tape, backward, finite_diff_check, l2_normalize
 
 TOLERANCE = 1e-4
@@ -80,39 +83,46 @@ def _rld_instance(rng):
     return fn, [f_cur]
 
 
+def _random_encoder(rng, sizes):
+    layers = list(zip(sizes, sizes[1:]))
+    return Encoder([rng.standard_normal(shape) for shape in layers],
+                   [rng.standard_normal((1, cols)) for _, cols in layers])
+
+
 def _total_instance(rng):
-    d_in = int(rng.integers(2, 7))
-    d_emb = int(rng.integers(2, 9))
-    c = int(rng.integers(2, 6))
+    sizes = [int(rng.integers(2, 6)) for _ in range(3)]  # d_in, hidden, d_emb
     n = int(rng.integers(1, 5))
     m = int(rng.integers(2, 7))
     lam = float(rng.choice([0.1, 1.0, 10.0]))
     tau = losses.DEFAULT_TAU
-    x_cur = rng.standard_normal((n, d_in))
-    x_mem = rng.standard_normal((m, d_in))
-    labels = rng.integers(0, c, size=n + m)
-    w_snapshot = rng.standard_normal((d_in, d_emb))
-    pre_norm = l2_normalize(x_mem @ w_snapshot)
-    w_enc = rng.standard_normal((d_in, d_emb))
-    w_head = rng.standard_normal((d_emb, c))
-    b_head = rng.standard_normal((1, c))
+    x_cur = rng.standard_normal((n, sizes[0]))
+    x_mem = rng.standard_normal((m, sizes[0]))
+    pre_norm = l2_normalize(_random_encoder(rng, sizes).forward(x_mem))
+    encoder = _random_encoder(rng, sizes)
+    heads = HeadSet()
+    for task_id in range(1, int(rng.integers(2, 4)) + 1):
+        heads.add(task_id, int(rng.integers(1, 4)), sizes[-1], rng)
+    labels = rng.integers(0, heads.total_classes, size=n + m)
+    params = encoder.weights + encoder.biases + [
+        p for t in heads.task_ids for p in (heads.weight(t), heads.bias(t))]
 
     def fn(params):
-        w_e, w_h, b_h = params
+        # the training update's tape: one encoder pass over current plus
+        # replayed rows for the cross-entropy, one over the replayed rows
+        # for KISP, both on the same parameter leaves
         tape = Tape()
         leaves = ParamLeaves(tape)
-        enc_leaf = leaves.leaf(w_e)
-        f_all = tape.matmul(tape.constant(np.vstack([x_cur, x_mem])), enc_leaf)
-        logits = tape.affine(f_all, leaves.leaf(w_h), leaves.leaf(b_h))
+        logits = heads.build_logits(
+            leaves, encoder.build(leaves, np.vstack([x_cur, x_mem])))
         ce = losses.cross_entropy_node(tape, logits, labels)
-        f_mem = tape.matmul(tape.constant(x_mem), enc_leaf)
+        f_mem = encoder.build(leaves, x_mem)
         reg = losses.kisp_node(tape, pre_norm, tape.l2_normalize(f_mem), tau)
         total = tape.add(ce, tape.scale(reg, lam))
         grads = backward(tape, total)
-        ordered = [grads[nid] for _, nid in leaves.pairs()]
-        return float(tape.value(total)[0, 0]), ordered
+        return (float(tape.value(total)[0, 0]),
+                [grads[leaves.leaf(p)] for p in params])
 
-    return fn, [w_enc, w_head, b_head]
+    return fn, params
 
 
 _BUILDERS = {

@@ -130,16 +130,6 @@ class DriftLog:
             raise ValueError(f"cosine distance {value} outside [0, 2]")
         self.entries.append(DriftEntry(update_index, task_id, float(value)))
 
-    def final_value(self) -> float | None:
-        return self.entries[-1].value if self.entries else None
-
-    def last_per_task(self) -> dict[int, float]:
-        """Drift at each task's final logged update (the task boundary)."""
-        out: dict[int, float] = {}
-        for e in self.entries:
-            out[e.task_id] = e.value
-        return out
-
     def __len__(self) -> int:
         return len(self.entries)
 

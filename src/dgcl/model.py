@@ -118,10 +118,6 @@ class Encoder:
         return cls(weights, biases)
 
     @property
-    def sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
-    @property
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
@@ -129,13 +125,17 @@ class Encoder:
     def embed_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def forward(self, x) -> np.ndarray:
+    def _input(self, x) -> np.ndarray:
         x = as_matrix(x)
         if x.shape[1] != self.input_dim:
             raise ShapeMismatchError(
-                f"input has {x.shape[1]} columns, encoder expects {self.input_dim}"
+                f"input of shape {x.shape} does not chain with the first "
+                f"weight of shape {self.weights[0].shape}"
             )
-        h = x
+        return x
+
+    def forward(self, x) -> np.ndarray:
+        h = self._input(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w + b
@@ -145,11 +145,7 @@ class Encoder:
 
     def build(self, leaves: ParamLeaves, x) -> int:
         """Record the forward pass on a tape; returns the embedding node."""
-        x = as_matrix(x)
-        if x.shape[1] != self.input_dim:
-            raise ShapeMismatchError(
-                f"input has {x.shape[1]} columns, encoder expects {self.input_dim}"
-            )
+        x = self._input(x)
         params = [leaves.leaf(p) for pair in zip(self.weights, self.biases)
                   for p in pair]
         return leaves.tape.apply("encoder", params, _encoder_forward,
@@ -158,9 +154,6 @@ class Encoder:
     def copy(self) -> "Encoder":
         return Encoder([w.copy() for w in self.weights],
                        [b.copy() for b in self.biases])
-
-    def param_count(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
 class HeadSet:
@@ -257,13 +250,6 @@ class Model:
     def predict(self, x) -> np.ndarray:
         """Global class indices via argmax over all heads (ties -> lowest)."""
         return np.argmax(self.logits_all_heads(self.embed(x)), axis=1)
-
-    def predict_task(self, x, task_id: int) -> np.ndarray:
-        """Argmax restricted to one task's classes (task-incremental scoring)."""
-        logits = self.logits_all_heads(self.embed(x))
-        lo = self.heads.offset(task_id)
-        hi = lo + self.heads.class_count(task_id)
-        return np.argmax(logits[:, lo:hi], axis=1) + lo
 
     def parameters(self) -> list[np.ndarray]:
         """Every trainable array: encoder layers, then each task's head."""

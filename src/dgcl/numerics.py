@@ -6,12 +6,11 @@ operands and saved forward value, and ``backward`` walks the records in
 reverse. The tape is rebuilt on every training step; models here are small
 enough that clarity wins over graph caching.
 
-The built-in primitives serve the normalization, the LFC / RLD losses, the
-loss sum and the gradient checks. The encoder pass, the head block and each
-loss's core are coarse ops recorded through ``Tape.apply``; each repeats the
-products, reductions and accumulation order of the primitive chain it
-stands for, so its gradients equal that chain's bit for bit with a
-fraction of the records.
+The built-in primitives serve the normalization, the LFC / RLD losses and
+the loss sum. The encoder pass, the head block and each loss's core are
+coarse ops recorded through ``Tape.apply``; each repeats the products,
+reductions and accumulation order of the primitive chain it stands for, so
+its gradients equal that chain's bit for bit with a fraction of the records.
 """
 from __future__ import annotations
 
@@ -33,13 +32,6 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D array, got shape {m.shape}")
     return m
-
-
-def softmax(z) -> np.ndarray:
-    """Row-wise softmax, stabilized by per-row max subtraction."""
-    z = as_matrix(z)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def l2_normalize(f) -> np.ndarray:
@@ -111,22 +103,6 @@ def _gr_add_scalar(v, out, aux, g):
     return [g]
 
 
-def _fw_matmul(v, aux):
-    return v[0] @ v[1]
-
-
-def _gr_matmul(v, out, aux, g):
-    return [g @ v[1].T, v[0].T @ g]
-
-
-def _fw_affine(v, aux):
-    return v[0] @ v[1] + v[2]
-
-
-def _gr_affine(v, out, aux, g):
-    return [g @ v[1].T, v[0].T @ g, g.sum(axis=0, keepdims=True)]
-
-
 def _fw_l2norm(v, aux):
     return l2_normalize(v[0])
 
@@ -152,8 +128,6 @@ _OPS: dict[str, tuple[Callable, Callable]] = {
     "mul": (_fw_mul, _gr_mul),
     "scale": (_fw_scale, _gr_scale),
     "add_scalar": (_fw_add_scalar, _gr_add_scalar),
-    "matmul": (_fw_matmul, _gr_matmul),
-    "affine": (_fw_affine, _gr_affine),
     "l2_normalize": (_fw_l2norm, _gr_l2norm),
     "sum_all": (_fw_sum_all, _gr_sum_all),
 }
@@ -205,26 +179,6 @@ class Tape:
 
     def add_scalar(self, a: int, c: float) -> int:
         return self._op("add_scalar", (a,), float(c))
-
-    def matmul(self, a: int, b: int) -> int:
-        va, vb = self.value(a), self.value(b)
-        if va.shape[1] != vb.shape[0]:
-            raise ShapeMismatchError(
-                f"matmul: {va.shape} does not chain with {vb.shape}"
-            )
-        return self._op("matmul", (a, b))
-
-    def affine(self, x: int, w: int, b: int) -> int:
-        vx, vw, vb = self.value(x), self.value(w), self.value(b)
-        if vx.shape[1] != vw.shape[0]:
-            raise ShapeMismatchError(
-                f"affine: x has shape {vx.shape} but w has shape {vw.shape}"
-            )
-        if vb.shape != (1, vw.shape[1]):
-            raise ShapeMismatchError(
-                f"affine: bias shape {vb.shape} does not match (1, {vw.shape[1]})"
-            )
-        return self._op("affine", (x, w, b))
 
     def l2_normalize(self, a: int) -> int:
         return self._op("l2_normalize", (a,))

@@ -46,7 +46,6 @@ class TrainerConfig:
     iterations: int = 1
     memory_size: int = 20
     seed: int = 0
-    task_incremental_eval: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -56,13 +55,15 @@ class TrainerConfig:
         if self.iterations not in (1, 2, 3):
             raise ValueError("iterations must be 1, 2, or 3")
         if self.lr <= 0:
-            raise ValueError("learning rate must be > 0")
+            raise ValueError("lr must be > 0")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
         if self.memory_size < 1:
             raise ValueError("memory_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def uses_memory(self) -> bool:
@@ -190,16 +191,11 @@ def run_task(state: TrainerState, config: TrainerConfig,
     return state
 
 
-def evaluate_accuracy(model: Model, task: TaskData,
-                      task_incremental: bool = False) -> float:
+def evaluate_accuracy(model: Model, task: TaskData) -> float:
     """Fraction of the task's test set classified correctly."""
     if task.test_y.size == 0:
         raise ValueError(f"task {task.task_id} has no test examples")
-    if task_incremental:
-        pred = model.predict_task(task.test_x, task.task_id)
-    else:
-        pred = model.predict(task.test_x)
-    return float(np.mean(pred == task.test_y))
+    return float(np.mean(model.predict(task.test_x) == task.test_y))
 
 
 # glibc <malloc.h> mallopt parameters
@@ -258,8 +254,7 @@ def run_stream(config: TrainerConfig, tasks: list[TaskData],
                                  state.rng_init)
             state.memory.register_task(task.task_id)
             run_task(state, config, task)
-            row = [evaluate_accuracy(state.model, tasks[j],
-                                     config.task_incremental_eval)
+            row = [evaluate_accuracy(state.model, tasks[j])
                    for j in range(idx + 1)]
             matrix.append_row(row)
     return RunResult(matrix, state.drift, state.model)

@@ -135,3 +135,8 @@ def test_drift_needs_a_nonzero_lambda(tmp_path, capsys):
     assert main(["drift", str(config)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "zero").exists()
+
+
+def test_gradcheck_passes(capsys):
+    assert main(["gradcheck", "--instances", "10"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"

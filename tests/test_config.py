@@ -1,7 +1,7 @@
 import pytest
 
 from dgcl.cli import main
-from dgcl.config import parse_config
+from dgcl.config import config_hash, parse_config
 from dgcl.errors import ConfigError
 
 GRID = """\
@@ -51,3 +51,73 @@ def test_repeated_cells_exit_2_before_running(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "config error: trainer.methods: 'er' repeats an earlier value"]
     assert not (tmp_path / "out").exists()
+
+
+def with_key(text, key, value):
+    """``text`` with ``key`` set to ``value``, replacing any earlier line."""
+    lines = [line for line in text.splitlines()
+             if line.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize("key,value,error", [
+    ("trainer.lambda", "nan", "trainer.lambda: expected a finite number, "
+                              "got 'nan'"),
+    ("trainer.lambda", "nan,nan", "trainer.lambda: expected a finite number, "
+                                  "got 'nan'"),
+    ("trainer.tau", "nan", "trainer.tau: expected a finite number, got 'nan'"),
+    ("trainer.lr", "inf", "trainer.lr: expected a finite number, got 'inf'"),
+    ("stream.noise", "nan", "stream.noise: expected a finite number, "
+                            "got 'nan'"),
+    ("stream.separation", "inf", "stream.separation: expected a finite "
+                                 "number, got 'inf'"),
+    ("stream.d_in", "0", "stream: d_in must be >= 1"),
+    ("stream.train_per_class", "0", "stream: train_per_class must be >= 1"),
+    ("stream.test_per_class", "0", "stream: test_per_class must be >= 1"),
+    ("seeds", "-1", "trainer: seed must be >= 0"),
+])
+def test_bad_value_exits_2_before_running(tmp_path, capsys, key, value,
+                                          error):
+    config = tmp_path / "bad.cfg"
+    config.write_text(with_key(grid(out=tmp_path / "out"), key, value))
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
+    assert not (tmp_path / "out").exists()
+
+
+FILE_STREAM = """\
+stream.kind = file
+stream.train_path = data/train.dgds
+stream.test_path = data/test.dgds
+stream.classes_per_task = 5
+trainer.methods = er,kisp
+seeds = 0,1,2
+"""
+
+
+def bench_grid(tasks, per_class, methods, memory, batch, iterations, seeds):
+    """A benchmark workload's grid; method-grid's stream lines restate the
+    defaults, which that workload leaves unset."""
+    return (f"stream.tasks = {tasks}\nstream.classes_per_task = 2\n"
+            f"stream.train_per_class = {per_class}\n"
+            f"trainer.methods = {methods}\ntrainer.lambda = 1\n"
+            f"trainer.tau = 0.1\ntrainer.memory = {memory}\n"
+            f"trainer.batch_size = {batch}\n"
+            f"trainer.iterations = {iterations}\nseeds = {seeds}\n")
+
+
+# run directories are named after the hash: a change to it moves every
+# existing grid's outputs
+@pytest.mark.parametrize("text,expected", [
+    ("", "67795583808f"),
+    # wide-replay, method-grid and long-stream at workload seed 11
+    (bench_grid(10, 1500, "kisp", 100, 300, 3, "11"), "22cec946d4f6"),
+    (bench_grid(5, 200, "finetune,er,lfc,rld,kisp", 20, 10, 1,
+                "55,56,57,58,59"), "5604ada27828"),
+    (bench_grid(10, 500, "kisp", 200, 10, 1, "11"), "e1476a0de84a"),
+    (FILE_STREAM, "7a48a2c5f1f0"),
+])
+def test_config_hash_is_pinned(text, expected):
+    assert config_hash(parse_config(text)) == expected
+    moved = parse_config(with_key(text, "output_dir", "elsewhere"))
+    assert config_hash(moved) == expected

@@ -95,6 +95,11 @@ class TestSynthStream:
             StreamSpec(separation=0.0)
         with pytest.raises(ValueError):
             StreamSpec(noise=0.0)
+        for name in ("d_in", "train_per_class", "test_per_class"):
+            with pytest.raises(ValueError, match=name):
+                StreamSpec(**{name: 0})
+        with pytest.raises(ValueError):
+            StreamSpec(seed=-1)
 
 
 class TestSplitByClass:

@@ -4,24 +4,27 @@ import numpy as np
 import pytest
 
 from dgcl.errors import DegenerateFeatureError, NonScalarLossError, ShapeMismatchError
-from dgcl.losses import cross_entropy_node, kisp_node
-from dgcl.model import Encoder
-from dgcl.numerics import (
-    ParamLeaves,
-    Tape,
-    backward,
-    finite_diff_check,
-    l2_normalize,
-    softmax,
-)
+from dgcl.losses import _column_softmax, cross_entropy_node, kisp_node
+from dgcl.model import Encoder, HeadSet
+from dgcl.numerics import ParamLeaves, Tape, backward, finite_diff_check, l2_normalize
 
 from oracles import matmul_loops
 
 
+def linear(w, b):
+    return Encoder([np.asarray(w, dtype=np.float64)],
+                   [np.asarray(b, dtype=np.float64)])
+
+
 def affine(x, w, b):
-    """Forward value of the tape's affine op on constant operands."""
+    """Forward value of the fused encoder op with one linear layer."""
     tape = Tape()
-    return tape.value(tape.affine(*(tape.constant(a) for a in (x, w, b))))
+    return tape.value(linear(w, b).build(ParamLeaves(tape), x))
+
+
+def softmax(z):
+    """Row softmax through the column softmax KISP's probabilities use."""
+    return _column_softmax(np.asarray(z, dtype=np.float64).T).T
 
 
 class TestAffine:
@@ -180,8 +183,7 @@ class TestCompositeGradients:
         def fn(params):
             tape = Tape()
             leaves = ParamLeaves(tape)
-            logits = tape.affine(tape.constant(x), leaves.leaf(params[0]),
-                                 leaves.leaf(params[1]))
+            logits = Encoder([params[0]], [params[1]]).build(leaves, x)
             loss = cross_entropy_node(tape, logits, labels)
             grads = backward(tape, loss)
             return (float(tape.value(loss)[0, 0]),
@@ -218,21 +220,23 @@ class TestCompositeGradients:
         x_mem = rng.standard_normal((m, d_in))
         labels = rng.integers(0, c, size=m)
         pre_norm = l2_normalize(rng.standard_normal((m, d_emb)))
-        w_enc = rng.standard_normal((d_in, d_emb))
-        w_head = rng.standard_normal((d_emb, c))
-        b_head = rng.standard_normal((1, c))
+        encoder = linear(rng.standard_normal((d_in, d_emb)),
+                         rng.standard_normal((1, d_emb)))
+        heads = HeadSet()
+        heads.add(1, c, d_emb, rng)
+        params = [encoder.weights[0], encoder.biases[0],
+                  heads.weight(1), heads.bias(1)]
 
         def fn(params):
             tape = Tape()
             leaves = ParamLeaves(tape)
-            enc = leaves.leaf(params[0])
-            f = tape.matmul(tape.constant(x_mem), enc)
-            logits = tape.affine(f, leaves.leaf(params[1]), leaves.leaf(params[2]))
+            f = encoder.build(leaves, x_mem)
+            logits = heads.build_logits(leaves, f)
             ce = cross_entropy_node(tape, logits, labels)
             reg = kisp_node(tape, pre_norm, tape.l2_normalize(f), 0.1)
             total = tape.add(ce, tape.scale(reg, 1.0))
             grads = backward(tape, total)
             return (float(tape.value(total)[0, 0]),
-                    [grads[nid] for _, nid in leaves.pairs()])
+                    [grads[leaves.leaf(p)] for p in params])
 
-        assert finite_diff_check(fn, [w_enc, w_head, b_head], h=1e-5) < 1e-4
+        assert finite_diff_check(fn, params, h=1e-5) < 1e-4
