@@ -137,7 +137,8 @@ def split_by_class(x, y, classes_per_task: int, *, test_x=None, test_y=None,
     """Partition labelled examples into disjoint consecutive-class tasks.
 
     Within-task train order is shuffled by ``seed``; test examples (when
-    given) are split with the same class blocks, unshuffled.
+    given) are split with the same class blocks, unshuffled, and every block
+    must have some, since a task without them could never be evaluated.
     """
     x = as_matrix(x)
     y = np.asarray(y, dtype=np.int64).reshape(-1)
@@ -159,6 +160,10 @@ def split_by_class(x, y, classes_per_task: int, *, test_x=None, test_y=None,
         order = rng.permutation(tx.shape[0])
         if test_x is not None:
             tmask = np.isin(test_y, block)
+            if not tmask.any():
+                raise LabelRangeError(
+                    f"test data has no examples of task {t + 1}'s "
+                    f"classes {block}")
             ex, ey = test_x[tmask], test_y[tmask]
         else:
             ex = np.empty((0, x.shape[1]))

@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import losses
-from .model import Encoder, HeadSet
-from .numerics import ParamLeaves, Tape, backward, finite_diff_check, l2_normalize
+from .model import Encoder, HeadSet, Model
+from .numerics import (Tape, backward, finite_diff_check, l2_normalize,
+                       l2_normalize_node)
 
 TOLERANCE = 1e-4
 LOSS_NAMES = ("ce", "kisp", "lfc", "rld", "total")
@@ -49,7 +50,8 @@ def _kisp_instance(rng, tau=losses.DEFAULT_TAU):
     def fn(params):
         tape = Tape()
         cur = tape.leaf(params[0])
-        loss = losses.kisp_node(tape, pre_norm, tape.l2_normalize(cur), tau)
+        loss = losses.kisp_node(tape, pre_norm, l2_normalize_node(tape, cur),
+                                tau)
         grads = backward(tape, loss)
         return float(tape.value(loss)[0, 0]), [grads[cur]]
 
@@ -63,7 +65,7 @@ def _lfc_instance(rng):
     def fn(params):
         tape = Tape()
         cur = tape.leaf(params[0])
-        loss = losses.lfc_node(tape, pre_norm, tape.l2_normalize(cur))
+        loss = losses.lfc_node(tape, pre_norm, l2_normalize_node(tape, cur))
         grads = backward(tape, loss)
         return float(tape.value(loss)[0, 0]), [grads[cur]]
 
@@ -103,24 +105,25 @@ def _total_instance(rng):
     for task_id in range(1, int(rng.integers(2, 4)) + 1):
         heads.add(task_id, int(rng.integers(1, 4)), sizes[-1], rng)
     labels = rng.integers(0, heads.total_classes, size=n + m)
-    params = encoder.weights + encoder.biases + [
-        p for t in heads.task_ids for p in (heads.weight(t), heads.bias(t))]
+    model = Model(encoder, heads)
+    params = model.parameters()
 
     def fn(params):
         # the training update's tape: one encoder pass over current plus
         # replayed rows for the cross-entropy, one over the replayed rows
         # for KISP, both on the same parameter leaves
         tape = Tape()
-        leaves = ParamLeaves(tape)
-        logits = heads.build_logits(
-            leaves, encoder.build(leaves, np.vstack([x_cur, x_mem])))
+        leaves = [tape.leaf(p) for p in params]
+        logits = model.build_logits(
+            tape, leaves,
+            model.build_embed(tape, leaves, np.vstack([x_cur, x_mem])))
         ce = losses.cross_entropy_node(tape, logits, labels)
-        f_mem = encoder.build(leaves, x_mem)
-        reg = losses.kisp_node(tape, pre_norm, tape.l2_normalize(f_mem), tau)
-        total = tape.add(ce, tape.scale(reg, lam))
+        f_mem = model.build_embed(tape, leaves, x_mem)
+        reg = losses.kisp_node(tape, pre_norm, l2_normalize_node(tape, f_mem),
+                               tau)
+        total = losses.total_node(tape, ce, reg, lam)
         grads = backward(tape, total)
-        return (float(tape.value(total)[0, 0]),
-                [grads[leaves.leaf(p)] for p in params])
+        return float(tape.value(total)[0, 0]), [grads[nid] for nid in leaves]
 
     return fn, params
 

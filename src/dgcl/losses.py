@@ -10,14 +10,17 @@ match and every off-diagonal non-match, which simultaneously pulls each
 current embedding toward its own snapshot (knowledge invariance) and pushes
 it away from the other snapshots (spread-out).
 
-Each loss has a plain-value form and a tape-node form; both share the same
-forward arithmetic, so the oracle tests and the training path cannot drift
-apart. The KISP node is one tape op over the live embeddings: the snapshot
+Every loss is one tape op, and so is the weighted sum ``total_node``. The
+regularizer ops take the live embeddings as their only input: the snapshot
 embeddings are data, copied into the record's ``aux`` and never
-differentiated. It forms the similarity matrix itself with the helper
-``kisp_probs`` uses too, keeps its softmax pieces in ``aux`` so the backward
-sweep reuses them, and returns the gradient of the similarity-matrix chain
-(transpose, product, temperature scale) operand for operand.
+differentiated. Cross-entropy and KISP also have plain-value forms, which
+run the node's own arithmetic, so the oracle tests and the training path
+cannot drift apart. The KISP node forms the similarity matrix itself with
+the helper ``kisp_probs`` uses too, keeps its softmax pieces in ``aux`` so
+the backward sweep reuses them, and returns the gradient of the
+similarity-matrix chain (transpose, product, temperature scale) operand for
+operand. The LFC and RLD ops likewise repeat their old primitive chains'
+products and sums.
 """
 from __future__ import annotations
 
@@ -136,6 +139,16 @@ def cross_entropy_node(tape: Tape, logits: int, labels) -> int:
 # KISP
 # ---------------------------------------------------------------------------
 
+def _snapshot(tape: Tape, f_pre: np.ndarray, f_cur: int) -> np.ndarray:
+    """A private copy of the snapshot embeddings paired with node f_cur."""
+    pre = as_matrix(f_pre)
+    cur_shape = tape.value(f_cur).shape
+    if pre.shape != cur_shape:
+        raise ShapeMismatchError(
+            f"paired embeddings differ: {pre.shape} vs {cur_shape}")
+    return pre.copy()
+
+
 def _column_softmax(s: np.ndarray) -> np.ndarray:
     e = np.exp(s - s.max(axis=0, keepdims=True))
     return e / e.sum(axis=0, keepdims=True)
@@ -217,8 +230,8 @@ def kisp_loss(batch: KispBatch) -> float:
     and the training path agree bit for bit.
     """
     tape = Tape()
-    node = kisp_node(tape, batch.f_pre_norm,
-                     tape.constant(batch.f_cur_norm), batch.tau)
+    node = kisp_node(tape, batch.f_pre_norm, tape.leaf(batch.f_cur_norm),
+                     batch.tau)
     return float(tape.value(node)[0, 0])
 
 
@@ -227,14 +240,8 @@ def kisp_node(tape: Tape, f_pre_norm: np.ndarray, f_cur_norm: int,
     """Tape-node KISP; the snapshot embeddings are data (no gradient)."""
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
-    pre = as_matrix(f_pre_norm)
-    if pre.shape != tape.value(f_cur_norm).shape:
-        raise ShapeMismatchError(
-            f"paired embeddings differ: {pre.shape} "
-            f"vs {tape.value(f_cur_norm).shape}"
-        )
     # a fresh dict per node: the forward fills it, the gradient reads it
-    aux = {"pre": pre.copy(), "tau": float(tau)}
+    aux = {"pre": _snapshot(tape, f_pre_norm, f_cur_norm), "tau": float(tau)}
     return tape.apply("kisp_penalty", (f_cur_norm,), _kisp_forward,
                       _kisp_grad, aux=aux)
 
@@ -243,37 +250,53 @@ def kisp_node(tape: Tape, f_pre_norm: np.ndarray, f_cur_norm: int,
 # comparison regularizers and the total
 # ---------------------------------------------------------------------------
 
-def lfc_loss(batch: KispBatch) -> float:
-    """Less-forget constraint: mean of (1 - <f_pre_i, f_cur_i>)."""
-    return float(np.mean(1.0 - (batch.f_pre_norm * batch.f_cur_norm).sum(axis=1)))
+def _lfc_forward(vals, pre):
+    dots = np.array([[(pre * vals[0]).sum()]])
+    return dots * (-1.0 / pre.shape[0]) + 1.0
+
+
+def _lfc_grad(vals, out, pre, g):
+    return [np.full_like(pre, (g * (-1.0 / pre.shape[0]))[0, 0]) * pre]
 
 
 def lfc_node(tape: Tape, f_pre_norm: np.ndarray, f_cur_norm: int) -> int:
-    pre = as_matrix(f_pre_norm)
-    m = pre.shape[0]
-    dots = tape.sum_all(tape.mul(tape.constant(pre), f_cur_norm))
-    return tape.add_scalar(tape.scale(dots, -1.0 / m), 1.0)
+    """Less-forget constraint: mean of (1 - <f_pre_i, f_cur_i>) over unit
+    rows; the snapshot embeddings are data (no gradient)."""
+    return tape.apply("lfc", (f_cur_norm,), _lfc_forward, _lfc_grad,
+                      aux=_snapshot(tape, f_pre_norm, f_cur_norm))
 
 
-def rld_loss(f_pre, f_cur) -> float:
-    """Representation-level distillation: mean squared distance over d.
+def _rld_forward(vals, pre):
+    d = pre - vals[0]
+    return np.array([[(d * d).sum()]]) * (1.0 / pre.size)
 
-    Operates on the raw (unnormalized) penultimate features.
-    """
-    f_pre, f_cur = as_matrix(f_pre), as_matrix(f_cur)
-    if f_pre.shape != f_cur.shape:
-        raise ShapeMismatchError(
-            f"feature shapes differ: {f_pre.shape} vs {f_cur.shape}"
-        )
-    m, d = f_pre.shape
-    return float(((f_pre - f_cur) ** 2).sum() / (m * d))
+
+def _rld_grad(vals, out, pre, g):
+    d = pre - vals[0]
+    # the squared difference's two factors each send this term back
+    t = np.full_like(d, (g * (1.0 / pre.size))[0, 0]) * d
+    return [-(t + t)]
 
 
 def rld_node(tape: Tape, f_pre: np.ndarray, f_cur: int) -> int:
-    pre = as_matrix(f_pre)
-    m, d = pre.shape
-    diff = tape.sub(tape.constant(pre), f_cur)
-    return tape.scale(tape.sum_all(tape.mul(diff, diff)), 1.0 / (m * d))
+    """Representation-level distillation: mean squared distance over the
+    raw (unnormalized) embedding entries; the snapshot's are data."""
+    return tape.apply("rld", (f_cur,), _rld_forward, _rld_grad,
+                      aux=_snapshot(tape, f_pre, f_cur))
+
+
+def _total_forward(vals, lam):
+    return vals[0] + vals[1] * lam
+
+
+def _total_grad(vals, out, lam, g):
+    return [g, g * lam]
+
+
+def total_node(tape: Tape, ce: int, reg: int, lam: float) -> int:
+    """Tape-node version of :func:`total_loss`: ce + lam * reg."""
+    return tape.apply("total", (ce, reg), _total_forward, _total_grad,
+                      aux=float(lam))
 
 
 def total_loss(ce: float, kisp: float, lam: float) -> float:

@@ -10,7 +10,14 @@ one ``heads`` op. The encoder op copies its input batch into the record's
 ``aux`` and keeps its hidden activations there for the gradient; the batch
 is data, so its gradient is never formed. Both ops repeat the affine / relu
 / concatenate chain's arithmetic operand for operand, so values and
-gradients equal that chain's bit for bit.
+gradients equal that chain's bit for bit, and the plain forward passes run
+the same functions.
+
+An update creates one tape leaf per parameter, in ``Model.parameters()``
+order: the encoder's (W1, b1, ..., WL, bL), then each task head's (W, b) in
+task order. These are the orders the two ops take their inputs in, so
+``build_embed`` and ``build_logits`` take the whole leaf list and pass each
+op its own slice.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DuplicateTaskError, NoHeadsError, ShapeMismatchError
-from .numerics import ParamLeaves, as_matrix
+from .numerics import Tape, as_matrix
 
 DEFAULT_HIDDEN = (64,)
 DEFAULT_EMBED_DIM = 32
@@ -134,22 +141,19 @@ class Encoder:
             )
         return x
 
-    def forward(self, x) -> np.ndarray:
-        h = self._input(x)
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i != last:
-                np.maximum(h, 0.0, out=h)
-        return h
+    def parameters(self) -> list[np.ndarray]:
+        """(W1, b1, ..., WL, bL): the encoder op's input order."""
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
-    def build(self, leaves: ParamLeaves, x) -> int:
-        """Record the forward pass on a tape; returns the embedding node."""
+    def forward(self, x) -> np.ndarray:
+        return _encoder_forward(self.parameters(), {"x": self._input(x)})
+
+    def build(self, tape: Tape, leaves: Sequence[int], x) -> int:
+        """Record the forward pass on a tape over this encoder's parameter
+        leaves; returns the embedding node."""
         x = self._input(x)
-        params = [leaves.leaf(p) for pair in zip(self.weights, self.biases)
-                  for p in pair]
-        return leaves.tape.apply("encoder", params, _encoder_forward,
-                                 _encoder_grad, aux={"x": x.copy()})
+        return tape.apply("encoder", leaves, _encoder_forward, _encoder_grad,
+                          aux={"x": x.copy()})
 
     def copy(self) -> "Encoder":
         return Encoder([w.copy() for w in self.weights],
@@ -196,25 +200,30 @@ class HeadSet:
     def bias(self, task_id: int) -> np.ndarray:
         return self._biases[task_id]
 
+    def parameters(self) -> list[np.ndarray]:
+        """(W, b) per task in task order: the heads op's input order."""
+        return [p for t in self._tasks
+                for p in (self._weights[t], self._biases[t])]
+
     def logits(self, f: np.ndarray) -> np.ndarray:
         if not self._tasks:
             raise NoHeadsError("no classification heads registered")
-        parts = [f @ self._weights[t] + self._biases[t] for t in self._tasks]
-        return np.concatenate(parts, axis=1)
+        return _heads_forward([f, *self.parameters()], None)
 
-    def build_logits(self, leaves: ParamLeaves, f_node: int) -> int:
+    def build_logits(self, tape: Tape, leaves: Sequence[int],
+                     f_node: int) -> int:
+        """Record the head block on a tape over the heads' parameter
+        leaves; returns the logits node."""
         if not self._tasks:
             raise NoHeadsError("no classification heads registered")
-        width = leaves.tape.value(f_node).shape[1]
+        width = tape.value(f_node).shape[1]
         rows = self._weights[self._tasks[0]].shape[0]
         if width != rows:
             raise ShapeMismatchError(
                 f"heads take {rows}-wide embeddings, got {width} columns"
             )
-        params = [leaves.leaf(p) for t in self._tasks
-                  for p in (self._weights[t], self._biases[t])]
-        return leaves.tape.apply("heads", [f_node, *params], _heads_forward,
-                                 _heads_grad)
+        return tape.apply("heads", [f_node, *leaves], _heads_forward,
+                          _heads_grad)
 
 
 class Model:
@@ -234,14 +243,22 @@ class Model:
     def embed(self, x) -> np.ndarray:
         return self.encoder.forward(x)
 
-    def build_embed(self, leaves: ParamLeaves, x) -> int:
-        return self.encoder.build(leaves, x)
+    def build_embed(self, tape: Tape, leaves: Sequence[int], x) -> int:
+        """The encoder op over ``leaves``, one per :meth:`parameters` entry."""
+        return self.encoder.build(tape, leaves[:self._encoder_size], x)
 
     def logits_all_heads(self, f) -> np.ndarray:
         return self.heads.logits(as_matrix(f))
 
-    def build_logits(self, leaves: ParamLeaves, f_node: int) -> int:
-        return self.heads.build_logits(leaves, f_node)
+    def build_logits(self, tape: Tape, leaves: Sequence[int],
+                     f_node: int) -> int:
+        """The heads op over ``leaves``, one per :meth:`parameters` entry."""
+        return self.heads.build_logits(tape, leaves[self._encoder_size:],
+                                       f_node)
+
+    @property
+    def _encoder_size(self) -> int:
+        return 2 * len(self.encoder.weights)
 
     def add_head(self, task_id: int, class_count: int,
                  rng: np.random.Generator) -> None:
@@ -252,11 +269,9 @@ class Model:
         return np.argmax(self.logits_all_heads(self.embed(x)), axis=1)
 
     def parameters(self) -> list[np.ndarray]:
-        """Every trainable array: encoder layers, then each task's head."""
-        heads = self.heads
-        return (self.encoder.weights + self.encoder.biases
-                + [heads.weight(t) for t in heads.task_ids]
-                + [heads.bias(t) for t in heads.task_ids])
+        """Every trainable array, in tape-leaf order: the encoder's, then
+        the heads'."""
+        return self.encoder.parameters() + self.heads.parameters()
 
     def snapshot(self) -> Encoder:
         """A frozen copy of the encoder: later updates leave it unchanged."""

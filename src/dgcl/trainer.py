@@ -30,7 +30,7 @@ from .errors import DivergenceError, OverlappingClassesError, UnknownTaskError
 from .memory import EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
 from .model import DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, Encoder, Model
-from .numerics import ParamLeaves, Tape, backward, l2_normalize
+from .numerics import Tape, backward, l2_normalize, l2_normalize_node
 
 METHODS = ("finetune", "er", "lfc", "rld", "kisp")
 REGULARIZED = ("lfc", "rld", "kisp")
@@ -125,9 +125,10 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
         else:
             x_all, y_all = batch_x, batch_y
         tape = Tape()
-        leaves = ParamLeaves(tape)
-        f_node = state.model.build_embed(leaves, x_all)
-        logits_node = state.model.build_logits(leaves, f_node)
+        params = state.model.parameters()
+        leaves = [tape.leaf(p) for p in params]
+        f_node = state.model.build_embed(tape, leaves, x_all)
+        logits_node = state.model.build_logits(tape, leaves, f_node)
         ce_node = losses.cross_entropy_node(tape, logits_node, y_all)
         loss_node = ce_node
         ce_val = float(tape.value(ce_node)[0, 0])
@@ -136,12 +137,12 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
                    and replay)
         if use_reg:
             f_pre_raw = state.snapshot.forward(replay.x)
-            f_cur_node = state.model.build_embed(leaves, replay.x)
+            f_cur_node = state.model.build_embed(tape, leaves, replay.x)
             if config.method == "rld":
                 reg_node = losses.rld_node(tape, f_pre_raw, f_cur_node)
             else:
                 pre_norm = l2_normalize(f_pre_raw)
-                cur_norm_node = tape.l2_normalize(f_cur_node)
+                cur_norm_node = l2_normalize_node(tape, f_cur_node)
                 if config.method == "kisp":
                     reg_node = losses.kisp_node(tape, pre_norm, cur_norm_node,
                                                 config.tau)
@@ -152,12 +153,13 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
                 # lam = 0 keeps the value for the breakdown but skips the
                 # gradient branch, so the trajectory matches plain replay
                 # bit for bit.
-                loss_node = tape.add(ce_node, tape.scale(reg_node, config.lam))
+                loss_node = losses.total_node(tape, ce_node, reg_node,
+                                              config.lam)
         total = losses.total_loss(ce_val, reg_val, config.lam)
         _require_finite(state.update_index + 1, state.task_id, ce=ce_val,
                         regularizer=reg_val, total=total)
         grads = backward(tape, loss_node)
-        for arr, nid in leaves.pairs():
+        for arr, nid in zip(params, leaves):
             arr -= config.lr * grads[nid]
         state.update_index += 1
         breakdown = losses.LossBreakdown(ce_val, reg_val, total, config.lam)

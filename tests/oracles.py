@@ -6,10 +6,14 @@ paths), so agreement with the package is evidence rather than tautology.
 The exceptions are vectorized on purpose: ``kisp_sim_reference`` keeps the
 KISP kernel's arithmetic before it cached its forward pieces, and the
 ``*_chain_reference`` functions replay, in plain numpy, the primitive tape
-chains (affine, relu, hconcat, transpose, matmul, scale) that the fused
-encoder, head and KISP ops replaced, in the old reverse sweep's order, for
-checks that must agree bit for bit. ``logistic_regression_fit`` is a plain
-full-batch classifier that calibrates the synthetic stream.
+chains that the fused ops replaced, in the old reverse sweep's order, for
+checks that must agree bit for bit: affine / relu for the encoder, affine /
+hconcat for the heads, transpose / matmul / scale for KISP, constant / mul
+/ sum_all / scale / add_scalar for LFC, constant / sub / mul / sum_all /
+scale for RLD, and add / scale for the loss sum in
+``update_chain_reference``, a whole regularized update.
+``logistic_regression_fit`` is a plain full-batch classifier that
+calibrates the synthetic stream.
 """
 import math
 
@@ -170,31 +174,65 @@ def l2_normalize_chain_reference(f, g=None):
     return out, (g - out * gy) / norms
 
 
-def kisp_update_chain_reference(x_all, y_all, x_replay, pre_norm, weights,
-                                biases, head_weights, head_biases, tau, lam,
-                                floor):
-    """One KISP training update as the old primitive tape swept it: the
-    encoder on ``x_all`` into the heads and cross-entropy, the encoder on
-    ``x_replay`` into the normalization and KISP, total = ce + lam * kisp.
-    Returns the total and the gradients of the encoder parameters, then of
-    each head's weight and bias. The loss node's adjoint is a (1, 1) one, so
-    KISP's is that one scaled by lam; the replay pass sits later on the
-    tape, so its encoder gradients come first in each sum."""
+def lfc_chain_reference(pre, cur, g=1.0):
+    """The old LFC tape, constant(pre) -> mul(cur) -> sum_all ->
+    scale(-1 / m) -> add_scalar(1): the value and the gradient for cur for
+    the adjoint ``g``."""
+    pre = pre.copy()
+    scale = float(-1.0 / pre.shape[0])
+    value = np.array([[(pre * cur).sum()]]) * scale + 1.0
+    g_dots = g * scale
+    return float(value[0, 0]), np.full_like(pre * cur, g_dots) * pre
+
+
+def rld_chain_reference(pre, cur, g=1.0):
+    """The old RLD tape, constant(pre) -> sub(cur) -> mul(itself) ->
+    sum_all -> scale(1 / (m * d)): the value and the gradient for cur for
+    the adjoint ``g``. The product's two adjoints reach the difference one
+    after the other and are summed."""
+    pre = pre.copy()
+    scale = float(1.0 / (pre.shape[0] * pre.shape[1]))
+    d = pre - cur
+    value = np.array([[(d * d).sum()]]) * scale
+    t = np.full_like(d * d, g * scale) * d
+    return float(value[0, 0]), -(t + t)
+
+
+def update_chain_reference(method, x_all, y_all, x_replay, pre, weights,
+                           biases, head_weights, head_biases, tau, lam,
+                           floor):
+    """One regularized training update as the old primitive tape swept it:
+    the encoder on ``x_all`` into the heads and cross-entropy, the encoder
+    on ``x_replay`` into the regularizer (through the normalization for
+    KISP and LFC, on the raw features for RLD), total = ce + lam * reg.
+    ``pre`` is the snapshot's embedding of ``x_replay``, unit rows for KISP
+    and LFC. Returns the total and the gradients of the encoder parameters,
+    then of each head's weight and bias. The loss node's adjoint is a
+    (1, 1) one, so the regularizer's is that one scaled by lam; the replay
+    pass sits later on the tape, so its encoder gradients come first in
+    each sum."""
     f_all, _ = encoder_chain_reference(x_all, weights, biases)
     logits, _, _ = heads_chain_reference(f_all, head_weights, head_biases)
     one = np.ones((1, 1))
     ce, d_logits = cross_entropy_chain_reference(logits, y_all, one[0, 0])
     f_rep, _ = encoder_chain_reference(x_replay, weights, biases)
-    cur_norm, _ = l2_normalize_chain_reference(f_rep)
-    kisp, d_cur_norm, _ = kisp_chain_reference(pre_norm, cur_norm, tau,
-                                               floor, (one * lam)[0, 0])
-    _, d_f_rep = l2_normalize_chain_reference(f_rep, d_cur_norm)
+    g_reg = (one * lam)[0, 0]
+    if method == "rld":
+        reg, d_f_rep = rld_chain_reference(pre, f_rep, g_reg)
+    else:
+        cur_norm, _ = l2_normalize_chain_reference(f_rep)
+        if method == "kisp":
+            reg, d_cur_norm, _ = kisp_chain_reference(pre, cur_norm, tau,
+                                                      floor, g_reg)
+        else:
+            reg, d_cur_norm = lfc_chain_reference(pre, cur_norm, g_reg)
+        _, d_f_rep = l2_normalize_chain_reference(f_rep, d_cur_norm)
     _, rep_grads = encoder_chain_reference(x_replay, weights, biases, d_f_rep)
     _, d_f_all, head_grads = heads_chain_reference(f_all, head_weights,
                                                    head_biases, d_logits)
     _, all_grads = encoder_chain_reference(x_all, weights, biases, d_f_all)
     enc_grads = [r + a for r, a in zip(rep_grads, all_grads)]
-    return ce + lam * kisp, enc_grads + head_grads
+    return ce + lam * reg, enc_grads + head_grads
 
 
 def lfc_loops(f_pre, f_cur):

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from dgcl import trainer
 from dgcl.cli import main
+from dgcl.datasets import save_tensor_file
 
 GRID = """\
 stream.tasks = 3
@@ -135,6 +138,33 @@ def test_drift_needs_a_nonzero_lambda(tmp_path, capsys):
     assert main(["drift", str(config)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "zero").exists()
+
+
+def test_test_file_missing_a_task_fails_each_cell_before_training(
+        tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(0)
+    train, test = tmp_path / "train.dgds", tmp_path / "test.dgds"
+    save_tensor_file(train, rng.standard_normal((60, 4)),
+                     np.repeat(np.arange(6), 10), class_count=6)
+    # classes 3, 4 and 5 have no test rows: task 3 (classes 4, 5) has none
+    save_tensor_file(test, rng.standard_normal((15, 4)),
+                     np.repeat(np.arange(3), 5), class_count=6)
+    config = tmp_path / "file.cfg"
+    config.write_text(f"stream.kind = file\nstream.train_path = {train}\n"
+                      f"stream.test_path = {test}\n"
+                      "stream.classes_per_task = 2\n"
+                      "trainer.methods = finetune,er\nseeds = 0,1\n"
+                      f"output_dir = {tmp_path / 'out'}\n")
+    steps = []
+    monkeypatch.setattr(trainer, "train_step",
+                        lambda *args: steps.append(args))
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    assert main(["run", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"cell {method}_lam0_M20_seed{seed} failed: LabelRangeError: test "
+        "data has no examples of task 3's classes [4, 5]"
+        for method in ("finetune", "er") for seed in (0, 1)]
+    assert steps == []
 
 
 def test_gradcheck_passes(capsys):

@@ -141,6 +141,16 @@ class TestSplitByClass:
         assert tasks[0].test_y.tolist() == [0, 0, 1, 1]
         assert tasks[1].test_y.tolist() == [2, 2, 3, 3]
 
+    def test_block_without_test_rows_rejected(self):
+        x = np.zeros((40, 2))
+        y = np.repeat(np.arange(4), 10)
+        # class 2 alone keeps task 2 (classes 2, 3) evaluable; a test set
+        # with neither class leaves it without rows
+        split_by_class(x, y, 2, test_x=np.zeros((3, 2)), test_y=[0, 1, 2])
+        with pytest.raises(LabelRangeError, match="task 2's classes"):
+            split_by_class(x, y, 2, test_x=np.zeros((3, 2)),
+                           test_y=[0, 1, 1])
+
 
 class TestTaskDataValidation:
     def test_foreign_label_rejected(self):

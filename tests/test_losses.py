@@ -15,13 +15,18 @@ from dgcl.losses import (
     kisp_loss,
     kisp_node,
     kisp_probs,
-    lfc_loss,
     lfc_node,
-    rld_loss,
     rld_node,
     total_loss,
+    total_node,
 )
-from dgcl.numerics import Tape, backward, finite_diff_check, l2_normalize
+from dgcl.numerics import (
+    Tape,
+    backward,
+    finite_diff_check,
+    l2_normalize,
+    l2_normalize_node,
+)
 
 from oracles import (
     cross_entropy_loops,
@@ -29,7 +34,9 @@ from oracles import (
     kisp_loss_loops,
     kisp_prob_loops,
     kisp_sim_reference,
+    lfc_chain_reference,
     lfc_loops,
+    rld_chain_reference,
     rld_loops,
 )
 
@@ -41,6 +48,12 @@ KISP_SPOT_ORACLE = 1.815955968672825e-4
 
 def unit_rows(rng, m, d):
     return l2_normalize(rng.standard_normal((m, d)))
+
+
+def node_value(node_fn, pre, cur):
+    """A regularizer node's value on a throwaway tape."""
+    tape = Tape()
+    return float(tape.value(node_fn(tape, pre, tape.leaf(cur)))[0, 0])
 
 
 class TestCrossEntropy:
@@ -196,7 +209,7 @@ class TestKispLoss:
         def fn(params):
             tape = Tape()
             cur = tape.leaf(params[0])
-            loss = kisp_node(tape, pre, tape.l2_normalize(cur), 0.1)
+            loss = kisp_node(tape, pre, l2_normalize_node(tape, cur), 0.1)
             grads = backward(tape, loss)
             return float(tape.value(loss)[0, 0]), [grads[cur]]
 
@@ -261,7 +274,7 @@ class TestKispCachedPieces:
         tape = Tape()
         leaf = tape.leaf(cur)
         node = kisp_node(tape, pre, leaf, tau)
-        loss = tape.scale(node, lam)
+        loss = total_node(tape, tape.leaf([[0.0]]), node, lam)
         value, expected, _ = kisp_chain_reference(pre, cur, tau,
                                                   ONE_MINUS_P_FLOOR, lam)
         assert float(tape.value(node)[0, 0]) == value
@@ -296,7 +309,7 @@ class TestKispProperties:
         assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-12
         tape = Tape()
         leaf = tape.leaf(cur)
-        node = kisp_node(tape, pre, tape.l2_normalize(leaf), tau)
+        node = kisp_node(tape, pre, l2_normalize_node(tape, leaf), tau)
         assert np.isfinite(tape.value(node)).all()
         assert np.isfinite(backward(tape, node)[leaf]).all()
 
@@ -321,33 +334,31 @@ class TestComparisonLosses:
     def test_lfc_aligned(self):
         rng = np.random.default_rng(30)
         f = unit_rows(rng, 4, 5)
-        assert abs(lfc_loss(KispBatch(f, f.copy(), 0.1))) < 1e-15
+        assert abs(node_value(lfc_node, f, f.copy())) < 1e-15
 
     def test_lfc_orthogonal(self):
         pre = np.array([[1.0, 0.0], [0.0, 1.0]])
         cur = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert abs(lfc_loss(KispBatch(pre, cur, 0.1)) - 1.0) < 1e-15
+        assert abs(node_value(lfc_node, pre, cur) - 1.0) < 1e-15
 
     def test_lfc_antipodal(self):
         f = np.eye(2)
-        assert abs(lfc_loss(KispBatch(f, -f, 0.1)) - 2.0) < 1e-15
+        assert abs(node_value(lfc_node, f, -f) - 2.0) < 1e-15
 
     @pytest.mark.parametrize("seed", range(10))
     def test_lfc_matches_loops_and_node(self, seed):
         rng = np.random.default_rng([31, seed])
         pre, cur = unit_rows(rng, 5, 4), unit_rows(rng, 5, 4)
         expect = lfc_loops(pre, cur)
-        assert abs(lfc_loss(KispBatch(pre, cur, 0.1)) - expect) < 1e-12
-        tape = Tape()
-        node = lfc_node(tape, pre, tape.constant(cur))
-        assert abs(float(tape.value(node)[0, 0]) - expect) < 1e-12
+        assert abs(node_value(lfc_node, pre, cur) - expect) < 1e-12
 
     def test_rld_identical(self):
         f = np.random.default_rng(32).standard_normal((3, 4))
-        assert rld_loss(f, f.copy()) == 0.0
+        assert node_value(rld_node, f, f.copy()) == 0.0
 
     def test_rld_scalar_case(self):
-        assert rld_loss(np.array([[0.0]]), np.array([[2.0]])) == 4.0
+        assert node_value(rld_node, np.array([[0.0]]),
+                          np.array([[2.0]])) == 4.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rld_matches_loops_and_node(self, seed):
@@ -355,14 +366,37 @@ class TestComparisonLosses:
         pre = rng.standard_normal((4, 6))
         cur = rng.standard_normal((4, 6))
         expect = rld_loops(pre, cur)
-        assert abs(rld_loss(pre, cur) - expect) < 1e-12
-        tape = Tape()
-        node = rld_node(tape, pre, tape.constant(cur))
-        assert abs(float(tape.value(node)[0, 0]) - expect) < 1e-12
+        assert abs(node_value(rld_node, pre, cur) - expect) < 1e-12
 
     def test_rld_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            rld_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+            node_value(rld_node, np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_lfc_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            node_value(lfc_node, np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("builder", ["lfc", "rld"])
+    @pytest.mark.parametrize("m", [1, 2, 10, 100, 300])
+    def test_matches_primitive_chain(self, m, builder):
+        # under a weight, as in training: the node's adjoint is lam, not 1
+        rng = np.random.default_rng([37, m])
+        pre, cur = rng.standard_normal((m, 32)), rng.standard_normal((m, 32))
+        if builder == "lfc":
+            pre, cur = l2_normalize(pre), l2_normalize(cur)
+            node_fn, reference = lfc_node, lfc_chain_reference
+        else:
+            node_fn, reference = rld_node, rld_chain_reference
+        lam = 0.7
+        tape = Tape()
+        leaf = tape.leaf(cur)
+        node = node_fn(tape, pre, leaf)
+        loss = total_node(tape, tape.leaf([[0.0]]), node, lam)
+        value, expected = reference(pre, cur, lam)
+        assert float(tape.value(node)[0, 0]) == value
+        grad = backward(tape, loss)[leaf]
+        assert np.array_equal(grad, expected)
+        assert np.array_equal(backward(tape, loss)[leaf], grad)
 
     @pytest.mark.parametrize("builder", ["lfc", "rld"])
     @pytest.mark.parametrize("seed", range(25))
@@ -376,7 +410,7 @@ class TestComparisonLosses:
             cur = tape.leaf(params[0])
             if builder == "lfc":
                 loss = lfc_node(tape, l2_normalize(pre_raw),
-                                tape.l2_normalize(cur))
+                                l2_normalize_node(tape, cur))
             else:
                 loss = rld_node(tape, pre_raw, cur)
             grads = backward(tape, loss)
@@ -414,9 +448,10 @@ class TestTotalLoss:
         lam = 0.7
         tape = Tape()
         ce_node = cross_entropy_node(tape, tape.leaf(logits), labels)
-        reg_node = kisp_node(tape, pre, tape.l2_normalize(tape.leaf(cur_raw)), 0.1)
-        total_node = tape.add(ce_node, tape.scale(reg_node, lam))
+        reg_node = kisp_node(tape, pre,
+                             l2_normalize_node(tape, tape.leaf(cur_raw)), 0.1)
+        total = total_node(tape, ce_node, reg_node, lam)
         expect = total_loss(cross_entropy(logits, labels),
                             kisp_loss(KispBatch(pre, l2_normalize(cur_raw), 0.1)),
                             lam)
-        assert abs(float(tape.value(total_node)[0, 0]) - expect) < 1e-12
+        assert abs(float(tape.value(total)[0, 0]) - expect) < 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from dgcl.errors import DuplicateTaskError, NoHeadsError, ShapeMismatchError
 from dgcl.model import Encoder, Model
-from dgcl.numerics import ParamLeaves, Tape, backward, finite_diff_check
+from dgcl.numerics import Tape, backward, finite_diff_check
 from dgcl.losses import cross_entropy_node
 
 from oracles import (
@@ -18,7 +18,15 @@ ROWS = [1, 2, 10, 100, 300]
 def adjoint_loss(tape, node, adjoint):
     """A scalar whose gradient with respect to ``node`` is ``adjoint``
     exactly: sum(node * adjoint)."""
-    return tape.sum_all(tape.mul(node, tape.constant(adjoint)))
+    return tape.apply(
+        "adjoint", (node,),
+        lambda v, aux: np.array([[(v[0] * aux).sum()]]),
+        lambda v, out, aux, g: [np.full_like(aux, g[0, 0]) * aux],
+        aux=adjoint.copy())
+
+
+def leaves_for(tape, params):
+    return [tape.leaf(p) for p in params]
 
 
 def small_model(seed=0, d_in=4, hidden=(6,), d_emb=3):
@@ -37,6 +45,20 @@ class TestEncoder:
         for n in (1, 7, 30):
             x = np.random.default_rng(n).standard_normal((n, 4))
             assert model.embed(x).shape == (n, 3)
+
+    def test_parameters_follow_the_op_orders(self):
+        model = small_model(hidden=(6, 5))
+        rng = np.random.default_rng(1)
+        model.add_head(1, 2, rng)
+        model.add_head(2, 3, rng)
+        enc, heads = model.encoder, model.heads
+        expected = [enc.weights[0], enc.biases[0], enc.weights[1],
+                    enc.biases[1], enc.weights[2], enc.biases[2],
+                    heads.weight(1), heads.bias(1), heads.weight(2),
+                    heads.bias(2)]
+        params = model.parameters()
+        assert len(params) == len(expected)
+        assert all(a is b for a, b in zip(params, expected))
 
     def test_param_count_constant(self):
         model = small_model()
@@ -58,9 +80,10 @@ class TestHeads:
         model = small_model()
         model.add_head(0, 2, np.random.default_rng(1))
         tape = Tape()
+        leaves = leaves_for(tape, model.parameters())
         f = tape.leaf(np.ones((2, 4)))
         with pytest.raises(ShapeMismatchError) as exc:
-            model.build_logits(ParamLeaves(tape), f)
+            model.build_logits(tape, leaves, f)
         assert "3-wide" in str(exc.value) and "4 columns" in str(exc.value)
 
     def test_offsets_accumulate(self):
@@ -183,13 +206,14 @@ class TestSnapshot:
     @staticmethod
     def _sgd_step(model, x, lr=0.1):
         tape = Tape()
-        leaves = ParamLeaves(tape)
-        f = model.build_embed(leaves, x)
-        logits = model.build_logits(leaves, f)
+        params = model.parameters()
+        leaves = leaves_for(tape, params)
+        f = model.build_embed(tape, leaves, x)
+        logits = model.build_logits(tape, leaves, f)
         labels = np.zeros(x.shape[0], dtype=np.int64)
         loss = cross_entropy_node(tape, logits, labels)
         grads = backward(tape, loss)
-        for arr, nid in leaves.pairs():
+        for arr, nid in zip(params, leaves):
             arr -= lr * grads[nid]
 
 
@@ -207,22 +231,22 @@ class TestFusedOps:
             b += 0.1 * rng.standard_normal(b.shape)
         x = rng.standard_normal((m, 12))
         adjoint = rng.standard_normal((m, 32))
+        params = enc.parameters()
+        assert len(params) == 2 * len(enc.weights) and all(
+            arr is p for arr, p in zip(
+                params, [p for wb in zip(enc.weights, enc.biases) for p in wb]))
         tape = Tape()
-        leaves = ParamLeaves(tape)
-        node = enc.build(leaves, x)
+        leaves = leaves_for(tape, params)
+        node = enc.build(tape, leaves, x)
         grads = backward(tape, adjoint_loss(tape, node, adjoint))
         value, expected = encoder_chain_reference(x, enc.weights, enc.biases,
                                                   adjoint)
         assert np.array_equal(tape.value(node), value)
         assert np.array_equal(tape.value(node), enc.forward(x))
-        pairs = leaves.pairs()
-        assert len(pairs) == 2 * len(enc.weights) and all(
-            arr is p for (arr, _), p in zip(
-                pairs, [p for wb in zip(enc.weights, enc.biases) for p in wb]))
-        for (_, nid), want in zip(pairs, expected):
+        for nid, want in zip(leaves, expected):
             assert np.array_equal(grads[nid], want)
         again = backward(tape, adjoint_loss(tape, node, adjoint))
-        for _, nid in pairs:
+        for nid in leaves:
             assert np.array_equal(again[nid], grads[nid])
 
     @pytest.mark.parametrize("heads", [1, 2, 10])
@@ -235,24 +259,24 @@ class TestFusedOps:
             model.heads.bias(t)[:] = rng.standard_normal((1, 1 + t % 3))
         f = rng.standard_normal((m, 32))
         adjoint = rng.standard_normal((m, model.heads.total_classes))
-        tape = Tape()
-        leaves = ParamLeaves(tape)
-        f_leaf = tape.leaf(f)
-        node = model.build_logits(leaves, f_leaf)
-        grads = backward(tape, adjoint_loss(tape, node, adjoint))
         ws = [model.heads.weight(t) for t in range(heads)]
         bs = [model.heads.bias(t) for t in range(heads)]
+        params = model.heads.parameters()
+        assert len(params) == 2 * heads and all(arr is p for arr, p in zip(
+            params, [p for wb in zip(ws, bs) for p in wb]))
+        tape = Tape()
+        leaves = leaves_for(tape, params)
+        f_leaf = tape.leaf(f)
+        node = model.heads.build_logits(tape, leaves, f_leaf)
+        grads = backward(tape, adjoint_loss(tape, node, adjoint))
         value, d_f, expected = heads_chain_reference(f, ws, bs, adjoint)
         assert np.array_equal(tape.value(node), value)
         assert np.array_equal(tape.value(node), model.logits_all_heads(f))
         assert np.array_equal(grads[f_leaf], d_f)
-        pairs = leaves.pairs()
-        assert len(pairs) == 2 * heads and all(arr is p for (arr, _), p in zip(
-            pairs, [p for wb in zip(ws, bs) for p in wb]))
-        for (_, nid), want in zip(pairs, expected):
+        for nid, want in zip(leaves, expected):
             assert np.array_equal(grads[nid], want)
         again = backward(tape, adjoint_loss(tape, node, adjoint))
-        for nid in [f_leaf] + [nid for _, nid in pairs]:
+        for nid in [f_leaf, *leaves]:
             assert np.array_equal(again[nid], grads[nid])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -268,13 +292,13 @@ class TestFusedOps:
 
         def fn(arrays):
             tape = Tape()
-            leaves = ParamLeaves(tape)
             f_leaf = tape.leaf(arrays[0])
+            leaves = leaves_for(tape, arrays[1:])
             loss = cross_entropy_node(
-                tape, model.build_logits(leaves, f_leaf), labels)
+                tape, model.heads.build_logits(tape, leaves, f_leaf), labels)
             grads = backward(tape, loss)
             return (float(tape.value(loss)[0, 0]),
-                    [grads[f_leaf]] + [grads[nid] for _, nid in leaves.pairs()])
+                    [grads[f_leaf]] + [grads[nid] for nid in leaves])
 
         assert finite_diff_check(fn, params, h=1e-5) < 1e-6
 
@@ -282,8 +306,9 @@ class TestFusedOps:
         model = small_model()
         x = np.random.default_rng(2).standard_normal((5, 4))
         tape = Tape()
-        node = model.build_embed(ParamLeaves(tape), x)
-        loss = tape.sum_all(node)
+        node = model.build_embed(
+            tape, leaves_for(tape, model.parameters()), x)
+        loss = adjoint_loss(tape, node, np.ones((5, 3)))
         before = [g.copy() for g in backward(tape, loss).values()]
         x[:] = 0.0
         after = list(backward(tape, loss).values())

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from dgcl.errors import DegenerateFeatureError, NonScalarLossError, ShapeMismatchError
-from dgcl.losses import _column_softmax, cross_entropy_node, kisp_node
-from dgcl.model import Encoder, HeadSet
-from dgcl.numerics import ParamLeaves, Tape, backward, finite_diff_check, l2_normalize
+from dgcl.losses import _column_softmax, cross_entropy_node, kisp_node, total_node
+from dgcl.model import Encoder, HeadSet, Model
+from dgcl.numerics import (
+    Tape,
+    backward,
+    finite_diff_check,
+    l2_normalize,
+    l2_normalize_node,
+)
 
 from oracles import matmul_loops
 
@@ -16,10 +22,21 @@ def linear(w, b):
                    [np.asarray(b, dtype=np.float64)])
 
 
+def leaves_for(tape, params):
+    return [tape.leaf(p) for p in params]
+
+
 def affine(x, w, b):
     """Forward value of the fused encoder op with one linear layer."""
     tape = Tape()
-    return tape.value(linear(w, b).build(ParamLeaves(tape), x))
+    enc = linear(w, b)
+    return tape.value(enc.build(tape, leaves_for(tape, enc.parameters()), x))
+
+
+def square(tape, a):
+    """x * x elementwise, recorded through ``Tape.apply``."""
+    return tape.apply("square", (a,), lambda v, aux: v[0] * v[0],
+                      lambda v, out, aux, g: [2.0 * g * v[0]])
 
 
 def softmax(z):
@@ -102,7 +119,7 @@ class TestTape:
     def test_square_gradient(self):
         tape = Tape()
         x = tape.leaf([[3.0]])
-        loss = tape.mul(x, x)
+        loss = square(tape, x)
         grads = backward(tape, loss)
         assert grads[x][0, 0] == 6.0
 
@@ -121,7 +138,7 @@ class TestTape:
         tape = Tape()
         x = tape.leaf([[2.0]])
         unused = tape.leaf(np.ones((3, 2)))
-        loss = tape.mul(x, x)
+        loss = square(tape, x)
         grads = backward(tape, loss)
         assert grads[unused].shape == (3, 2)
         assert (grads[unused] == 0).all()
@@ -130,7 +147,7 @@ class TestTape:
         # f(x) = x*x + 3*x at x=2 -> gradient 2*2 + 3 = 7
         tape = Tape()
         x = tape.leaf([[2.0]])
-        loss = tape.add(tape.mul(x, x), tape.scale(x, 3.0))
+        loss = total_node(tape, square(tape, x), x, 3.0)
         assert backward(tape, loss)[x][0, 0] == 7.0
 
     def test_leaf_copies_value(self):
@@ -163,7 +180,7 @@ class TestFiniteDiffCheck:
         def fn(params):
             tape = Tape()
             cur = tape.leaf(params[0])
-            loss = kisp_node(tape, f_pre, tape.l2_normalize(cur), 0.1)
+            loss = kisp_node(tape, f_pre, l2_normalize_node(tape, cur), 0.1)
             grads = backward(tape, loss)
             return float(tape.value(loss)[0, 0]), [grads[cur]]
 
@@ -182,12 +199,12 @@ class TestCompositeGradients:
 
         def fn(params):
             tape = Tape()
-            leaves = ParamLeaves(tape)
-            logits = Encoder([params[0]], [params[1]]).build(leaves, x)
+            leaves = leaves_for(tape, params)
+            logits = Encoder([params[0]], [params[1]]).build(tape, leaves, x)
             loss = cross_entropy_node(tape, logits, labels)
             grads = backward(tape, loss)
             return (float(tape.value(loss)[0, 0]),
-                    [grads[nid] for _, nid in leaves.pairs()])
+                    [grads[nid] for nid in leaves])
 
         assert finite_diff_check(fn, [w, b], h=1e-5) < 1e-6
 
@@ -203,13 +220,13 @@ class TestCompositeGradients:
 
         def fn(params):
             tape = Tape()
-            leaves = ParamLeaves(tape)
+            leaves = leaves_for(tape, params)
             encoder = Encoder([params[0], params[2]], [params[1], params[3]])
-            logits = encoder.build(leaves, x)
+            logits = encoder.build(tape, leaves, x)
             loss = cross_entropy_node(tape, logits, labels)
             grads = backward(tape, loss)
             return (float(tape.value(loss)[0, 0]),
-                    [grads[nid] for _, nid in leaves.pairs()])
+                    [grads[nid] for nid in leaves])
 
         assert finite_diff_check(fn, [w1, b1, w2, b2], h=1e-5) < 1e-4
 
@@ -224,19 +241,19 @@ class TestCompositeGradients:
                          rng.standard_normal((1, d_emb)))
         heads = HeadSet()
         heads.add(1, c, d_emb, rng)
-        params = [encoder.weights[0], encoder.biases[0],
-                  heads.weight(1), heads.bias(1)]
+        model = Model(encoder, heads)
+        params = model.parameters()
 
         def fn(params):
             tape = Tape()
-            leaves = ParamLeaves(tape)
-            f = encoder.build(leaves, x_mem)
-            logits = heads.build_logits(leaves, f)
+            leaves = leaves_for(tape, params)
+            f = model.build_embed(tape, leaves, x_mem)
+            logits = model.build_logits(tape, leaves, f)
             ce = cross_entropy_node(tape, logits, labels)
-            reg = kisp_node(tape, pre_norm, tape.l2_normalize(f), 0.1)
-            total = tape.add(ce, tape.scale(reg, 1.0))
+            reg = kisp_node(tape, pre_norm, l2_normalize_node(tape, f), 0.1)
+            total = total_node(tape, ce, reg, 1.0)
             grads = backward(tape, total)
             return (float(tape.value(total)[0, 0]),
-                    [grads[leaves.leaf(p)] for p in params])
+                    [grads[nid] for nid in leaves])
 
         assert finite_diff_check(fn, params, h=1e-5) < 1e-4

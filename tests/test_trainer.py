@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from dgcl import trainer
+from dgcl import losses, trainer
 from dgcl.datasets import StreamSpec, TaskData, synth_stream
 from dgcl.errors import DivergenceError, OverlappingClassesError, UnknownTaskError
 from dgcl.losses import ONE_MINUS_P_FLOOR
@@ -18,7 +18,7 @@ from dgcl.trainer import (
     train_step,
 )
 
-from oracles import kisp_update_chain_reference
+from oracles import update_chain_reference
 
 SMALL_SPEC = StreamSpec(tasks=3, classes_per_task=2, d_in=8,
                         train_per_class=30, test_per_class=20, seed=11)
@@ -123,6 +123,31 @@ class TestTrainStep:
         b = train_step(state, cfg, tasks[1].train_x[:10], tasks[1].train_y[:10])
         assert b.kisp > 0.0
         assert abs(b.total - (b.ce + b.lam * b.kisp)) < 1e-12
+
+    @pytest.mark.parametrize("method,ops", [
+        ("er", []),
+        ("kisp", ["encoder", "l2_normalize", "kisp_penalty", "total"]),
+        ("lfc", ["encoder", "l2_normalize", "lfc", "total"]),
+        ("rld", ["encoder", "rld", "total"]),
+    ])
+    def test_update_tape(self, monkeypatch, method, ops):
+        # one leaf per parameter in parameters() order, then one op per
+        # network pass and loss, each with its own gradient function
+        tapes = []
+        real = trainer.backward
+        monkeypatch.setattr(trainer, "backward", lambda tape, loss: (
+            tapes.append(tape), real(tape, loss))[1])
+        result = run_stream(TrainerConfig(method=method, seed=0),
+                            small_tasks()[:2])
+        records = tapes[-1].records
+        params = result.model.parameters()
+        leaves = records[:len(params)]
+        assert [r.op for r in leaves] == ["leaf"] * len(params)
+        assert [r.value.shape for r in leaves] == [p.shape for p in params]
+        rest = records[len(params):]
+        assert [r.op for r in rest] == [
+            "encoder", "heads", "cross_entropy", *ops]
+        assert all(r.grad is not None for r in rest)
 
 
 class TestReductionIdentity:
@@ -391,16 +416,27 @@ class TestAllocatorPolicy:
 
 
 class TestUpdateMatchesPrimitiveChain:
-    """A whole KISP update through ``train_step`` moves every parameter
-    exactly as the old primitive tape's gradients would have."""
+    """A whole regularized update through ``train_step`` moves every
+    parameter exactly as the old primitive tape's gradients would have."""
 
     @pytest.mark.parametrize("lam", [1.0, 0.5])
     @pytest.mark.parametrize("heads", [1, 2, 10])
     @pytest.mark.parametrize("tau", [0.1, 1e-3])
     @pytest.mark.parametrize("m", [1, 2, 10, 100, 300])
     def test_kisp_update(self, m, tau, heads, lam):
+        self.check_update("kisp", m, tau, heads, lam)
+
+    @pytest.mark.parametrize("lam", [1.0, 0.7])
+    @pytest.mark.parametrize("heads", [1, 2, 10])
+    @pytest.mark.parametrize("m", [1, 2, 10, 100, 300])
+    @pytest.mark.parametrize("method", ["lfc", "rld"])
+    def test_comparison_update(self, method, m, heads, lam):
+        self.check_update(method, m, losses.DEFAULT_TAU, heads, lam)
+
+    @staticmethod
+    def check_update(method, m, tau, heads, lam):
         d_in = 12
-        config = TrainerConfig(method="kisp", lam=lam, tau=tau, batch_size=m,
+        config = TrainerConfig(method=method, lam=lam, tau=tau, batch_size=m,
                                memory_size=m, seed=m)
         state = init_state(config, d_in)
         model = state.model
@@ -429,15 +465,17 @@ class TestUpdateMatchesPrimitiveChain:
         assert len(params) == len(model.parameters())
         before = [p.copy() for p in params]
         layers = 2 * len(model.encoder.weights)
+        pre = snapshot.forward(replay.x)
+        if method != "rld":
+            pre = l2_normalize(pre)
 
         breakdown = train_step(state, config, batch_x, batch_y)
 
-        total, grads = kisp_update_chain_reference(
-            np.concatenate([batch_x, replay.x]),
-            np.concatenate([batch_y, replay.y]), replay.x,
-            l2_normalize(snapshot.forward(replay.x)), before[:layers:2],
-            before[1:layers:2], before[layers::2], before[layers + 1::2],
-            tau, lam, ONE_MINUS_P_FLOOR)
+        total, grads = update_chain_reference(
+            method, np.concatenate([batch_x, replay.x]),
+            np.concatenate([batch_y, replay.y]), replay.x, pre,
+            before[:layers:2], before[1:layers:2], before[layers::2],
+            before[layers + 1::2], tau, lam, ONE_MINUS_P_FLOOR)
         assert breakdown.total == total
         assert len(grads) == len(params)
         for p, p_before, g in zip(params, before, grads):
