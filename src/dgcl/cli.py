@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import gradcheck, metrics
 from .config import RunConfig, build_tasks, config_hash, parse_config_file
+from .datasets import TaskData
 from .errors import ConfigError, DgclError
 from .trainer import REGULARIZED, run_stream
 
@@ -39,9 +40,10 @@ class Cell:
         return f"{self.method}_lam{self.lam:g}_M{self.memory}_seed{self.seed}"
 
 
-def expand_cells(cfg: RunConfig) -> list[Cell]:
-    """The full grid; lambda only varies for regularized methods, and
-    finetune ignores the memory sweep (it never writes memory)."""
+def _grid(cfg: RunConfig) -> list[Cell]:
+    """The full grid, method-major: the order failures are reported in.
+    lambda only varies for regularized methods, and finetune ignores the
+    memory sweep (it never writes memory)."""
     cells = []
     for method in cfg.methods:
         lams = cfg.lams if method in REGULARIZED else [0.0]
@@ -57,9 +59,34 @@ def _cell_dir(cfg: RunConfig) -> Path:
     return Path(cfg.output_dir) / f"run-{config_hash(cfg)}"
 
 
+def expand_cells(cfg: RunConfig) -> list[Cell]:
+    """The full grid in run order: seed-major, so the cells that share a
+    stream run back to back and :func:`_stream` builds it once."""
+    return sorted(_grid(cfg), key=lambda cell: cfg.seeds.index(cell.seed))
+
+
+# the latest stream _stream built: {(config_hash, seed): tasks}
+_STREAM: dict[tuple[str, int], list[TaskData]] = {}
+
+
+def _stream(cfg: RunConfig, seed: int) -> list[TaskData]:
+    """``build_tasks(cfg, seed)``, kept for the next cell with the same
+    config and seed. One stream at a time is held, with read-only arrays,
+    since every cell that reads it must see the same data."""
+    key = (config_hash(cfg), seed)
+    if key not in _STREAM:
+        _STREAM.clear()
+        tasks = build_tasks(cfg, seed)
+        for task in tasks:
+            for a in (task.train_x, task.train_y, task.test_x, task.test_y):
+                a.setflags(write=False)
+        _STREAM[key] = tasks
+    return _STREAM[key]
+
+
 def execute_cell(cfg: RunConfig, cell: Cell, outdir: str) -> dict:
     """Run one grid cell and write its three report files."""
-    tasks = build_tasks(cfg, cell.seed)
+    tasks = _stream(cfg, cell.seed)
     tc = cfg.trainer_config(cell.method, cell.lam, cell.memory, cell.seed)
     result = run_stream(tc, tasks)
     base = Path(outdir) / cell.name
@@ -135,7 +162,7 @@ def cmd_run(config_path: str) -> int:
     outdir = _cell_dir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     summaries: dict[Cell, dict] = {}
-    failures: list[tuple[Cell, Exception]] = []
+    errors: dict[Cell, Exception] = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {cell: pool.submit(execute_cell, cfg, cell, str(outdir))
@@ -145,13 +172,15 @@ def cmd_run(config_path: str) -> int:
             if exc is None:
                 summaries[cell] = fut.result()
             else:
-                failures.append((cell, exc))
+                errors[cell] = exc
     else:
         for cell in cells:
             try:
                 summaries[cell] = execute_cell(cfg, cell, str(outdir))
             except Exception as e:  # one failed cell must not stop the grid
-                failures.append((cell, e))
+                errors[cell] = e
+        _STREAM.clear()  # a later run in this process builds its own
+    failures = [(cell, errors[cell]) for cell in _grid(cfg) if cell in errors]
     metrics.write_json(_aggregate(cfg, cells, summaries, failures),
                        outdir / "summary.json")
     for cell, exc in failures:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    ConfigError,
     LabelRangeError,
     ShapeMismatchError,
     TruncatedFileError,
@@ -144,7 +145,7 @@ def split_by_class(x, y, classes_per_task: int, *, test_x=None, test_y=None,
     y = np.asarray(y, dtype=np.int64).reshape(-1)
     classes = sorted(np.unique(y).tolist())
     if len(classes) % classes_per_task != 0:
-        raise ValueError(
+        raise ConfigError(
             f"{len(classes)} classes not divisible by {classes_per_task} per task"
         )
     if test_x is not None:

@@ -15,15 +15,18 @@ regularizer ops take the live embeddings as their only input: the snapshot
 embeddings are data, copied into the record's ``aux`` and never
 differentiated. Cross-entropy and KISP also have plain-value forms, which
 run the node's own arithmetic, so the oracle tests and the training path
-cannot drift apart. The KISP node forms the similarity matrix itself with
-the helper ``kisp_probs`` uses too, keeps its softmax pieces in ``aux`` so
-the backward sweep reuses them, and returns the gradient of the
+cannot drift apart. Both keep their softmax pieces in a fresh ``aux`` dict
+per node, so the backward sweep reuses them: cross-entropy its shifted
+exponentials and their row sums, KISP its exponentials, column sums and
+leave-one-out sums. The KISP node forms the similarity matrix itself with
+the helper ``kisp_probs`` uses too, and returns the gradient of the
 similarity-matrix chain (transpose, product, temperature scale) operand for
 operand. The LFC and RLD ops likewise repeat their old primitive chains'
 products and sums.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,23 +96,25 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return labels
 
 
-def _ce_value(logits: np.ndarray, labels: np.ndarray) -> float:
+def _ce_forward(vals, aux):
+    """Mean over rows of log-sum-exp minus the label's logit. Keeps the
+    shifted exponentials ``e`` and their row sums ``rowsum`` in ``aux`` for
+    the gradient."""
+    logits, labels = vals[0], aux["labels"]
     shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(logits.shape[0]), labels]
-    return float(np.mean(lse - picked))
+    e = np.exp(shifted)
+    rowsum = e.sum(axis=1, keepdims=True)
+    aux.update(e=e, rowsum=rowsum)
+    d = np.log(rowsum[:, 0])
+    d -= shifted[np.arange(logits.shape[0]), labels]
+    # the arithmetic of np.mean
+    return np.array([[d.sum() / d.size]])
 
 
-def _ce_forward(vals, labels):
-    return np.array([[_ce_value(vals[0], labels)]])
-
-
-def _ce_grad(vals, out, labels, g):
-    logits = vals[0]
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = e / e.sum(axis=1, keepdims=True)
-    p[np.arange(logits.shape[0]), labels] -= 1.0
-    return [g[0, 0] * p / logits.shape[0]]
+def _ce_grad(vals, out, aux, g):
+    p = aux["e"] / aux["rowsum"]
+    p[np.arange(p.shape[0]), aux["labels"]] -= 1.0
+    return [g[0, 0] * p / p.shape[0]]
 
 
 def cross_entropy(logits, labels) -> float:
@@ -120,7 +125,7 @@ def cross_entropy(logits, labels) -> float:
         raise ShapeMismatchError(
             f"{logits.shape[0]} logit rows but {labels.size} labels"
         )
-    return _ce_value(logits, labels)
+    return float(_ce_forward([logits], {"labels": labels})[0, 0])
 
 
 def cross_entropy_node(tape: Tape, logits: int, labels) -> int:
@@ -131,8 +136,9 @@ def cross_entropy_node(tape: Tape, logits: int, labels) -> int:
         raise ShapeMismatchError(
             f"{value.shape[0]} logit rows but {checked.size} labels"
         )
+    # a fresh dict per node: the forward fills it, the gradient reads it
     return tape.apply("cross_entropy", (logits,), _ce_forward, _ce_grad,
-                      aux=checked)
+                      aux={"labels": checked})
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +180,16 @@ def kisp_probs(batch: KispBatch) -> np.ndarray:
                                             batch.f_cur_norm, batch.tau))
 
 
+@functools.lru_cache(maxsize=1)
+def _leave_one_out(m: int) -> np.ndarray:
+    """The m x m matrix of ones with a zero diagonal, read-only. Only the
+    latest m is kept, so a large mask does not outlive its replay size."""
+    mask = np.ones((m, m))
+    np.fill_diagonal(mask, 0.0)
+    mask.setflags(write=False)
+    return mask
+
+
 def _kisp_forward(vals, aux):
     """KISP value for the live embeddings ``vals[0]`` against the snapshot
     ``aux["pre"]``. Fills ``aux`` with the intermediates the gradient
@@ -190,9 +206,7 @@ def _kisp_forward(vals, aux):
     e -= colmax
     np.exp(e, out=e)
     colsum = e.sum(axis=0, keepdims=True)
-    leave_one_out = np.ones((m, m))
-    np.fill_diagonal(leave_one_out, 0.0)
-    excl = leave_one_out @ e
+    excl = _leave_one_out(m) @ e
     one_minus = excl / colsum
     aux.update(e=e, colsum=colsum, excl=excl, one_minus=one_minus)
     invariant = (np.log(colsum[0]) - diag_shifted).sum()

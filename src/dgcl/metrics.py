@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFeatureError, UndefinedMetricError
-from .numerics import as_matrix
+from .numerics import as_matrix, row_norms
 
 
 class AccuracyMatrix:
@@ -104,11 +104,13 @@ def embedding_drift(reference, current) -> float:
     ref, cur = as_matrix(reference), as_matrix(current)
     if ref.shape != cur.shape:
         raise ValueError(f"shapes differ: {ref.shape} vs {cur.shape}")
-    ref_n = np.linalg.norm(ref, axis=1)
-    cur_n = np.linalg.norm(cur, axis=1)
-    if (ref_n == 0).any() or (cur_n == 0).any():
+    ref_n = row_norms(ref)
+    cur_n = row_norms(cur)
+    if not (ref_n.all() and cur_n.all()):
         raise DegenerateFeatureError("zero-norm row in drift input")
-    cos = np.clip((ref * cur).sum(axis=1) / (ref_n * cur_n), -1.0, 1.0)
+    cos = (ref * cur).sum(axis=1)
+    cos /= ref_n * cur_n
+    np.clip(cos, -1.0, 1.0, out=cos)
     return float(np.mean(1.0 - cos))
 
 

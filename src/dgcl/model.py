@@ -13,6 +13,12 @@ is data, so its gradient is never formed. Both ops repeat the affine / relu
 gradients equal that chain's bit for bit, and the plain forward passes run
 the same functions.
 
+An encoder op may also take its rows from an earlier encoder op on the same
+tape (``build_embed_rows``): its value, batch and hidden activations are
+slices of that op's record, and it has its own gradient over the same
+leaves. A pass of at least ``MIN_SHARED_ROWS`` rows gives each row the bits
+it would get alone, so the slice equals a separate pass over those rows.
+
 An update creates one tape leaf per parameter, in ``Model.parameters()``
 order: the encoder's (W1, b1, ..., WL, bL), then each task head's (W, b) in
 task order. These are the orders the two ops take their inputs in, so
@@ -30,6 +36,12 @@ from .numerics import Tape, as_matrix
 
 DEFAULT_HIDDEN = (64,)
 DEFAULT_EMBED_DIM = 32
+
+# An encoder pass over at least this many rows gives each row the same bits
+# whatever the other rows are (BLAS runs a matrix product); a single row goes
+# through a matrix-vector product and can differ in the last bits. So rows
+# may be taken from a larger pass only when there are at least this many.
+MIN_SHARED_ROWS = 2
 
 
 def _init_weight(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
@@ -51,6 +63,17 @@ def _encoder_forward(vals, aux):
             np.maximum(h, 0.0, out=h)
     aux["hidden"] = hidden
     return h
+
+
+def _encoder_rows(vals, aux):
+    """Rows ``aux["rows"]`` of the earlier encoder record ``aux["source"]``:
+    its value, with its batch rows in ``aux["x"]`` and its hidden
+    activations in ``aux["hidden"]``, as :func:`_encoder_forward` leaves
+    them for those rows alone."""
+    source, rows = aux.pop("source"), aux.pop("rows")
+    aux["x"] = source.aux["x"][rows]
+    aux["hidden"] = [h[rows] for h in source.aux["hidden"]]
+    return source.value[rows]
 
 
 def _encoder_grad(vals, out, aux, g):
@@ -246,6 +269,20 @@ class Model:
     def build_embed(self, tape: Tape, leaves: Sequence[int], x) -> int:
         """The encoder op over ``leaves``, one per :meth:`parameters` entry."""
         return self.encoder.build(tape, leaves[:self._encoder_size], x)
+
+    def build_embed_rows(self, tape: Tape, leaves: Sequence[int],
+                         source: int, start: int) -> int:
+        """The encoder op over ``leaves`` for rows ``start:`` of the earlier
+        encoder op ``source``'s batch: its value and hidden activations are
+        read from that record, not computed again, and it has its own
+        gradient. The caller keeps to :data:`MIN_SHARED_ROWS`."""
+        record = tape.records[source]
+        if record.op != "encoder" or not 0 <= start < len(record.value):
+            raise ShapeMismatchError(
+                f"node {source} has no encoder rows from {start}")
+        return tape.apply("encoder", leaves[:self._encoder_size],
+                          _encoder_rows, _encoder_grad,
+                          aux={"source": record, "rows": slice(start, None)})
 
     def logits_all_heads(self, f) -> np.ndarray:
         return self.heads.logits(as_matrix(f))

@@ -35,10 +35,16 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def row_norms(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norm of each row: what ``np.linalg.norm(a, axis=1)`` gives
+    real input, bit for bit, without its ``conj`` pass."""
+    return np.sqrt((a * a).sum(axis=1, keepdims=keepdims))
+
+
 def l2_normalize(f) -> np.ndarray:
     """Scale each row to unit Euclidean norm."""
     f = as_matrix(f)
-    norms = np.linalg.norm(f, axis=1)
+    norms = row_norms(f)
     bad = np.flatnonzero(norms < EPS_NORM)
     if bad.size:
         raise DegenerateFeatureError(
@@ -112,7 +118,7 @@ def _l2norm_forward(vals, aux):
 
 def _l2norm_grad(vals, out, aux, g):
     # y = x / ||x||; dx = (g - y <g, y>) / ||x|| per row
-    norms = np.linalg.norm(vals[0], axis=1, keepdims=True)
+    norms = row_norms(vals[0], keepdims=True)
     gy = (g * out).sum(axis=1, keepdims=True)
     return [(g - out * gy) / norms]
 

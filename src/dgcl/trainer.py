@@ -11,6 +11,14 @@ inside its own step. The drift probe compares those stored embeddings with
 one forward pass over the whole memory. The encoder snapshot refreshes
 exactly once per task boundary.
 
+Each piece of an update is computed once. The regularizer's live embeddings
+are the replay rows of the cross-entropy's encoder pass, recorded as their
+own encoder op. The last repeat's drift probe embeds the memory and the
+batch in one pass, and the batch's rows become the write's embeddings. Both
+rest on each row of a pass of at least ``MIN_SHARED_ROWS`` rows having the
+bits it would have alone; where a part would have a single row, it gets its
+own pass as before, so every value is the one separate passes give.
+
 ``run_stream`` first asks glibc to keep freed heap in the process: KISP's
 m x m temporaries (720 KB each at m=300) are otherwise unmapped on free and
 page-faulted back in on every update.
@@ -29,7 +37,8 @@ from .datasets import TaskData
 from .errors import DivergenceError, OverlappingClassesError, UnknownTaskError
 from .memory import EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
-from .model import DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, Encoder, Model
+from .model import (DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, MIN_SHARED_ROWS,
+                    Encoder, Model)
 from .numerics import Tape, backward, l2_normalize, l2_normalize_node
 
 METHODS = ("finetune", "er", "lfc", "rld", "kisp")
@@ -94,11 +103,21 @@ def init_state(config: TrainerConfig, d_in: int,
                         rng_sample=rng_sample, rng_init=rng_init)
 
 
-def _buffer_drift(state: TrainerState) -> float | None:
+def _buffer_drift(state: TrainerState, batch_x=None
+                  ) -> tuple[float | None, np.ndarray | None]:
+    """The memory's drift since its writes, or None for an empty memory.
+    Given ``batch_x``, the same encoder pass also embeds the batch when both
+    it and the memory have ``MIN_SHARED_ROWS``; the batch's embeddings come
+    back second, else None."""
     pool = state.memory.all_items()
-    if not pool:
-        return None
-    return embedding_drift(pool.ref, state.model.embed(pool.x))
+    n = len(pool)
+    if not n:
+        return None, None
+    if (batch_x is not None and n >= MIN_SHARED_ROWS
+            and len(batch_x) >= MIN_SHARED_ROWS):
+        f = state.model.embed(np.concatenate([pool.x, batch_x]))
+        return embedding_drift(pool.ref, f[:n]), f[n:]
+    return embedding_drift(pool.ref, state.model.embed(pool.x)), None
 
 
 def _require_finite(update_index: int, task_id: int, **values) -> None:
@@ -116,7 +135,8 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
     if state.task_id not in state.model.heads.task_ids:
         raise UnknownTaskError(f"no head registered for task {state.task_id}")
     breakdown = losses.LossBreakdown(0.0, 0.0, 0.0, config.lam)
-    for _ in range(config.iterations):
+    ref = None
+    for it in range(config.iterations):
         replay = (state.memory.sample(config.batch_size, state.rng_sample)
                   if config.uses_memory else None)
         if replay:
@@ -137,7 +157,12 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
                    and replay)
         if use_reg:
             f_pre_raw = state.snapshot.forward(replay.x)
-            f_cur_node = state.model.build_embed(tape, leaves, replay.x)
+            if len(replay) >= MIN_SHARED_ROWS:
+                # the replay rows of the cross-entropy pass
+                f_cur_node = state.model.build_embed_rows(
+                    tape, leaves, f_node, len(batch_x))
+            else:
+                f_cur_node = state.model.build_embed(tape, leaves, replay.x)
             if config.method == "rld":
                 reg_node = losses.rld_node(tape, f_pre_raw, f_cur_node)
             else:
@@ -164,13 +189,15 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
         state.update_index += 1
         breakdown = losses.LossBreakdown(ce_val, reg_val, total, config.lam)
         if config.uses_memory:
-            drift = _buffer_drift(state)
+            last = it == config.iterations - 1
+            drift, ref = _buffer_drift(state, batch_x if last else None)
             if drift is not None:
                 _require_finite(state.update_index, state.task_id, drift=drift)
                 state.drift.append(state.update_index, state.task_id, drift)
     if config.uses_memory:
-        state.memory.write_batch(batch_x, batch_y, state.model.embed(batch_x),
-                                 state.task_id)
+        if ref is None:
+            ref = state.model.embed(batch_x)
+        state.memory.write_batch(batch_x, batch_y, ref, state.task_id)
     return breakdown
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dgcl import trainer
+from dgcl import cli, trainer
 from dgcl.cli import main
 from dgcl.datasets import save_tensor_file
 
@@ -100,6 +100,38 @@ def test_successful_grid_is_identical_serial_and_parallel(tmp_path,
     assert files["2"] == files["1"]
 
 
+def test_each_seed_stream_is_built_once(tmp_path, monkeypatch):
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    built, ran, writable = [], [], []
+
+    def build(cfg, seed):
+        built.append(seed)
+        return real_build(cfg, seed)
+
+    def run(config, tasks):
+        ran.append((config.method, config.seed))
+        writable.append(any(a.flags.writeable for t in tasks for a in (
+            t.train_x, t.train_y, t.test_x, t.test_y)))
+        return real_run(config, tasks)
+
+    real_build, real_run = cli.build_tasks, cli.run_stream
+    monkeypatch.setattr(cli, "build_tasks", build)
+    monkeypatch.setattr(cli, "run_stream", run)
+    config = _grid_config(tmp_path, "once", "finetune,er,kisp", seeds="1,0")
+    assert main(["run", str(config)]) == 0
+    # seed-major in the listed seed order; one build per seed
+    assert built == [1, 0]
+    assert ran == [(m, s) for s in (1, 0) for m in ("finetune", "er", "kisp")]
+    assert writable == [False] * 6  # every cell reads the shared arrays
+    assert cli._STREAM == {}  # nothing is held after the run
+    # a fresh build per cell writes the same files
+    monkeypatch.setattr(cli, "_stream", build)
+    assert main(["run", str(_grid_config(tmp_path, "each", "finetune,er,kisp",
+                                         seeds="1,0"))]) == 0
+    assert built == [1, 0] + [1] * 3 + [0] * 3
+    assert _run_files(tmp_path, "each") == _run_files(tmp_path, "once")
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-2", ""])
 def test_bad_thread_count_is_a_config_error(tmp_path, monkeypatch, capsys,
                                             raw):
@@ -165,6 +197,28 @@ def test_test_file_missing_a_task_fails_each_cell_before_training(
         "data has no examples of task 3's classes [4, 5]"
         for method in ("finetune", "er") for seed in (0, 1)]
     assert steps == []
+
+
+def test_indivisible_file_stream_is_one_config_error_per_cell(
+        tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(1)
+    train, test = tmp_path / "train.dgds", tmp_path / "test.dgds"
+    for path in (train, test):
+        save_tensor_file(path, rng.standard_normal((50, 4)),
+                         np.repeat(np.arange(5), 10), class_count=5)
+    config = tmp_path / "file.cfg"
+    config.write_text(f"stream.kind = file\nstream.train_path = {train}\n"
+                      f"stream.test_path = {test}\n"
+                      "stream.classes_per_task = 2\n"
+                      "trainer.methods = finetune,er\nseeds = 0,1\n"
+                      f"output_dir = {tmp_path / 'out'}\n")
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    assert main(["run", str(config)]) == 1
+    # one line per cell and no traceback
+    assert capsys.readouterr().err.splitlines() == [
+        f"cell {method}_lam0_M20_seed{seed} failed: ConfigError: 5 classes "
+        "not divisible by 2 per task"
+        for method in ("finetune", "er") for seed in (0, 1)]
 
 
 def test_gradcheck_passes(capsys):

@@ -12,6 +12,7 @@ from dgcl.datasets import (
 )
 from dgcl.errors import (
     BadMagicError,
+    ConfigError,
     LabelRangeError,
     TruncatedFileError,
     VersionMismatchError,
@@ -115,7 +116,8 @@ class TestSplitByClass:
     def test_indivisible_rejected(self):
         x = np.zeros((10, 2))
         y = np.repeat(np.arange(10), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError,
+                           match="10 classes not divisible by 3 per task"):
             split_by_class(x, y, 3)
 
     def test_partition_property(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgcl.errors import DuplicateTaskError, NoHeadsError, ShapeMismatchError
-from dgcl.model import Encoder, Model
+from dgcl.model import MIN_SHARED_ROWS, Encoder, Model
 from dgcl.numerics import Tape, backward, finite_diff_check
 from dgcl.losses import cross_entropy_node
 
@@ -314,3 +314,75 @@ class TestFusedOps:
         after = list(backward(tape, loss).values())
         assert len(after) == 4
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
+class TestSharedRows:
+    """Each row of an encoder pass over at least ``MIN_SHARED_ROWS`` rows
+    has the bits a pass over a subset holding it gives, hidden activations
+    included: the property the trainer's shared passes rest on."""
+
+    @staticmethod
+    def pass_over(model, x):
+        """The embedding and hidden activations of one recorded pass."""
+        tape = Tape()
+        node = model.build_embed(tape, leaves_for(tape, model.parameters()),
+                                 x)
+        return tape.value(node), tape.records[node].aux["hidden"]
+
+    @pytest.mark.parametrize("hidden", [(64,), (16, 8)])
+    @pytest.mark.parametrize("n", [2, 10, 300, 1000, 2000])
+    def test_row_subsets_match_their_own_pass(self, n, hidden):
+        rng = np.random.default_rng([53, n, len(hidden)])
+        model = Model.create(16, rng, hidden=hidden, embed_dim=32)
+        for b in model.encoder.biases:
+            b += 0.1 * rng.standard_normal(b.shape)
+        x = rng.standard_normal((n, 16))
+        value, hidden_acts = self.pass_over(model, x)
+        assert np.array_equal(value, model.embed(x))
+        subsets = [np.arange(n), np.arange(2), np.arange(n - 2, n)]
+        for size in {2, 3, n // 2, n - 1}:
+            if MIN_SHARED_ROWS <= size <= n:
+                subsets.append(np.sort(rng.choice(n, size, replace=False)))
+        for idx in subsets:
+            rows = x[idx]
+            assert np.array_equal(model.embed(x)[idx], model.embed(rows))
+            alone, alone_hidden = self.pass_over(model, rows)
+            assert np.array_equal(value[idx], alone)
+            assert len(alone_hidden) == len(hidden)
+            for full, part in zip(hidden_acts, alone_hidden):
+                assert np.array_equal(full[idx], part)
+
+    @pytest.mark.parametrize("n,start", [(12, 10), (12, 2), (300, 150),
+                                         (301, 1), (2, 0)])
+    def test_rows_op_equals_its_own_pass(self, n, start):
+        rng = np.random.default_rng([59, n, start])
+        model = Model.create(16, rng)
+        x = rng.standard_normal((n, 16))
+        adjoint = rng.standard_normal((n - start, 32))
+        tape = Tape()
+        leaves = leaves_for(tape, model.parameters())
+        full = model.build_embed(tape, leaves, x)
+        rows = model.build_embed_rows(tape, leaves, full, start)
+        grads = backward(tape, adjoint_loss(tape, rows, adjoint))
+        own = Tape()
+        own_leaves = leaves_for(own, model.parameters())
+        alone = model.build_embed(own, own_leaves, x[start:])
+        own_grads = backward(own, adjoint_loss(own, alone, adjoint))
+        got, want = tape.records[rows], own.records[alone]
+        assert got.op == want.op == "encoder"
+        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.aux["x"], want.aux["x"])
+        for a, b in zip(got.aux["hidden"], want.aux["hidden"], strict=True):
+            assert np.array_equal(a, b)
+        for nid, own_nid in zip(leaves, own_leaves):
+            assert np.array_equal(grads[nid], own_grads[own_nid])
+
+    def test_rows_need_an_encoder_op(self):
+        model = small_model()
+        tape = Tape()
+        leaves = leaves_for(tape, model.parameters())
+        full = model.build_embed(tape, leaves, np.ones((3, 4)))
+        with pytest.raises(ShapeMismatchError):
+            model.build_embed_rows(tape, leaves, leaves[0], 1)
+        with pytest.raises(ShapeMismatchError):
+            model.build_embed_rows(tape, leaves, full, 3)

@@ -8,6 +8,8 @@ from dgcl import losses, trainer
 from dgcl.datasets import StreamSpec, TaskData, synth_stream
 from dgcl.errors import DivergenceError, OverlappingClassesError, UnknownTaskError
 from dgcl.losses import ONE_MINUS_P_FLOOR
+from dgcl.metrics import embedding_drift
+from dgcl.model import Model
 from dgcl.numerics import l2_normalize
 from dgcl.trainer import (
     TrainerConfig,
@@ -350,6 +352,33 @@ class TestMemoryInteraction:
         rows = state.memory.all_items()
         assert rows.ref.tobytes() != state.model.embed(rows.x).tobytes()
 
+    @pytest.mark.parametrize("memory_size", [1, 25])
+    def test_one_row_batches_store_write_time_embeddings(self, memory_size):
+        # 25 rows per task in batches of 4 end on a 1-row batch; a 1-row
+        # memory makes the drift probe's pool a single row too
+        spec = StreamSpec(tasks=2, classes_per_task=1, d_in=8,
+                          train_per_class=25, test_per_class=5, seed=5)
+        cfg = TrainerConfig(method="kisp", seed=1, batch_size=4,
+                            memory_size=memory_size, iterations=2)
+        state = init_state(cfg, spec.d_in)
+        one_row_writes = 0
+        for task in synth_stream(spec):
+            state.model.add_head(task.task_id, 1, state.rng_init)
+            state.memory.register_task(task.task_id)
+            state.task_id = task.task_id
+            for start in range(0, task.n_train, cfg.batch_size):
+                stop = start + cfg.batch_size
+                bx = task.train_x[start:stop]
+                train_step(state, cfg, bx, task.train_y[start:stop])
+                kept = min(len(bx), memory_size)
+                written = state.memory.all_items().take(slice(-kept, None))
+                assert written.x.tobytes() == bx[-kept:].tobytes()
+                assert (written.ref.tobytes()
+                        == state.model.embed(bx)[-kept:].tobytes())
+                one_row_writes += len(bx) == 1
+            state.snapshot = state.model.snapshot()
+        assert one_row_writes == 2
+
     def test_state_bounded_after_ten_task_stream(self):
         spec = StreamSpec(tasks=10, classes_per_task=2, d_in=8,
                           train_per_class=15, test_per_class=5, seed=3)
@@ -433,8 +462,18 @@ class TestUpdateMatchesPrimitiveChain:
     def test_comparison_update(self, method, m, heads, lam):
         self.check_update(method, m, losses.DEFAULT_TAU, heads, lam)
 
+    @pytest.mark.parametrize("n_batch,m", [(10, 1), (1, 10), (1, 2), (2, 1),
+                                           (1, 1)])
+    @pytest.mark.parametrize("method", ["kisp", "lfc", "rld"])
+    def test_uneven_update(self, method, n_batch, m):
+        # a 1-row replay batch gets its own encoder pass; a 1-row input
+        # batch still leaves the replay rows a shared pass of their own
+        self.check_update(method, m, losses.DEFAULT_TAU, 2, 1.0,
+                          n_batch=n_batch)
+
     @staticmethod
-    def check_update(method, m, tau, heads, lam):
+    def check_update(method, m, tau, heads, lam, n_batch=None):
+        n_batch = m if n_batch is None else n_batch
         d_in = 12
         config = TrainerConfig(method=method, lam=lam, tau=tau, batch_size=m,
                                memory_size=m, seed=m)
@@ -453,9 +492,9 @@ class TestUpdateMatchesPrimitiveChain:
         state.snapshot = snapshot
         state.task_id = heads - 1
         lo = model.heads.offset(state.task_id)
-        batch_x = rng.standard_normal((m, d_in))
+        batch_x = rng.standard_normal((n_batch, d_in))
         batch_y = lo + rng.integers(0, model.heads.class_count(state.task_id),
-                                    size=m)
+                                    size=n_batch)
         replay = state.memory.sample(m, copy.deepcopy(state.rng_sample))
         # (weight, bias) per layer, then per head: the oracle's order
         params = [p for pair in [
@@ -480,3 +519,48 @@ class TestUpdateMatchesPrimitiveChain:
         assert len(grads) == len(params)
         for p, p_before, g in zip(params, before, grads):
             assert np.array_equal(p, p_before - config.lr * g)
+
+
+class TestSharedPasses:
+    """Whole runs with the shared encoder passes (the replay rows of the
+    cross-entropy pass feed the regularizer; the last drift probe embeds
+    the write batch) equal runs with one pass per use, bit for bit."""
+
+    @staticmethod
+    def separate_passes(monkeypatch):
+        def own_pass(self, tape, leaves, source, start):
+            rows = tape.records[source].aux["x"][start:]
+            return self.build_embed(tape, leaves, rows.copy())
+
+        def probe_alone(state, batch_x=None):
+            pool = state.memory.all_items()
+            if not pool:
+                return None, None
+            return embedding_drift(pool.ref, state.model.embed(pool.x)), None
+
+        monkeypatch.setattr(Model, "build_embed_rows", own_pass)
+        monkeypatch.setattr(trainer, "_buffer_drift", probe_alone)
+
+    @pytest.mark.parametrize("method,memory_size,batch_size,iterations", [
+        ("kisp", 20, 7, 1), ("kisp", 1, 7, 3), ("kisp", 30, 2, 2),
+        ("lfc", 5, 7, 2), ("rld", 20, 7, 1), ("er", 1, 7, 1),
+    ])
+    def test_run_equals_separate_passes(self, monkeypatch, method,
+                                        memory_size, batch_size, iterations):
+        # 50 rows per task: batches of 7 end on a 1-row batch
+        tasks = synth_stream(StreamSpec(tasks=3, classes_per_task=2, d_in=8,
+                                        train_per_class=25, test_per_class=10,
+                                        seed=13))
+        cfg = TrainerConfig(method=method, seed=3, batch_size=batch_size,
+                            memory_size=memory_size, iterations=iterations)
+        shared = run_stream(cfg, tasks)
+        self.separate_passes(monkeypatch)
+        separate = run_stream(cfg, tasks)
+        assert shared.matrix == separate.matrix
+        assert len(shared.drift) > 0
+        assert ([(e.update_index, e.value) for e in shared.drift.entries]
+                == [(e.update_index, e.value)
+                    for e in separate.drift.entries])
+        for a, b in zip(shared.model.parameters(),
+                        separate.model.parameters(), strict=True):
+            assert a.tobytes() == b.tobytes()
