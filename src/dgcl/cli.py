@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import gradcheck, metrics
-from .config import RunConfig, build_tasks, config_hash, parse_config_file
+from .config import (RunConfig, build_tasks, config_hash, lambda_label,
+                     parse_config_file)
 from .datasets import TaskData
 from .errors import ConfigError, DgclError
 from .trainer import REGULARIZED, run_stream
@@ -37,7 +38,8 @@ class Cell:
 
     @property
     def name(self) -> str:
-        return f"{self.method}_lam{self.lam:g}_M{self.memory}_seed{self.seed}"
+        return (f"{self.method}_lam{lambda_label(self.lam)}_M{self.memory}"
+                f"_seed{self.seed}")
 
 
 def _grid(cfg: RunConfig) -> list[Cell]:
@@ -238,7 +240,7 @@ def cmd_drift(config_path: str) -> int:
         for label, lam in (("base", 0.0), ("reg", lam_reg)):
             metrics.write_accuracy_csv(
                 results[label].matrix,
-                outdir / f"accuracy_evolution_lam{lam:g}.csv")
+                outdir / f"accuracy_evolution_lam{lambda_label(lam)}.csv")
     except _RUN_FAULTS as e:
         print(f"drift run failed: {_failure_line(e)}", file=sys.stderr)
         return 1
@@ -247,7 +249,8 @@ def cmd_drift(config_path: str) -> int:
 
 
 def _write_paired_drift(base, reg, lam_reg: float, path) -> None:
-    lines = [f"update_index,task_id,drift_lam0,drift_lam{lam_reg:g}"]
+    lines = ["update_index,task_id,drift_lam0,"
+             f"drift_lam{lambda_label(lam_reg)}"]
     for eb, er in zip(base.entries, reg.entries):
         lines.append(f"{eb.update_index},{eb.task_id},"
                      f"{eb.value!r},{er.value!r}")

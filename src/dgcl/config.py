@@ -82,19 +82,31 @@ def _parse_float(key, raw):
     return value
 
 
-def _list_of(conv):
+def lambda_label(lam: float) -> str:
+    """How a lambda is written in cell and output file names."""
+    return f"{lam:g}"
+
+
+def _list_of(conv, label=None):
     """Comma-separated values; a value listed twice (after conversion, so
     ``1`` and ``1.0`` are one lambda) would run its cells twice and pass the
-    copies off as independent repeats, so it is rejected."""
+    copies off as independent repeats, so it is rejected. So are two values
+    that ``label`` writes alike: their cells would share output files."""
     def parse(key, raw):
         parts = [p.strip() for p in raw.split(",") if p.strip()]
         if not parts:
             raise ConfigError(f"{key}: list must not be empty")
         values = [conv(key, p) for p in parts]
+        names = [label(v) for v in values] if label is not None else values
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ConfigError(
                     f"{key}: {parts[i]!r} repeats an earlier value")
+            if names[i] in names[:i]:
+                raise ConfigError(
+                    f"{key}: {parts[i]!r} and "
+                    f"{parts[names.index(names[i])]!r} are both written "
+                    f"{names[i]!r} in cell names")
         return values
     return parse
 
@@ -113,7 +125,7 @@ KEYS = {
     "stream.train_path": ("train_path", _parse_str),
     "stream.test_path": ("test_path", _parse_str),
     "trainer.methods": ("methods", _list_of(_parse_str)),
-    "trainer.lambda": ("lams", _list_of(_parse_float)),
+    "trainer.lambda": ("lams", _list_of(_parse_float, lambda_label)),
     "trainer.memory": ("memories", _list_of(_parse_int)),
     "trainer.tau": ("trainer.tau", _parse_float),
     "trainer.lr": ("trainer.lr", _parse_float),

@@ -99,19 +99,31 @@ def la(matrix: AccuracyMatrix) -> float:
     return sum(matrix.value(i, i) for i in range(1, matrix.T + 1)) / matrix.T
 
 
-def embedding_drift(reference, current) -> float:
-    """Mean over paired rows of (1 - cosine similarity)."""
+def embedding_drift(reference, current, reference_norms=None) -> float:
+    """Mean over paired rows of (1 - cosine similarity).
+
+    ``reference_norms``, when given, must be ``row_norms(reference)``: the
+    memory keeps its rows' norms from their writes, so a probe need not
+    compute them again. The result is the same bits either way."""
     ref, cur = as_matrix(reference), as_matrix(current)
     if ref.shape != cur.shape:
         raise ValueError(f"shapes differ: {ref.shape} vs {cur.shape}")
-    ref_n = row_norms(ref)
+    if reference_norms is None:
+        ref_n = row_norms(ref)
+    elif reference_norms.shape == (len(ref),):
+        ref_n = reference_norms
+    else:
+        raise ValueError(f"{reference_norms.shape} norms for {len(ref)} rows")
     cur_n = row_norms(cur)
     if not (ref_n.all() and cur_n.all()):
         raise DegenerateFeatureError("zero-norm row in drift input")
     cos = (ref * cur).sum(axis=1)
     cos /= ref_n * cur_n
-    np.clip(cos, -1.0, 1.0, out=cos)
-    return float(np.mean(1.0 - cos))
+    np.maximum(cos, -1.0, out=cos)
+    np.minimum(cos, 1.0, out=cos)
+    np.subtract(1.0, cos, out=cos)
+    # np.mean's arithmetic: a pairwise sum over the count
+    return float(cos.sum() / cos.size)
 
 
 @dataclass

@@ -24,6 +24,12 @@ order: the encoder's (W1, b1, ..., WL, bL), then each task head's (W, b) in
 task order. These are the orders the two ops take their inputs in, so
 ``build_embed`` and ``build_logits`` take the whole leaf list and pass each
 op its own slice.
+
+A ``Model`` keeps its parameters in one contiguous float64 buffer,
+``Model.buffer``, laid out in that same order with no padding: each
+parameter is a C-ordered view of its stretch, so an SGD step over every
+parameter is one in-place update of the buffer. ``Model.add_head`` packs a
+new buffer, once per task; views taken before it belong to the old buffer.
 """
 from __future__ import annotations
 
@@ -58,7 +64,8 @@ def _encoder_forward(vals, aux):
     for i in range(0, len(vals), 2):
         if i:
             hidden.append(h)
-        h = h @ vals[i] + vals[i + 1]
+        h = h @ vals[i]
+        h += vals[i + 1]
         if i + 2 < len(vals):
             np.maximum(h, 0.0, out=h)
     aux["hidden"] = hidden
@@ -94,7 +101,11 @@ def _encoder_grad(vals, out, aux, g):
 def _heads_forward(vals, aux):
     """Logits of every head on ``vals[0]``, concatenated in task order."""
     f = vals[0]
-    parts = [f @ vals[i] + vals[i + 1] for i in range(1, len(vals), 2)]
+    parts = []
+    for i in range(1, len(vals), 2):
+        part = f @ vals[i]
+        part += vals[i + 1]
+        parts.append(part)
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts, axis=1)
@@ -228,6 +239,13 @@ class HeadSet:
         return [p for t in self._tasks
                 for p in (self._weights[t], self._biases[t])]
 
+    def rebind(self, params: Sequence[np.ndarray]) -> None:
+        """Hold ``params``, in :meth:`parameters` order, as the heads'
+        arrays; a model passes views of its buffer."""
+        for t, w, b in zip(self._tasks, params[0::2], params[1::2],
+                           strict=True):
+            self._weights[t], self._biases[t] = w, b
+
     def logits(self, f: np.ndarray) -> np.ndarray:
         if not self._tasks:
             raise NoHeadsError("no classification heads registered")
@@ -250,11 +268,31 @@ class HeadSet:
 
 
 class Model:
-    """Shared encoder plus the current head set."""
+    """Shared encoder plus the current head set, whose parameters are views
+    of one buffer. Add heads through :meth:`add_head`, which packs it again;
+    the encoder and head set passed in are rebound to views of it."""
 
     def __init__(self, encoder: Encoder, heads: HeadSet | None = None):
         self.encoder = encoder
         self.heads = heads if heads is not None else HeadSet()
+        self._pack()
+
+    def _pack(self) -> None:
+        """Copy every parameter into a new buffer, in :meth:`parameters`
+        order, and rebind the encoder's and heads' arrays to its views."""
+        params = self.encoder.parameters() + self.heads.parameters()
+        buffer = np.empty(sum(p.size for p in params))
+        views, at = [], 0
+        for p in params:
+            view = buffer[at:at + p.size].reshape(p.shape)
+            view[...] = p
+            views.append(view)
+            at += p.size
+        k = self._encoder_size
+        self.encoder.weights, self.encoder.biases = views[0:k:2], views[1:k:2]
+        self.heads.rebind(views[k:])
+        self.buffer = buffer
+        self._params = views
 
     @classmethod
     def create(cls, d_in: int, rng: np.random.Generator,
@@ -300,6 +338,7 @@ class Model:
     def add_head(self, task_id: int, class_count: int,
                  rng: np.random.Generator) -> None:
         self.heads.add(task_id, class_count, self.encoder.embed_dim, rng)
+        self._pack()
 
     def predict(self, x) -> np.ndarray:
         """Global class indices via argmax over all heads (ties -> lowest)."""
@@ -307,8 +346,9 @@ class Model:
 
     def parameters(self) -> list[np.ndarray]:
         """Every trainable array, in tape-leaf order: the encoder's, then
-        the heads'."""
-        return self.encoder.parameters() + self.heads.parameters()
+        the heads'. The views of :attr:`buffer`, in its order; the list is
+        the one packing built, so read it, do not change it."""
+        return self._params
 
     def snapshot(self) -> Encoder:
         """A frozen copy of the encoder: later updates leave it unchanged."""

@@ -4,7 +4,8 @@ Everything downstream (encoder, heads, losses) works on plain 2-D float64
 numpy arrays. Gradients come from a Wengert-style tape: each op records its
 operands and saved forward value, and ``backward`` walks the records in
 reverse. The tape is rebuilt on every training step; models here are small
-enough that clarity wins over graph caching.
+enough that clarity wins over graph caching. Its leaves hold the caller's
+arrays uncopied, so they must stay unwritten until ``backward`` returns.
 
 Every op is recorded through ``Tape.apply`` with its own forward and
 gradient functions. Besides the row normalization here, the ops are coarse:
@@ -75,9 +76,11 @@ class Tape:
     """Topologically ordered list of op records; node ids are record indices.
 
     Leaves are the tensors gradients are collected for; data an op reads
-    but never differentiates travels in the op's ``aux``. Leaf values are
-    copied on entry so later in-place updates to the caller's arrays cannot
-    corrupt the recording.
+    but never differentiates travels in the op's ``aux``. A leaf's value is
+    the caller's array itself, not a copy: the caller must not write it
+    while the tape is in use, that is until ``backward`` returns. A
+    training update keeps to this by changing its parameters only after
+    ``backward``.
     """
 
     def __init__(self):
@@ -91,7 +94,7 @@ class Tape:
         return self.records[node].value
 
     def leaf(self, value) -> int:
-        return self._push(Record("leaf", (), as_matrix(value).copy()))
+        return self._push(Record("leaf", (), as_matrix(value)))
 
     def apply(self, op: str, inputs: Sequence[int], fwd: Callable,
               grad: Callable, aux=None) -> int:

@@ -19,6 +19,13 @@ rest on each row of a pass of at least ``MIN_SHARED_ROWS`` rows having the
 bits it would have alone; where a part would have a single row, it gets its
 own pass as before, so every value is the one separate passes give.
 
+The update's tape leaves are the model's parameter arrays themselves, views
+of its one buffer; the SGD step writes them only after ``backward``, as one
+in-place update of that buffer with the leaf gradients joined in the same
+order (``lr * g`` then the subtraction, the per-array step's two roundings).
+The drift probe takes the stored embeddings' norms from the memory, which
+computes them at each row's write.
+
 ``run_stream`` first asks glibc to keep freed heap in the process: KISP's
 m x m temporaries (720 KB each at m=300) are otherwise unmapped on free and
 page-faulted back in on every update.
@@ -116,8 +123,9 @@ def _buffer_drift(state: TrainerState, batch_x=None
     if (batch_x is not None and n >= MIN_SHARED_ROWS
             and len(batch_x) >= MIN_SHARED_ROWS):
         f = state.model.embed(np.concatenate([pool.x, batch_x]))
-        return embedding_drift(pool.ref, f[:n]), f[n:]
-    return embedding_drift(pool.ref, state.model.embed(pool.x)), None
+        return embedding_drift(pool.ref, f[:n], state.memory.ref_norms), f[n:]
+    return (embedding_drift(pool.ref, state.model.embed(pool.x),
+                            state.memory.ref_norms), None)
 
 
 def _require_finite(update_index: int, task_id: int, **values) -> None:
@@ -184,8 +192,9 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
         _require_finite(state.update_index + 1, state.task_id, ce=ce_val,
                         regularizer=reg_val, total=total)
         grads = backward(tape, loss_node)
-        for arr, nid in zip(params, leaves):
-            arr -= config.lr * grads[nid]
+        step = np.concatenate([grads[nid].reshape(-1) for nid in leaves])
+        step *= config.lr
+        state.model.buffer -= step
         state.update_index += 1
         breakdown = losses.LossBreakdown(ce_val, reg_val, total, config.lam)
         if config.uses_memory:
@@ -214,7 +223,7 @@ def run_task(state: TrainerState, config: TrainerConfig,
         train_step(state, config, task.train_x[start:stop],
                    task.train_y[start:stop])
     # once per task, not per update: a full scan of every parameter
-    if not all(np.isfinite(p).all() for p in state.model.parameters()):
+    if not np.isfinite(state.model.buffer).all():
         raise DivergenceError(state.update_index, state.task_id, "parameters")
     state.snapshot = state.model.snapshot()
     return state

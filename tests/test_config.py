@@ -65,6 +65,10 @@ def with_key(text, key, value):
                               "got 'nan'"),
     ("trainer.lambda", "nan,nan", "trainer.lambda: expected a finite number, "
                                   "got 'nan'"),
+    # distinct values whose cells would share one set of output files
+    ("trainer.lambda", "0.1234567,0.1234568",
+     "trainer.lambda: '0.1234568' and '0.1234567' are both written "
+     "'0.123457' in cell names"),
     ("trainer.tau", "nan", "trainer.tau: expected a finite number, got 'nan'"),
     ("trainer.lr", "inf", "trainer.lr: expected a finite number, got 'inf'"),
     ("stream.noise", "nan", "stream.noise: expected a finite number, "

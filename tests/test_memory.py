@@ -3,6 +3,7 @@ import pytest
 
 from dgcl.errors import ShapeMismatchError, UnknownTaskError
 from dgcl.memory import EpisodicMemory
+from dgcl.numerics import row_norms
 
 
 def memory(capacity):
@@ -90,16 +91,33 @@ class TestWrites:
         from collections import deque
         mem = memory(5)
         model = {t: deque(maxlen=5) for t in (3, 1, 2)}
-        for t in model:
-            mem.register_task(t)
         rng = np.random.default_rng(4)
         for step in range(60):
             t = int(rng.choice([1, 2, 3]))
             batch = [100 * step + i for i in range(int(rng.integers(1, 9)))]
+            # registered at first use: a task can join below stored rows
+            mem.register_task(t)
             write(mem, t, batch)
             model[t].extend(batch)
             assert tags(mem.all_items()) == [v for t in sorted(model)
                                              for v in model[t]]
+            assert (mem.ref_norms.tobytes()
+                    == row_norms(mem.all_items().ref).tobytes())
+
+    def test_norms_are_each_rows_own_at_embedding_width(self):
+        # 32-wide rows written in batches of every size, with evictions:
+        # a row's norm from its write equals the pool's row_norms bit for bit
+        mem = EpisodicMemory(7, x_dim=1, ref_dim=32)
+        rng = np.random.default_rng(6)
+        for t in (2, 0, 1):
+            mem.register_task(t)
+        for step in range(40):
+            n = int(rng.integers(1, 10))
+            ref = rng.standard_normal((n, 32)) * 10.0 ** (step % 7 - 3)
+            mem.write_batch(np.zeros((n, 1)), np.zeros(n), ref,
+                            int(rng.integers(0, 3)))
+            assert (mem.ref_norms.tobytes()
+                    == row_norms(mem.all_items().ref).tobytes())
 
     def test_writes_are_deterministic(self):
         def build():
@@ -186,6 +204,21 @@ class TestSampling:
         sigma = np.sqrt(0.25 * 0.75 / draws)
         for c in counts.values():
             assert abs(c / draws - 0.25) < 3 * sigma
+
+    def test_sample_is_unchanged_by_later_writes(self):
+        # the writes move the store's rows in place: a drawn batch is a copy
+        mem = memory(3)
+        for t in (1, 2):
+            mem.register_task(t)
+        write(mem, 2, [20, 21, 22])
+        write(mem, 1, [10, 11])
+        out = mem.sample(5, np.random.default_rng(3))
+        drawn = (out.x.copy(), out.y.copy(), out.ref.copy())
+        write(mem, 1, [12, 13, 14])
+        write(mem, 2, [23])
+        assert tags(mem.all_items()) == [12, 13, 14, 21, 22, 23]
+        for a, b in zip((out.x, out.y, out.ref), drawn):
+            assert np.array_equal(a, b)
 
     def test_deterministic_for_fixed_rng_state(self):
         mem = memory(10)

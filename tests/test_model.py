@@ -139,6 +139,54 @@ class TestHeads:
         assert after[:, :4].tobytes() == before.tobytes()
 
 
+class TestParameterBuffer:
+    @staticmethod
+    def offsets(model):
+        base = model.buffer.ctypes.data
+        return [p.ctypes.data - base for p in model.parameters()]
+
+    def test_parameters_are_views_of_one_buffer_in_leaf_order(self):
+        model = small_model(hidden=(6, 5))
+        rng = np.random.default_rng(1)
+        model.add_head(1, 2, rng)
+        model.add_head(2, 3, rng)
+        params = model.parameters()
+        assert model.parameters() is params
+        assert all(p.base is model.buffer and p.flags.c_contiguous
+                   for p in params)
+        sizes = [p.size for p in params]
+        assert self.offsets(model) == [8 * sum(sizes[:i])
+                                       for i in range(len(sizes))]
+        assert sum(sizes) == model.buffer.size
+        assert model.buffer.tobytes() == b"".join(p.tobytes()
+                                                  for p in params)
+
+    def test_add_head_keeps_every_earlier_parameter(self):
+        model = small_model()
+        rng = np.random.default_rng(2)
+        model.add_head(1, 3, rng)
+        model.encoder.weights[0] += 0.25  # trained values, not the init's
+        before = [p.tobytes() for p in model.parameters()]
+        model.add_head(2, 1, rng)
+        after = model.parameters()
+        assert len(after) == len(before) + 2
+        assert [p.tobytes() for p in after[:len(before)]] == before
+        assert after[0] is model.encoder.weights[0]
+        assert after[-2] is model.heads.weight(2)
+
+    def test_views_after_a_one_class_head_are_8_byte_aligned(self):
+        # the exact update oracles (TestUpdateMatchesPrimitiveChain) train
+        # this layout: d_in 12, default widths, heads of 1, 2, 3 classes;
+        # a 1-class head's 33 values leave the next head at 8 mod 16 bytes
+        model = Model.create(12, np.random.default_rng(0))
+        for t in range(3):
+            model.add_head(t, 1 + t % 3, np.random.default_rng(t))
+        offsets = self.offsets(model)
+        encoder_values = sum(p.size for p in model.encoder.parameters())
+        assert encoder_values % 2 == 0
+        assert offsets[len(model.encoder.parameters()) + 2] % 16 == 8
+
+
 class TestPredict:
     def test_argmax(self):
         model = small_model()

@@ -150,12 +150,13 @@ class TestTape:
         loss = total_node(tape, square(tape, x), x, 3.0)
         assert backward(tape, loss)[x][0, 0] == 7.0
 
-    def test_leaf_copies_value(self):
+    def test_leaf_is_the_callers_array(self):
+        # no copy: the caller keeps a leaf's array unwritten until backward
+        # returns, and a training update writes its parameters only after
         arr = np.ones((2, 2))
         tape = Tape()
         node = tape.leaf(arr)
-        arr[0, 0] = 99.0
-        assert tape.value(node)[0, 0] == 1.0
+        assert tape.value(node) is arr
 
 
 class TestFiniteDiffCheck:
