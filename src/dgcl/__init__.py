@@ -2,7 +2,7 @@
 regularizers, evaluation metrics, and a deterministic benchmark CLI."""
 
 from .datasets import StreamSpec, TaskData, synth_stream
-from .losses import KispBatch, LossBreakdown, cross_entropy, kisp_loss, kisp_probs
+from .losses import KispBatch, LossBreakdown, kisp_loss
 from .memory import EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift, fa, fm, ga, la
 from .model import Model
@@ -21,13 +21,11 @@ __all__ = [
     "StreamSpec",
     "TaskData",
     "TrainerConfig",
-    "cross_entropy",
     "embedding_drift",
     "fa",
     "fm",
     "ga",
     "kisp_loss",
-    "kisp_probs",
     "la",
     "run_stream",
     "synth_stream",

@@ -122,17 +122,6 @@ def synth_stream(spec: StreamSpec) -> list[TaskData]:
     return tasks
 
 
-def class_means(spec: StreamSpec) -> np.ndarray:
-    """The class means a spec would draw (same rng order as synth_stream)."""
-    rng = np.random.default_rng(spec.seed)
-    n_classes = spec.tasks * spec.classes_per_task
-    means = np.empty((n_classes, spec.d_in))
-    for c in range(n_classes):
-        v = rng.standard_normal(spec.d_in)
-        means[c] = spec.separation * v / np.linalg.norm(v)
-    return means
-
-
 def split_by_class(x, y, classes_per_task: int, *, test_x=None, test_y=None,
                    seed: int = 0) -> list[TaskData]:
     """Partition labelled examples into disjoint consecutive-class tasks.

@@ -2,20 +2,24 @@
 
 Each loss gets a population of small random instances (feature counts up to
 6, embedding widths up to 8); the analytic gradient from the tape must match
-central differences coordinate-wise. The ``total`` instance records a
-training update's tape: the fused encoder op (one rectified hidden layer)
-and head-block op (two or three heads) into cross-entropy, plus the
-weighted KISP penalty on a second encoder pass, so the relu mask and
-parameter sharing across both branches are exercised too.
+central differences coordinate-wise. The ``total`` instance is a KISP
+training update as ``trainer.record_update`` records it: the encoder op (one
+rectified hidden layer) and head-block op (two or three heads) into
+cross-entropy, plus the weighted KISP penalty on the replay rows of the same
+encoder pass. Its differences are taken on the model's parameter buffer
+itself, so they check the flat gradient the SGD step uses, with the relu
+mask and both branches' shared parameters.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import losses
-from .model import Encoder, HeadSet, Model
+from .memory import Rows
+from .model import Encoder, Model
 from .numerics import (Tape, backward, finite_diff_check, l2_normalize,
                        l2_normalize_node)
+from .trainer import TrainerConfig, record_update
 
 TOLERANCE = 1e-4
 LOSS_NAMES = ("ce", "kisp", "lfc", "rld", "total")
@@ -96,36 +100,27 @@ def _total_instance(rng):
     n = int(rng.integers(1, 5))
     m = int(rng.integers(2, 7))
     lam = float(rng.choice([0.1, 1.0, 10.0]))
-    tau = losses.DEFAULT_TAU
+    config = TrainerConfig(method="kisp", lam=lam)
     x_cur = rng.standard_normal((n, sizes[0]))
     x_mem = rng.standard_normal((m, sizes[0]))
-    pre_norm = l2_normalize(_random_encoder(rng, sizes).forward(x_mem))
-    encoder = _random_encoder(rng, sizes)
-    heads = HeadSet()
+    snapshot = _random_encoder(rng, sizes)
+    model = Model(_random_encoder(rng, sizes))
+    classes = 0
     for task_id in range(1, int(rng.integers(2, 4)) + 1):
-        heads.add(task_id, int(rng.integers(1, 4)), sizes[-1], rng)
-    labels = rng.integers(0, heads.total_classes, size=n + m)
-    model = Model(encoder, heads)
-    params = model.parameters()
+        count = int(rng.integers(1, 4))
+        model.add_head(task_id, count, rng)
+        classes += count
+    labels = rng.integers(0, classes, size=n + m)
+    replay = Rows(x_mem, labels[n:], snapshot.forward(x_mem))
 
     def fn(params):
-        # the training update's tape: one encoder pass over current plus
-        # replayed rows for the cross-entropy, one over the replayed rows
-        # for KISP, both on the same parameter leaves
-        tape = Tape()
-        leaves = [tape.leaf(p) for p in params]
-        logits = model.build_logits(
-            tape, leaves,
-            model.build_embed(tape, leaves, np.vstack([x_cur, x_mem])))
-        ce = losses.cross_entropy_node(tape, logits, labels)
-        f_mem = model.build_embed(tape, leaves, x_mem)
-        reg = losses.kisp_node(tape, pre_norm, l2_normalize_node(tape, f_mem),
-                               tau)
-        total = losses.total_node(tape, ce, reg, lam)
-        grads = backward(tape, total)
-        return float(tape.value(total)[0, 0]), [grads[nid] for nid in leaves]
+        # params is [model.buffer], which the model's views share
+        tape, loss, _, _ = record_update(model, config, x_cur, labels[:n],
+                                         replay, snapshot)
+        (grad,) = backward(tape, loss).values()
+        return float(tape.value(loss)[0, 0]), [grad[0]]
 
-    return fn, params
+    return fn, [model.buffer]
 
 
 _BUILDERS = {

@@ -13,16 +13,19 @@ it away from the other snapshots (spread-out).
 Every loss is one tape op, and so is the weighted sum ``total_node``. The
 regularizer ops take the live embeddings as their only input: the snapshot
 embeddings are data, copied into the record's ``aux`` and never
-differentiated. Cross-entropy and KISP also have plain-value forms, which
-run the node's own arithmetic, so the oracle tests and the training path
-cannot drift apart. Both keep their softmax pieces in a fresh ``aux`` dict
-per node, so the backward sweep reuses them: cross-entropy its shifted
-exponentials and their row sums, KISP its exponentials, column sums and
-leave-one-out sums. The KISP node forms the similarity matrix itself with
-the helper ``kisp_probs`` uses too, and returns the gradient of the
-similarity-matrix chain (transpose, product, temperature scale) operand for
-operand. The LFC and RLD ops likewise repeat their old primitive chains'
-products and sums.
+differentiated. Cross-entropy and KISP keep their softmax pieces in a fresh
+``aux`` dict per node, so the backward sweep reuses them: cross-entropy its
+shifted exponentials and their row sums, KISP its exponentials, column sums
+and leave-one-out sums. The KISP node forms the similarity matrix itself
+and returns the gradient of the similarity-matrix chain (transpose,
+product, temperature scale) operand for operand. The LFC and RLD ops
+likewise repeat their old primitive chains' products and sums.
+
+``kisp_loss``, the KISP value on a throwaway tape, and its input
+``KispBatch`` have no consumer in the package: they stay because the
+benchmark's kernel sweep checks the node against them. The tests' other
+value forms (cross-entropy, the KISP probabilities) live in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -117,19 +120,8 @@ def _ce_grad(vals, out, aux, g):
     return [g[0, 0] * p / p.shape[0]]
 
 
-def cross_entropy(logits, labels) -> float:
-    """Mean over rows of -log softmax(logits)[row, label]."""
-    logits = as_matrix(logits)
-    labels = _check_labels(labels, logits.shape[1])
-    if labels.size != logits.shape[0]:
-        raise ShapeMismatchError(
-            f"{logits.shape[0]} logit rows but {labels.size} labels"
-        )
-    return float(_ce_forward([logits], {"labels": labels})[0, 0])
-
-
 def cross_entropy_node(tape: Tape, logits: int, labels) -> int:
-    """Tape-node version of :func:`cross_entropy` (differentiable)."""
+    """Mean over rows of -log softmax(logits)[row, label], as a tape op."""
     value = tape.value(logits)
     checked = _check_labels(labels, value.shape[1])
     if checked.size != value.shape[0]:
@@ -155,11 +147,6 @@ def _snapshot(tape: Tape, f_pre: np.ndarray, f_cur: int) -> np.ndarray:
     return pre.copy()
 
 
-def _column_softmax(s: np.ndarray) -> np.ndarray:
-    e = np.exp(s - s.max(axis=0, keepdims=True))
-    return e / e.sum(axis=0, keepdims=True)
-
-
 def _kisp_similarity(f_pre_norm: np.ndarray, f_cur_norm: np.ndarray,
                      tau: float) -> np.ndarray:
     """S[i, j] = <f_pre_i, f_cur_j> / tau. The transposed operand is copied
@@ -168,16 +155,6 @@ def _kisp_similarity(f_pre_norm: np.ndarray, f_cur_norm: np.ndarray,
     s = f_pre_norm @ f_cur_norm.T.copy()
     s *= 1.0 / tau
     return s
-
-
-def kisp_probs(batch: KispBatch) -> np.ndarray:
-    """Instance-discrimination matrix P[i, j] = p(i | current embedding j).
-
-    Columns are softmaxes over snapshot instances; each column sums to 1.
-    The similarity is the one the training node forms.
-    """
-    return _column_softmax(_kisp_similarity(batch.f_pre_norm,
-                                            batch.f_cur_norm, batch.tau))
 
 
 @functools.lru_cache(maxsize=1)

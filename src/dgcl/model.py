@@ -15,21 +15,25 @@ the same functions.
 
 An encoder op may also take its rows from an earlier encoder op on the same
 tape (``build_embed_rows``): its value, batch and hidden activations are
-slices of that op's record, and it has its own gradient over the same
-leaves. A pass of at least ``MIN_SHARED_ROWS`` rows gives each row the bits
-it would get alone, so the slice equals a separate pass over those rows.
+slices of that op's record, and it has its own gradient. A pass of at least
+``MIN_SHARED_ROWS`` rows gives each row the bits it would get alone, so the
+slice equals a separate pass over those rows.
 
-An update creates one tape leaf per parameter, in ``Model.parameters()``
-order: the encoder's (W1, b1, ..., WL, bL), then each task head's (W, b) in
-task order. These are the orders the two ops take their inputs in, so
-``build_embed`` and ``build_logits`` take the whole leaf list and pass each
-op its own slice.
+An update records one tape leaf, the 1 x P view of ``Model.buffer``, and
+every encoder and heads op takes it as its parameter input. An op reads its
+weights from the model's views of the buffer and returns its parameter
+gradient as one 1 x P row in the buffer's layout, zero outside its own
+stretch; adding a zero changes no other value, so the leaf's gradient is
+each parameter's gradient in place, and it is the SGD step's operand as it
+stands.
 
-A ``Model`` keeps its parameters in one contiguous float64 buffer,
-``Model.buffer``, laid out in that same order with no padding: each
-parameter is a C-ordered view of its stretch, so an SGD step over every
-parameter is one in-place update of the buffer. ``Model.add_head`` packs a
-new buffer, once per task; views taken before it belong to the old buffer.
+``Model.buffer`` is one contiguous float64 array that holds every parameter
+in ``Model.parameters()`` order with no padding: the encoder's (W1, b1, ...,
+WL, bL), then each task head's (W, b) in task order, each a C-ordered view
+of its stretch. ``Model._pack`` alone lays it out. A new model packs at the
+first read of its buffer or parameter list, and ``Model.add_head`` packs
+again, so a training run packs once per task; views taken before a pack
+belong to the old buffer.
 """
 from __future__ import annotations
 
@@ -56,23 +60,23 @@ def _init_weight(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
-def _encoder_forward(vals, aux):
-    """The MLP on ``aux["x"]`` with ``vals`` = (W1, b1, ..., WL, bL); keeps
-    each hidden layer's rectified output in ``aux["hidden"]``."""
+def _encoder_forward(params, aux):
+    """The MLP on ``aux["x"]`` with ``params`` = (W1, b1, ..., WL, bL);
+    keeps each hidden layer's rectified output in ``aux["hidden"]``."""
     h = aux["x"]
     hidden = []
-    for i in range(0, len(vals), 2):
+    for i in range(0, len(params), 2):
         if i:
             hidden.append(h)
-        h = h @ vals[i]
-        h += vals[i + 1]
-        if i + 2 < len(vals):
+        h = h @ params[i]
+        h += params[i + 1]
+        if i + 2 < len(params):
             np.maximum(h, 0.0, out=h)
     aux["hidden"] = hidden
     return h
 
 
-def _encoder_rows(vals, aux):
+def _encoder_rows(params, aux):
     """Rows ``aux["rows"]`` of the earlier encoder record ``aux["source"]``:
     its value, with its batch rows in ``aux["x"]`` and its hidden
     activations in ``aux["hidden"]``, as :func:`_encoder_forward` leaves
@@ -83,55 +87,58 @@ def _encoder_rows(vals, aux):
     return source.value[rows]
 
 
-def _encoder_grad(vals, out, aux, g):
+def _encoder_grad(params, aux, g):
+    """The gradient of each of ``params`` for the output adjoint ``g``."""
     # layer inputs: the batch, then each rectified hidden output; a hidden
     # unit passes gradient where its output is > 0, exactly where its
     # pre-activation is
     inputs = [aux["x"], *aux["hidden"]]
-    grads = [None] * len(vals)
+    grads = [None] * len(params)
     for layer in range(len(inputs) - 1, -1, -1):
         grads[2 * layer] = inputs[layer].T @ g
         grads[2 * layer + 1] = g.sum(axis=0, keepdims=True)
         if layer:
-            g = g @ vals[2 * layer].T
+            g = g @ params[2 * layer].T
             g *= inputs[layer] > 0.0
     return grads
 
 
-def _heads_forward(vals, aux):
-    """Logits of every head on ``vals[0]``, concatenated in task order."""
-    f = vals[0]
+def _heads_forward(f, params):
+    """Logits on ``f`` of every head in ``params`` = (W, b) per head,
+    concatenated in task order."""
     parts = []
-    for i in range(1, len(vals), 2):
-        part = f @ vals[i]
-        part += vals[i + 1]
+    for i in range(0, len(params), 2):
+        part = f @ params[i]
+        part += params[i + 1]
         parts.append(part)
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts, axis=1)
 
 
-def _heads_grad(vals, out, aux, g):
+def _heads_grad(f, params, g):
+    """The gradient for ``f`` and that of each of ``params`` for the logits
+    adjoint ``g``."""
     # each bias sums its own slice: numpy sums a single column pairwise but
     # a wider block row by row, so slicing one shared column sum would round
     # one-class heads differently; the gradient for f adds the heads' terms
     # last head first, an order the trained weights' rounding depends on
-    f = vals[0]
-    grads = [None] * len(vals)
+    df = None
+    grads = [None] * len(params)
     hi = g.shape[1]
-    for i in range(len(vals) - 2, 0, -2):
-        w = vals[i]
+    for i in range(len(params) - 2, -1, -2):
+        w = params[i]
         lo = hi - w.shape[1]
         g_head = g[:, lo:hi]
         grads[i] = f.T @ g_head
         grads[i + 1] = g_head.sum(axis=0, keepdims=True)
         term = g_head @ w.T
-        if grads[0] is None:
-            grads[0] = term
+        if df is None:
+            df = term
         else:
-            grads[0] += term
+            df += term
         hi = lo
-    return grads
+    return df, grads
 
 
 class Encoder:
@@ -182,117 +189,44 @@ class Encoder:
     def forward(self, x) -> np.ndarray:
         return _encoder_forward(self.parameters(), {"x": self._input(x)})
 
-    def build(self, tape: Tape, leaves: Sequence[int], x) -> int:
-        """Record the forward pass on a tape over this encoder's parameter
-        leaves; returns the embedding node."""
-        x = self._input(x)
-        return tape.apply("encoder", leaves, _encoder_forward, _encoder_grad,
-                          aux={"x": x.copy()})
-
     def copy(self) -> "Encoder":
         return Encoder([w.copy() for w in self.weights],
                        [b.copy() for b in self.biases])
 
 
-class HeadSet:
-    """Ordered per-task linear heads with a global class-offset table."""
-
-    def __init__(self):
-        self._tasks: list[int] = []
-        self._weights: dict[int, np.ndarray] = {}
-        self._biases: dict[int, np.ndarray] = {}
-        self._offsets: dict[int, int] = {}
-
-    def add(self, task_id: int, class_count: int, embed_dim: int,
-            rng: np.random.Generator) -> None:
-        if task_id in self._weights:
-            raise DuplicateTaskError(f"head for task {task_id} already registered")
-        if class_count < 1:
-            raise ValueError("class_count must be >= 1")
-        self._offsets[task_id] = self.total_classes
-        self._tasks.append(task_id)
-        self._weights[task_id] = _init_weight(embed_dim, class_count, rng)
-        self._biases[task_id] = np.zeros((1, class_count))
-
-    @property
-    def task_ids(self) -> tuple[int, ...]:
-        return tuple(self._tasks)
-
-    @property
-    def total_classes(self) -> int:
-        return sum(w.shape[1] for w in self._weights.values())
-
-    def offset(self, task_id: int) -> int:
-        return self._offsets[task_id]
-
-    def class_count(self, task_id: int) -> int:
-        return self._weights[task_id].shape[1]
-
-    def weight(self, task_id: int) -> np.ndarray:
-        return self._weights[task_id]
-
-    def bias(self, task_id: int) -> np.ndarray:
-        return self._biases[task_id]
-
-    def parameters(self) -> list[np.ndarray]:
-        """(W, b) per task in task order: the heads op's input order."""
-        return [p for t in self._tasks
-                for p in (self._weights[t], self._biases[t])]
-
-    def rebind(self, params: Sequence[np.ndarray]) -> None:
-        """Hold ``params``, in :meth:`parameters` order, as the heads'
-        arrays; a model passes views of its buffer."""
-        for t, w, b in zip(self._tasks, params[0::2], params[1::2],
-                           strict=True):
-            self._weights[t], self._biases[t] = w, b
-
-    def logits(self, f: np.ndarray) -> np.ndarray:
-        if not self._tasks:
-            raise NoHeadsError("no classification heads registered")
-        return _heads_forward([f, *self.parameters()], None)
-
-    def build_logits(self, tape: Tape, leaves: Sequence[int],
-                     f_node: int) -> int:
-        """Record the head block on a tape over the heads' parameter
-        leaves; returns the logits node."""
-        if not self._tasks:
-            raise NoHeadsError("no classification heads registered")
-        width = tape.value(f_node).shape[1]
-        rows = self._weights[self._tasks[0]].shape[0]
-        if width != rows:
-            raise ShapeMismatchError(
-                f"heads take {rows}-wide embeddings, got {width} columns"
-            )
-        return tape.apply("heads", [f_node, *leaves], _heads_forward,
-                          _heads_grad)
-
-
 class Model:
-    """Shared encoder plus the current head set, whose parameters are views
-    of one buffer. Add heads through :meth:`add_head`, which packs it again;
-    the encoder and head set passed in are rebound to views of it."""
+    """Shared encoder plus per-task linear heads, whose parameters are views
+    of one buffer. Add heads through :meth:`add_head`; the encoder passed in
+    is rebound to views of the buffer at each pack."""
 
-    def __init__(self, encoder: Encoder, heads: HeadSet | None = None):
+    def __init__(self, encoder: Encoder):
         self.encoder = encoder
-        self.heads = heads if heads is not None else HeadSet()
-        self._pack()
+        self.task_ids: tuple[int, ...] = ()
+        self._params = encoder.parameters()
+        self._buffer: np.ndarray | None = None
 
     def _pack(self) -> None:
         """Copy every parameter into a new buffer, in :meth:`parameters`
         order, and rebind the encoder's and heads' arrays to its views."""
-        params = self.encoder.parameters() + self.heads.parameters()
-        buffer = np.empty(sum(p.size for p in params))
-        views, at = [], 0
-        for p in params:
-            view = buffer[at:at + p.size].reshape(p.shape)
+        buffer = np.empty(sum(p.size for p in self._params))
+        views, spans, at = [], [], 0
+        for p in self._params:
+            span = slice(at, at + p.size)
+            view = buffer[span].reshape(p.shape)
             view[...] = p
             views.append(view)
+            spans.append(span)
             at += p.size
         k = self._encoder_size
         self.encoder.weights, self.encoder.biases = views[0:k:2], views[1:k:2]
-        self.heads.rebind(views[k:])
-        self.buffer = buffer
-        self._params = views
+        self._buffer, self._params, self._spans = buffer, views, spans
+
+    @property
+    def buffer(self) -> np.ndarray:
+        """Every parameter in one array; the first read packs it."""
+        if self._buffer is None:
+            self._pack()
+        return self._buffer
 
     @classmethod
     def create(cls, d_in: int, rng: np.random.Generator,
@@ -304,13 +238,16 @@ class Model:
     def embed(self, x) -> np.ndarray:
         return self.encoder.forward(x)
 
-    def build_embed(self, tape: Tape, leaves: Sequence[int], x) -> int:
-        """The encoder op over ``leaves``, one per :meth:`parameters` entry."""
-        return self.encoder.build(tape, leaves[:self._encoder_size], x)
+    def build_embed(self, tape: Tape, leaf: int, x) -> int:
+        """The encoder op on batch ``x`` over ``leaf``, the tape's 1 x P
+        view of :attr:`buffer`; returns the embedding node."""
+        x = self.encoder._input(x)
+        return self._encoder_op(tape, leaf, _encoder_forward,
+                                {"x": x.copy()})
 
-    def build_embed_rows(self, tape: Tape, leaves: Sequence[int],
-                         source: int, start: int) -> int:
-        """The encoder op over ``leaves`` for rows ``start:`` of the earlier
+    def build_embed_rows(self, tape: Tape, leaf: int, source: int,
+                         start: int) -> int:
+        """The encoder op over ``leaf`` for rows ``start:`` of the earlier
         encoder op ``source``'s batch: its value and hidden activations are
         read from that record, not computed again, and it has its own
         gradient. The caller keeps to :data:`MIN_SHARED_ROWS`."""
@@ -318,18 +255,53 @@ class Model:
         if record.op != "encoder" or not 0 <= start < len(record.value):
             raise ShapeMismatchError(
                 f"node {source} has no encoder rows from {start}")
-        return tape.apply("encoder", leaves[:self._encoder_size],
-                          _encoder_rows, _encoder_grad,
-                          aux={"source": record, "rows": slice(start, None)})
+        return self._encoder_op(tape, leaf, _encoder_rows,
+                                {"source": record, "rows": slice(start, None)})
+
+    def _encoder_op(self, tape: Tape, leaf: int, fwd, aux) -> int:
+        """An ``encoder`` op over ``leaf`` whose value is
+        ``fwd(encoder parameters, aux)``."""
+        params = self.parameters()[:self._encoder_size]
+        return tape.apply(
+            "encoder", (leaf,), lambda vals, aux: fwd(params, aux),
+            lambda vals, out, aux, g: [
+                self._grad_row(0, _encoder_grad(params, aux, g))],
+            aux=aux)
 
     def logits_all_heads(self, f) -> np.ndarray:
-        return self.heads.logits(as_matrix(f))
+        if not self.task_ids:
+            raise NoHeadsError("no classification heads registered")
+        return _heads_forward(as_matrix(f), self._params[self._encoder_size:])
 
-    def build_logits(self, tape: Tape, leaves: Sequence[int],
-                     f_node: int) -> int:
-        """The heads op over ``leaves``, one per :meth:`parameters` entry."""
-        return self.heads.build_logits(tape, leaves[self._encoder_size:],
-                                       f_node)
+    def build_logits(self, tape: Tape, leaf: int, f_node: int) -> int:
+        """The heads op on the embedding node ``f_node`` over ``leaf``, the
+        tape's 1 x P view of :attr:`buffer`; returns the logits node."""
+        if not self.task_ids:
+            raise NoHeadsError("no classification heads registered")
+        k = self._encoder_size
+        params = self.parameters()[k:]
+        width, rows = tape.value(f_node).shape[1], params[0].shape[0]
+        if width != rows:
+            raise ShapeMismatchError(
+                f"heads take {rows}-wide embeddings, got {width} columns"
+            )
+
+        def grad(vals, out, aux, g):
+            df, grads = _heads_grad(vals[0], params, g)
+            return [df, self._grad_row(k, grads)]
+
+        return tape.apply("heads", (f_node, leaf),
+                          lambda vals, aux: _heads_forward(vals[0], params),
+                          grad)
+
+    def _grad_row(self, first: int, grads: Sequence[np.ndarray]
+                  ) -> np.ndarray:
+        """The gradients of parameters ``first:``, in order, as one 1 x P
+        row in :attr:`buffer`'s layout, zero elsewhere."""
+        row = np.zeros((1, self._buffer.size))
+        for span, g in zip(self._spans[first:], grads):
+            row[0, span] = g.reshape(-1)
+        return row
 
     @property
     def _encoder_size(self) -> int:
@@ -337,7 +309,16 @@ class Model:
 
     def add_head(self, task_id: int, class_count: int,
                  rng: np.random.Generator) -> None:
-        self.heads.add(task_id, class_count, self.encoder.embed_dim, rng)
+        """A head of ``class_count`` classes for ``task_id``, whose logits
+        follow the earlier heads'; packs the buffer again."""
+        if task_id in self.task_ids:
+            raise DuplicateTaskError(f"head for task {task_id} already registered")
+        if class_count < 1:
+            raise ValueError("class_count must be >= 1")
+        self._params = [*self._params,
+                        _init_weight(self.encoder.embed_dim, class_count, rng),
+                        np.zeros((1, class_count))]
+        self.task_ids += (task_id,)
         self._pack()
 
     def predict(self, x) -> np.ndarray:
@@ -345,9 +326,11 @@ class Model:
         return np.argmax(self.logits_all_heads(self.embed(x)), axis=1)
 
     def parameters(self) -> list[np.ndarray]:
-        """Every trainable array, in tape-leaf order: the encoder's, then
-        the heads'. The views of :attr:`buffer`, in its order; the list is
+        """Every trainable array: the encoder's, then each head's (W, b) in
+        task order. The views of :attr:`buffer`, in its order; the list is
         the one packing built, so read it, do not change it."""
+        if self._buffer is None:
+            self._pack()
         return self._params
 
     def snapshot(self) -> Encoder:

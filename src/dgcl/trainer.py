@@ -19,10 +19,11 @@ rest on each row of a pass of at least ``MIN_SHARED_ROWS`` rows having the
 bits it would have alone; where a part would have a single row, it gets its
 own pass as before, so every value is the one separate passes give.
 
-The update's tape leaves are the model's parameter arrays themselves, views
-of its one buffer; the SGD step writes them only after ``backward``, as one
-in-place update of that buffer with the leaf gradients joined in the same
-order (``lr * g`` then the subtraction, the per-array step's two roundings).
+``record_update`` records an update's graph; ``dgcl gradcheck`` checks the
+same function. Its tape has one leaf, the 1 x P view of the model's
+parameter buffer, so ``backward`` returns the whole flat gradient in the
+buffer's layout. The SGD step writes the buffer only after ``backward``, in
+place: ``lr * g`` then the subtraction, the per-array step's two roundings.
 The drift probe takes the stored embeddings' norms from the memory, which
 computes them at each row's write.
 
@@ -42,7 +43,7 @@ import numpy as np
 from . import losses
 from .datasets import TaskData
 from .errors import DivergenceError, OverlappingClassesError, UnknownTaskError
-from .memory import EpisodicMemory
+from .memory import EpisodicMemory, Rows
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
 from .model import (DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, MIN_SHARED_ROWS,
                     Encoder, Model)
@@ -135,66 +136,78 @@ def _require_finite(update_index: int, task_id: int, **values) -> None:
             raise DivergenceError(update_index, task_id, component)
 
 
+def record_update(model: Model, config: TrainerConfig, batch_x, batch_y,
+                  replay: Rows | None, snapshot: Encoder | None
+                  ) -> tuple[Tape, int, float, float]:
+    """Record one update on a fresh tape: the cross-entropy over the batch
+    plus ``replay``, and for a regularized method with a snapshot and replay
+    rows, the regularizer on the replay rows' embeddings and the weighted
+    total. The tape's one leaf, node 0, is the 1 x P view of
+    ``model.buffer``. Returns the tape, the loss node and the cross-entropy
+    and regularizer values."""
+    if replay:
+        x_all = np.concatenate([batch_x, replay.x], axis=0)
+        y_all = np.concatenate([batch_y, replay.y])
+    else:
+        x_all, y_all = batch_x, batch_y
+    tape = Tape()
+    leaf = tape.leaf(model.buffer)
+    f_node = model.build_embed(tape, leaf, x_all)
+    logits_node = model.build_logits(tape, leaf, f_node)
+    ce_node = losses.cross_entropy_node(tape, logits_node, y_all)
+    loss_node = ce_node
+    reg_val = 0.0
+    if config.method in REGULARIZED and snapshot is not None and replay:
+        f_pre_raw = snapshot.forward(replay.x)
+        if len(replay) >= MIN_SHARED_ROWS:
+            # the replay rows of the cross-entropy pass
+            f_cur_node = model.build_embed_rows(tape, leaf, f_node,
+                                                len(batch_x))
+        else:
+            f_cur_node = model.build_embed(tape, leaf, replay.x)
+        if config.method == "rld":
+            reg_node = losses.rld_node(tape, f_pre_raw, f_cur_node)
+        else:
+            pre_norm = l2_normalize(f_pre_raw)
+            cur_norm_node = l2_normalize_node(tape, f_cur_node)
+            if config.method == "kisp":
+                reg_node = losses.kisp_node(tape, pre_norm, cur_norm_node,
+                                            config.tau)
+            else:
+                reg_node = losses.lfc_node(tape, pre_norm, cur_norm_node)
+        reg_val = float(tape.value(reg_node)[0, 0])
+        if config.lam != 0.0:
+            # lam = 0 keeps the value for the breakdown but skips the
+            # gradient branch, so the trajectory matches plain replay bit
+            # for bit.
+            loss_node = losses.total_node(tape, ce_node, reg_node, config.lam)
+    return tape, loss_node, float(tape.value(ce_node)[0, 0]), reg_val
+
+
 def train_step(state: TrainerState, config: TrainerConfig, batch_x,
                batch_y) -> losses.LossBreakdown:
     """One batch: ``iterations`` gradient steps, then the memory write."""
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=np.int64).reshape(-1)
-    if state.task_id not in state.model.heads.task_ids:
+    if state.task_id not in state.model.task_ids:
         raise UnknownTaskError(f"no head registered for task {state.task_id}")
     breakdown = losses.LossBreakdown(0.0, 0.0, 0.0, config.lam)
     ref = None
     for it in range(config.iterations):
         replay = (state.memory.sample(config.batch_size, state.rng_sample)
                   if config.uses_memory else None)
-        if replay:
-            x_all = np.concatenate([batch_x, replay.x], axis=0)
-            y_all = np.concatenate([batch_y, replay.y])
-        else:
-            x_all, y_all = batch_x, batch_y
-        tape = Tape()
-        params = state.model.parameters()
-        leaves = [tape.leaf(p) for p in params]
-        f_node = state.model.build_embed(tape, leaves, x_all)
-        logits_node = state.model.build_logits(tape, leaves, f_node)
-        ce_node = losses.cross_entropy_node(tape, logits_node, y_all)
-        loss_node = ce_node
-        ce_val = float(tape.value(ce_node)[0, 0])
-        reg_val = 0.0
-        use_reg = (config.method in REGULARIZED and state.snapshot is not None
-                   and replay)
-        if use_reg:
-            f_pre_raw = state.snapshot.forward(replay.x)
-            if len(replay) >= MIN_SHARED_ROWS:
-                # the replay rows of the cross-entropy pass
-                f_cur_node = state.model.build_embed_rows(
-                    tape, leaves, f_node, len(batch_x))
-            else:
-                f_cur_node = state.model.build_embed(tape, leaves, replay.x)
-            if config.method == "rld":
-                reg_node = losses.rld_node(tape, f_pre_raw, f_cur_node)
-            else:
-                pre_norm = l2_normalize(f_pre_raw)
-                cur_norm_node = l2_normalize_node(tape, f_cur_node)
-                if config.method == "kisp":
-                    reg_node = losses.kisp_node(tape, pre_norm, cur_norm_node,
-                                                config.tau)
-                else:
-                    reg_node = losses.lfc_node(tape, pre_norm, cur_norm_node)
-            reg_val = float(tape.value(reg_node)[0, 0])
-            if config.lam != 0.0:
-                # lam = 0 keeps the value for the breakdown but skips the
-                # gradient branch, so the trajectory matches plain replay
-                # bit for bit.
-                loss_node = losses.total_node(tape, ce_node, reg_node,
-                                              config.lam)
+        tape, loss_node, ce_val, reg_val = record_update(
+            state.model, config, batch_x, batch_y, replay, state.snapshot)
         total = losses.total_loss(ce_val, reg_val, config.lam)
         _require_finite(state.update_index + 1, state.task_id, ce=ce_val,
                         regularizer=reg_val, total=total)
-        grads = backward(tape, loss_node)
-        step = np.concatenate([grads[nid].reshape(-1) for nid in leaves])
+        (step,) = backward(tape, loss_node).values()
+        # free this tape's intermediates (KISP's m x m arrays) before the
+        # next repeat records its own
+        del tape
         step *= config.lr
-        state.model.buffer -= step
+        buffer = state.model.buffer
+        buffer -= step[0]
         state.update_index += 1
         breakdown = losses.LossBreakdown(ce_val, reg_val, total, config.lam)
         if config.uses_memory:
@@ -213,7 +226,7 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
 def run_task(state: TrainerState, config: TrainerConfig,
              task: TaskData) -> TrainerState:
     """Single pass over one task's stream; snapshot refresh at the end."""
-    if task.task_id not in state.model.heads.task_ids:
+    if task.task_id not in state.model.task_ids:
         raise UnknownTaskError(f"head for task {task.task_id} must be "
                                "registered before running the task")
     state.task_id = task.task_id

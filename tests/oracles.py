@@ -14,10 +14,19 @@ scale for RLD, and add / scale for the loss sum in
 ``update_chain_reference``, a whole regularized update.
 ``logistic_regression_fit`` is a plain full-batch classifier that
 calibrates the synthetic stream.
+
+The last three are value forms the package itself has no use for.
+``cross_entropy`` runs the package's cross-entropy node on a throwaway tape,
+the one import from its numeric paths, so the value tests check the node
+training uses. ``kisp_probs`` is the column softmax the KISP node forms, and
+``class_means`` the class means ``synth_stream`` draws.
 """
 import math
 
 import numpy as np
+
+from dgcl.losses import cross_entropy_node
+from dgcl.numerics import Tape
 
 
 def matmul_loops(a, b):
@@ -306,3 +315,33 @@ def la_loops(rows):
 
 def random_accuracy_rows(rng, t):
     return [[float(rng.uniform()) for _ in range(i + 1)] for i in range(t)]
+
+
+def cross_entropy(logits, labels):
+    """Mean over rows of -log softmax(logits)[row, label]: the training
+    node's value, label and shape checks included."""
+    tape = Tape()
+    node = cross_entropy_node(tape, tape.leaf(logits), labels)
+    return float(tape.value(node)[0, 0])
+
+
+def kisp_probs(batch):
+    """Instance-discrimination matrix P[i, j] = p(i | current embedding j)
+    of a ``KispBatch``: each column a softmax over the snapshot instances of
+    S = pre @ cur.T / tau, with the transposed operand copied to C order as
+    the node copies it."""
+    s = (batch.f_pre_norm @ batch.f_cur_norm.T.copy()) * (1.0 / batch.tau)
+    e = np.exp(s - s.max(axis=0, keepdims=True))
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def class_means(spec):
+    """The class means a ``StreamSpec`` draws, in ``synth_stream``'s rng
+    order."""
+    rng = np.random.default_rng(spec.seed)
+    n_classes = spec.tasks * spec.classes_per_task
+    means = np.empty((n_classes, spec.d_in))
+    for c in range(n_classes):
+        v = rng.standard_normal(spec.d_in)
+        means[c] = spec.separation * v / np.linalg.norm(v)
+    return means

@@ -4,7 +4,6 @@ import pytest
 from dgcl.datasets import (
     StreamSpec,
     TaskData,
-    class_means,
     load_tensor_file,
     save_tensor_file,
     split_by_class,
@@ -18,7 +17,7 @@ from dgcl.errors import (
     VersionMismatchError,
 )
 
-from oracles import logistic_regression_fit
+from oracles import class_means, logistic_regression_fit
 
 DEFAULT = StreamSpec()  # T=5 x 2 classes, d=16, 200/200 per class, s=4, noise=1
 

@@ -25,8 +25,19 @@ def adjoint_loss(tape, node, adjoint):
         aux=adjoint.copy())
 
 
-def leaves_for(tape, params):
-    return [tape.leaf(p) for p in params]
+def heads_of(model):
+    """Each head's (W, b) views of the buffer, in task order."""
+    params = model.parameters()[2 * len(model.encoder.weights):]
+    return list(zip(params[0::2], params[1::2]))
+
+
+def stretches(model):
+    """Each parameter's slice of the buffer, in parameters() order."""
+    spans, at = [], 0
+    for p in model.parameters():
+        spans.append(slice(at, at + p.size))
+        at += p.size
+    return spans
 
 
 def small_model(seed=0, d_in=4, hidden=(6,), d_emb=3):
@@ -51,14 +62,13 @@ class TestEncoder:
         rng = np.random.default_rng(1)
         model.add_head(1, 2, rng)
         model.add_head(2, 3, rng)
-        enc, heads = model.encoder, model.heads
+        enc = model.encoder
         expected = [enc.weights[0], enc.biases[0], enc.weights[1],
-                    enc.biases[1], enc.weights[2], enc.biases[2],
-                    heads.weight(1), heads.bias(1), heads.weight(2),
-                    heads.bias(2)]
+                    enc.biases[1], enc.weights[2], enc.biases[2]]
         params = model.parameters()
-        assert len(params) == len(expected)
         assert all(a is b for a, b in zip(params, expected))
+        assert [p.shape for p in params[len(expected):]] == [
+            (3, 2), (1, 2), (3, 3), (1, 3)]
 
     def test_param_count_constant(self):
         model = small_model()
@@ -80,40 +90,58 @@ class TestHeads:
         model = small_model()
         model.add_head(0, 2, np.random.default_rng(1))
         tape = Tape()
-        leaves = leaves_for(tape, model.parameters())
+        leaf = tape.leaf(model.buffer)
         f = tape.leaf(np.ones((2, 4)))
         with pytest.raises(ShapeMismatchError) as exc:
-            model.build_logits(tape, leaves, f)
+            model.build_logits(tape, leaf, f)
         assert "3-wide" in str(exc.value) and "4 columns" in str(exc.value)
 
     def test_offsets_accumulate(self):
+        # a head's global classes follow every earlier head's
         model = small_model()
         rng = np.random.default_rng(1)
+        f = rng.standard_normal((4, 3))
         model.add_head(1, 5, rng)
-        assert model.heads.total_classes == 5
-        assert model.heads.offset(1) == 0
+        assert model.task_ids == (1,)
+        assert model.logits_all_heads(f).shape == (4, 5)
         model.add_head(2, 5, rng)
-        assert model.heads.total_classes == 10
-        assert model.heads.offset(2) == 5
+        assert model.task_ids == (1, 2)
+        w, b = heads_of(model)[1]
+        logits = model.logits_all_heads(f)
+        assert logits.shape == (4, 10)
+        assert np.array_equal(logits[:, 5:], f @ w + b)
 
     def test_duplicate_task_rejected(self):
         model = small_model()
         rng = np.random.default_rng(1)
         model.add_head(1, 5, rng)
+        size = model.buffer.size
         with pytest.raises(DuplicateTaskError):
             model.add_head(1, 3, rng)
+        assert model.task_ids == (1,) and model.buffer.size == size
+
+    def test_zero_classes_rejected(self):
+        model = small_model()
+        size = model.buffer.size
+        with pytest.raises(ValueError, match="class_count"):
+            model.add_head(1, 0, np.random.default_rng(1))
+        assert model.task_ids == () and model.buffer.size == size
 
     def test_no_heads_is_an_error(self):
         model = small_model()
         with pytest.raises(NoHeadsError):
             model.logits_all_heads(np.zeros((1, 3)))
+        tape = Tape()
+        with pytest.raises(NoHeadsError):
+            model.build_logits(tape, tape.leaf(model.buffer),
+                               tape.leaf(np.zeros((1, 3))))
 
     def test_single_head_equals_affine(self):
         model = small_model()
         model.add_head(1, 4, np.random.default_rng(2))
         f = np.random.default_rng(3).standard_normal((6, 3))
-        expected = f @ model.heads.weight(1) + model.heads.bias(1)
-        np.testing.assert_array_equal(model.logits_all_heads(f), expected)
+        ((w, b),) = heads_of(model)
+        np.testing.assert_array_equal(model.logits_all_heads(f), f @ w + b)
 
     def test_two_heads_block_concatenation(self):
         model = small_model()
@@ -123,8 +151,9 @@ class TestHeads:
         f = np.random.default_rng(5).standard_normal((3, 3))
         logits = model.logits_all_heads(f)
         assert logits.shape == (3, 10)
-        block1 = matmul_loops(f, model.heads.weight(1)) + model.heads.bias(1)
-        block2 = matmul_loops(f, model.heads.weight(2)) + model.heads.bias(2)
+        (w1, b1), (w2, b2) = heads_of(model)
+        block1 = matmul_loops(f, w1) + b1
+        block2 = matmul_loops(f, w2) + b2
         assert np.abs(logits[:, :5] - block1).max() < 1e-12
         assert np.abs(logits[:, 5:] - block2).max() < 1e-12
 
@@ -172,7 +201,7 @@ class TestParameterBuffer:
         assert len(after) == len(before) + 2
         assert [p.tobytes() for p in after[:len(before)]] == before
         assert after[0] is model.encoder.weights[0]
-        assert after[-2] is model.heads.weight(2)
+        assert [p.shape for p in after[-2:]] == [(3, 1), (1, 1)]
 
     def test_views_after_a_one_class_head_are_8_byte_aligned(self):
         # the exact update oracles (TestUpdateMatchesPrimitiveChain) train
@@ -191,15 +220,17 @@ class TestPredict:
     def test_argmax(self):
         model = small_model()
         model.add_head(1, 3, np.random.default_rng(0))
-        model.heads.weight(1)[:] = 0.0
-        model.heads.bias(1)[:] = [[0.1, 0.9, 0.3]]
+        ((w, b),) = heads_of(model)
+        w[:] = 0.0
+        b[:] = [[0.1, 0.9, 0.3]]
         assert model.predict(np.zeros((1, 4)))[0] == 1
 
     def test_tie_breaks_to_lowest(self):
         model = small_model()
         model.add_head(1, 2, np.random.default_rng(0))
-        model.heads.weight(1)[:] = 0.0
-        model.heads.bias(1)[:] = [[0.5, 0.5]]
+        ((w, b),) = heads_of(model)
+        w[:] = 0.0
+        b[:] = [[0.5, 0.5]]
         assert model.predict(np.zeros((1, 4)))[0] == 0
 
     def test_shift_invariance(self):
@@ -208,7 +239,7 @@ class TestPredict:
         model.add_head(1, 4, rng)
         x = rng.standard_normal((10, 4))
         base = model.predict(x)
-        model.heads.bias(1)[:] += 2.5
+        heads_of(model)[0][1][:] += 2.5
         np.testing.assert_array_equal(model.predict(x), base)
 
     def test_matches_brute_force(self):
@@ -218,8 +249,7 @@ class TestPredict:
         model.add_head(2, 4, rng)
         x = rng.standard_normal((20, 4))
         f = model.embed(x)
-        blocks = [matmul_loops(f, model.heads.weight(t)) + model.heads.bias(t)
-                  for t in (1, 2)]
+        blocks = [matmul_loops(f, w) + b for w, b in heads_of(model)]
         brute = np.argmax(np.concatenate(blocks, axis=1), axis=1)
         np.testing.assert_array_equal(model.predict(x), brute)
 
@@ -254,48 +284,48 @@ class TestSnapshot:
     @staticmethod
     def _sgd_step(model, x, lr=0.1):
         tape = Tape()
-        params = model.parameters()
-        leaves = leaves_for(tape, params)
-        f = model.build_embed(tape, leaves, x)
-        logits = model.build_logits(tape, leaves, f)
+        leaf = tape.leaf(model.buffer)
+        logits = model.build_logits(tape, leaf,
+                                    model.build_embed(tape, leaf, x))
         labels = np.zeros(x.shape[0], dtype=np.int64)
         loss = cross_entropy_node(tape, logits, labels)
-        grads = backward(tape, loss)
-        for arr, nid in zip(params, leaves):
-            arr -= lr * grads[nid]
+        (grad,) = backward(tape, loss).values()
+        buffer = model.buffer
+        buffer -= lr * grad[0]
 
 
 class TestFusedOps:
     """The ``encoder`` and ``heads`` tape ops against plain-numpy copies of
-    the affine / relu / hconcat chains they replaced: value and every leaf
-    gradient equal bit for bit, and a second ``backward`` changes nothing."""
+    the affine / relu / hconcat chains they replaced: the value and each
+    parameter's stretch of the flat gradient equal bit for bit, the rest of
+    the gradient row is zero, and a second ``backward`` changes nothing."""
 
     @pytest.mark.parametrize("hidden", [(), (64,), (16, 8)])
     @pytest.mark.parametrize("m", ROWS)
     def test_encoder_matches_primitive_chain(self, m, hidden):
         rng = np.random.default_rng([41, m, len(hidden)])
-        enc = Encoder.initialize((12, *hidden, 32), rng)
+        model = Model.create(12, rng, hidden=hidden, embed_dim=32)
+        model.add_head(0, 3, np.random.default_rng(0))
+        enc = model.encoder
         for b in enc.biases:
             b += 0.1 * rng.standard_normal(b.shape)
         x = rng.standard_normal((m, 12))
         adjoint = rng.standard_normal((m, 32))
-        params = enc.parameters()
-        assert len(params) == 2 * len(enc.weights) and all(
-            arr is p for arr, p in zip(
-                params, [p for wb in zip(enc.weights, enc.biases) for p in wb]))
         tape = Tape()
-        leaves = leaves_for(tape, params)
-        node = enc.build(tape, leaves, x)
-        grads = backward(tape, adjoint_loss(tape, node, adjoint))
+        leaf = tape.leaf(model.buffer)
+        node = model.build_embed(tape, leaf, x)
+        (row,) = backward(tape, adjoint_loss(tape, node, adjoint)).values()
         value, expected = encoder_chain_reference(x, enc.weights, enc.biases,
                                                   adjoint)
         assert np.array_equal(tape.value(node), value)
-        assert np.array_equal(tape.value(node), enc.forward(x))
-        for nid, want in zip(leaves, expected):
-            assert np.array_equal(grads[nid], want)
-        again = backward(tape, adjoint_loss(tape, node, adjoint))
-        for nid in leaves:
-            assert np.array_equal(again[nid], grads[nid])
+        assert np.array_equal(tape.value(node), model.embed(x))
+        params, spans = model.parameters(), stretches(model)
+        assert row.shape == (1, model.buffer.size)
+        for p, span, want in zip(params, spans, expected):
+            assert np.array_equal(row[0, span].reshape(p.shape), want)
+        assert not row[0, spans[len(expected)].start:].any()
+        (again,) = backward(tape, adjoint_loss(tape, node, adjoint)).values()
+        assert np.array_equal(again, row)
 
     @pytest.mark.parametrize("heads", [1, 2, 10])
     @pytest.mark.parametrize("m", ROWS)
@@ -304,27 +334,29 @@ class TestFusedOps:
         model = Model.create(12, rng, hidden=(64,), embed_dim=32)
         for t in range(heads):
             model.add_head(t, 1 + t % 3, rng)
-            model.heads.bias(t)[:] = rng.standard_normal((1, 1 + t % 3))
+            model.parameters()[-1][:] = rng.standard_normal((1, 1 + t % 3))
         f = rng.standard_normal((m, 32))
-        adjoint = rng.standard_normal((m, model.heads.total_classes))
-        ws = [model.heads.weight(t) for t in range(heads)]
-        bs = [model.heads.bias(t) for t in range(heads)]
-        params = model.heads.parameters()
-        assert len(params) == 2 * heads and all(arr is p for arr, p in zip(
-            params, [p for wb in zip(ws, bs) for p in wb]))
+        classes = sum(1 + t % 3 for t in range(heads))
+        adjoint = rng.standard_normal((m, classes))
+        ws, bs = zip(*heads_of(model))
         tape = Tape()
-        leaves = leaves_for(tape, params)
+        leaf = tape.leaf(model.buffer)
         f_leaf = tape.leaf(f)
-        node = model.heads.build_logits(tape, leaves, f_leaf)
+        node = model.build_logits(tape, leaf, f_leaf)
         grads = backward(tape, adjoint_loss(tape, node, adjoint))
         value, d_f, expected = heads_chain_reference(f, ws, bs, adjoint)
         assert np.array_equal(tape.value(node), value)
         assert np.array_equal(tape.value(node), model.logits_all_heads(f))
         assert np.array_equal(grads[f_leaf], d_f)
-        for nid, want in zip(leaves, expected):
-            assert np.array_equal(grads[nid], want)
+        row = grads[leaf]
+        k = 2 * len(model.encoder.weights)
+        params, spans = model.parameters(), stretches(model)
+        assert not row[0, :spans[k].start].any()
+        for p, span, want in zip(params[k:], spans[k:], expected,
+                                 strict=True):
+            assert np.array_equal(row[0, span].reshape(p.shape), want)
         again = backward(tape, adjoint_loss(tape, node, adjoint))
-        for nid in [f_leaf, *leaves]:
+        for nid in (f_leaf, leaf):
             assert np.array_equal(again[nid], grads[nid])
 
     @pytest.mark.parametrize("seed", range(10))
@@ -334,34 +366,30 @@ class TestFusedOps:
         for t in range(3):
             model.add_head(t, 1 + t, rng)
         f = rng.standard_normal((5, 3))
-        labels = rng.integers(0, model.heads.total_classes, size=5)
-        params = [f] + [p for t in range(3)
-                        for p in (model.heads.weight(t), model.heads.bias(t))]
+        labels = rng.integers(0, 6, size=5)
 
         def fn(arrays):
             tape = Tape()
             f_leaf = tape.leaf(arrays[0])
-            leaves = leaves_for(tape, arrays[1:])
+            leaf = tape.leaf(arrays[1])
             loss = cross_entropy_node(
-                tape, model.heads.build_logits(tape, leaves, f_leaf), labels)
+                tape, model.build_logits(tape, leaf, f_leaf), labels)
             grads = backward(tape, loss)
-            return (float(tape.value(loss)[0, 0]),
-                    [grads[f_leaf]] + [grads[nid] for nid in leaves])
+            return float(tape.value(loss)[0, 0]), [grads[f_leaf],
+                                                   grads[leaf][0]]
 
-        assert finite_diff_check(fn, params, h=1e-5) < 1e-6
+        assert finite_diff_check(fn, [f, model.buffer], h=1e-5) < 1e-6
 
     def test_encoder_batch_is_copied_on_entry(self):
         model = small_model()
         x = np.random.default_rng(2).standard_normal((5, 4))
         tape = Tape()
-        node = model.build_embed(
-            tape, leaves_for(tape, model.parameters()), x)
+        node = model.build_embed(tape, tape.leaf(model.buffer), x)
         loss = adjoint_loss(tape, node, np.ones((5, 3)))
-        before = [g.copy() for g in backward(tape, loss).values()]
+        (before,) = backward(tape, loss).values()
         x[:] = 0.0
-        after = list(backward(tape, loss).values())
-        assert len(after) == 4
-        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        (after,) = backward(tape, loss).values()
+        assert np.array_equal(after, before)
 
 
 class TestSharedRows:
@@ -373,8 +401,7 @@ class TestSharedRows:
     def pass_over(model, x):
         """The embedding and hidden activations of one recorded pass."""
         tape = Tape()
-        node = model.build_embed(tape, leaves_for(tape, model.parameters()),
-                                 x)
+        node = model.build_embed(tape, tape.leaf(model.buffer), x)
         return tape.value(node), tape.records[node].aux["hidden"]
 
     @pytest.mark.parametrize("hidden", [(64,), (16, 8)])
@@ -408,29 +435,28 @@ class TestSharedRows:
         x = rng.standard_normal((n, 16))
         adjoint = rng.standard_normal((n - start, 32))
         tape = Tape()
-        leaves = leaves_for(tape, model.parameters())
-        full = model.build_embed(tape, leaves, x)
-        rows = model.build_embed_rows(tape, leaves, full, start)
-        grads = backward(tape, adjoint_loss(tape, rows, adjoint))
+        leaf = tape.leaf(model.buffer)
+        full = model.build_embed(tape, leaf, x)
+        rows = model.build_embed_rows(tape, leaf, full, start)
+        (grad,) = backward(tape, adjoint_loss(tape, rows, adjoint)).values()
         own = Tape()
-        own_leaves = leaves_for(own, model.parameters())
-        alone = model.build_embed(own, own_leaves, x[start:])
-        own_grads = backward(own, adjoint_loss(own, alone, adjoint))
+        alone = model.build_embed(own, own.leaf(model.buffer), x[start:])
+        (own_grad,) = backward(own, adjoint_loss(own, alone,
+                                                 adjoint)).values()
         got, want = tape.records[rows], own.records[alone]
         assert got.op == want.op == "encoder"
         assert np.array_equal(got.value, want.value)
         assert np.array_equal(got.aux["x"], want.aux["x"])
         for a, b in zip(got.aux["hidden"], want.aux["hidden"], strict=True):
             assert np.array_equal(a, b)
-        for nid, own_nid in zip(leaves, own_leaves):
-            assert np.array_equal(grads[nid], own_grads[own_nid])
+        assert np.array_equal(grad, own_grad)
 
     def test_rows_need_an_encoder_op(self):
         model = small_model()
         tape = Tape()
-        leaves = leaves_for(tape, model.parameters())
-        full = model.build_embed(tape, leaves, np.ones((3, 4)))
+        leaf = tape.leaf(model.buffer)
+        full = model.build_embed(tape, leaf, np.ones((3, 4)))
         with pytest.raises(ShapeMismatchError):
-            model.build_embed_rows(tape, leaves, leaves[0], 1)
+            model.build_embed_rows(tape, leaf, leaf, 1)
         with pytest.raises(ShapeMismatchError):
-            model.build_embed_rows(tape, leaves, full, 3)
+            model.build_embed_rows(tape, leaf, full, 3)

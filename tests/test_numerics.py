@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dgcl.errors import DegenerateFeatureError, NonScalarLossError, ShapeMismatchError
-from dgcl.losses import _column_softmax, cross_entropy_node, kisp_node, total_node
-from dgcl.model import Encoder, HeadSet, Model
+from dgcl.losses import cross_entropy_node, kisp_node, total_node
+from dgcl.model import Encoder, Model
 from dgcl.numerics import (
     Tape,
     backward,
@@ -22,15 +22,23 @@ def linear(w, b):
                    [np.asarray(b, dtype=np.float64)])
 
 
-def leaves_for(tape, params):
-    return [tape.leaf(p) for p in params]
-
-
 def affine(x, w, b):
     """Forward value of the fused encoder op with one linear layer."""
+    model = Model(linear(w, b))
     tape = Tape()
-    enc = linear(w, b)
-    return tape.value(enc.build(tape, leaves_for(tape, enc.parameters()), x))
+    return tape.value(model.build_embed(tape, tape.leaf(model.buffer), x))
+
+
+def buffer_check(model, build, h=1e-5):
+    """``finite_diff_check`` over ``model.buffer`` for the scalar node
+    ``build(tape, leaf)`` records on the buffer's leaf."""
+    def fn(params):
+        tape = Tape()
+        loss = build(tape, tape.leaf(params[0]))
+        (grad,) = backward(tape, loss).values()
+        return float(tape.value(loss)[0, 0]), [grad[0]]
+
+    return finite_diff_check(fn, [model.buffer], h=h)
 
 
 def square(tape, a):
@@ -40,8 +48,12 @@ def square(tape, a):
 
 
 def softmax(z):
-    """Row softmax through the column softmax KISP's probabilities use."""
-    return _column_softmax(np.asarray(z, dtype=np.float64).T).T
+    """The row softmax the cross-entropy node's gradient uses."""
+    tape = Tape()
+    logits = tape.leaf(z)
+    aux = tape.records[cross_entropy_node(
+        tape, logits, np.zeros(len(tape.value(logits)), dtype=np.int64))].aux
+    return aux["e"] / aux["rowsum"]
 
 
 class TestAffine:
@@ -197,17 +209,13 @@ class TestCompositeGradients:
         labels = rng.integers(0, c, size=n)
         w = rng.standard_normal((d, c))
         b = rng.standard_normal((1, c))
+        model = Model(linear(w, b))
 
-        def fn(params):
-            tape = Tape()
-            leaves = leaves_for(tape, params)
-            logits = Encoder([params[0]], [params[1]]).build(tape, leaves, x)
-            loss = cross_entropy_node(tape, logits, labels)
-            grads = backward(tape, loss)
-            return (float(tape.value(loss)[0, 0]),
-                    [grads[nid] for nid in leaves])
+        def build(tape, leaf):
+            logits = model.build_embed(tape, leaf, x)
+            return cross_entropy_node(tape, logits, labels)
 
-        assert finite_diff_check(fn, [w, b], h=1e-5) < 1e-6
+        assert buffer_check(model, build) < 1e-6
 
     @pytest.mark.parametrize("seed", range(30))
     def test_mlp_with_relu_matches_differences(self, seed):
@@ -218,18 +226,13 @@ class TestCompositeGradients:
         b1 = rng.standard_normal((1, 6))
         w2 = rng.standard_normal((6, 3))
         b2 = rng.standard_normal((1, 3))
+        model = Model(Encoder([w1, w2], [b1, b2]))
 
-        def fn(params):
-            tape = Tape()
-            leaves = leaves_for(tape, params)
-            encoder = Encoder([params[0], params[2]], [params[1], params[3]])
-            logits = encoder.build(tape, leaves, x)
-            loss = cross_entropy_node(tape, logits, labels)
-            grads = backward(tape, loss)
-            return (float(tape.value(loss)[0, 0]),
-                    [grads[nid] for nid in leaves])
+        def build(tape, leaf):
+            logits = model.build_embed(tape, leaf, x)
+            return cross_entropy_node(tape, logits, labels)
 
-        assert finite_diff_check(fn, [w1, b1, w2, b2], h=1e-5) < 1e-4
+        assert buffer_check(model, build) < 1e-4
 
     def test_full_training_loss_instance(self):
         # cross-entropy plus weighted invariance penalty on an m=4, d=6 case
@@ -240,21 +243,14 @@ class TestCompositeGradients:
         pre_norm = l2_normalize(rng.standard_normal((m, d_emb)))
         encoder = linear(rng.standard_normal((d_in, d_emb)),
                          rng.standard_normal((1, d_emb)))
-        heads = HeadSet()
-        heads.add(1, c, d_emb, rng)
-        model = Model(encoder, heads)
-        params = model.parameters()
+        model = Model(encoder)
+        model.add_head(1, c, rng)
 
-        def fn(params):
-            tape = Tape()
-            leaves = leaves_for(tape, params)
-            f = model.build_embed(tape, leaves, x_mem)
-            logits = model.build_logits(tape, leaves, f)
+        def build(tape, leaf):
+            f = model.build_embed(tape, leaf, x_mem)
+            logits = model.build_logits(tape, leaf, f)
             ce = cross_entropy_node(tape, logits, labels)
             reg = kisp_node(tape, pre_norm, l2_normalize_node(tape, f), 0.1)
-            total = total_node(tape, ce, reg, 1.0)
-            grads = backward(tape, total)
-            return (float(tape.value(total)[0, 0]),
-                    [grads[nid] for nid in leaves])
+            return total_node(tape, ce, reg, 1.0)
 
-        assert finite_diff_check(fn, params, h=1e-5) < 1e-4
+        assert buffer_check(model, build) < 1e-4

@@ -105,6 +105,20 @@ class TestTrainStep:
         assert b.kisp == 0.0
         assert b.total == b.ce
 
+    def test_one_pack_before_the_first_update(self, monkeypatch):
+        packs = []
+        real = Model._pack
+        monkeypatch.setattr(Model, "_pack", lambda self: (
+            packs.append(self), real(self)))
+        tasks = small_tasks()
+        cfg = TrainerConfig(method="er", seed=0)
+        state = init_state(cfg, SMALL_SPEC.d_in)
+        state.model.add_head(1, 2, state.rng_init)
+        state.memory.register_task(1)
+        state.task_id = 1
+        train_step(state, cfg, tasks[0].train_x[:10], tasks[0].train_y[:10])
+        assert packs == [state.model]
+
     def test_step_requires_registered_head(self):
         cfg = TrainerConfig(method="er", seed=0)
         state = init_state(cfg, 8)
@@ -133,7 +147,7 @@ class TestTrainStep:
         ("rld", ["encoder", "rld", "total"]),
     ])
     def test_update_tape(self, monkeypatch, method, ops):
-        # one leaf per parameter in parameters() order, then one op per
+        # one leaf, the 1 x P view of the parameter buffer, then one op per
         # network pass and loss, each with its own gradient function
         tapes = []
         real = trainer.backward
@@ -141,15 +155,14 @@ class TestTrainStep:
             tapes.append(tape), real(tape, loss))[1])
         result = run_stream(TrainerConfig(method=method, seed=0),
                             small_tasks()[:2])
-        records = tapes[-1].records
-        params = result.model.parameters()
-        leaves = records[:len(params)]
-        assert [r.op for r in leaves] == ["leaf"] * len(params)
-        assert [r.value.shape for r in leaves] == [p.shape for p in params]
-        rest = records[len(params):]
+        leaf, *rest = tapes[-1].records
+        buffer = result.model.buffer
+        assert leaf.op == "leaf" and leaf.value.shape == (1, buffer.size)
+        assert np.shares_memory(leaf.value, buffer)
         assert [r.op for r in rest] == [
             "encoder", "heads", "cross_entropy", *ops]
         assert all(r.grad is not None for r in rest)
+        assert all(0 in r.inputs for r in rest if r.op in ("encoder", "heads"))
 
 
 class TestReductionIdentity:
@@ -416,7 +429,7 @@ class TestDivergence:
         state = init_state(cfg, 8)
         state.model.add_head(1, 2, state.rng_init)
         state.memory.register_task(1)
-        state.model.heads.bias(1)[0, 0] = np.inf
+        state.model.parameters()[-1][0, 0] = np.inf  # the head's bias
         empty = TaskData(1, (0, 1), np.zeros((0, 8)),
                          np.array([], dtype=np.int64), np.zeros((0, 8)),
                          np.array([], dtype=np.int64))
@@ -491,19 +504,19 @@ class TestUpdateMatchesPrimitiveChain:
             w += 0.05 * rng.standard_normal(w.shape)
         state.snapshot = snapshot
         state.task_id = heads - 1
-        lo = model.heads.offset(state.task_id)
+        layers = 2 * len(model.encoder.weights)
+        head_weights = model.parameters()[layers::2]
+        lo = sum(w.shape[1] for w in head_weights[:-1])
         batch_x = rng.standard_normal((n_batch, d_in))
-        batch_y = lo + rng.integers(0, model.heads.class_count(state.task_id),
+        batch_y = lo + rng.integers(0, head_weights[-1].shape[1],
                                     size=n_batch)
         replay = state.memory.sample(m, copy.deepcopy(state.rng_sample))
         # (weight, bias) per layer, then per head: the oracle's order
-        params = [p for pair in [
-            *zip(model.encoder.weights, model.encoder.biases),
-            *((model.heads.weight(t), model.heads.bias(t))
-              for t in range(heads))] for p in pair]
-        assert len(params) == len(model.parameters())
+        params = model.parameters()
+        assert all(a is b for a, b in zip(
+            params, [p for wb in zip(model.encoder.weights,
+                                     model.encoder.biases) for p in wb]))
         before = [p.copy() for p in params]
-        layers = 2 * len(model.encoder.weights)
         pre = snapshot.forward(replay.x)
         if method != "rld":
             pre = l2_normalize(pre)
@@ -528,9 +541,9 @@ class TestSharedPasses:
 
     @staticmethod
     def separate_passes(monkeypatch):
-        def own_pass(self, tape, leaves, source, start):
+        def own_pass(self, tape, leaf, source, start):
             rows = tape.records[source].aux["x"][start:]
-            return self.build_embed(tape, leaves, rows.copy())
+            return self.build_embed(tape, leaf, rows.copy())
 
         def probe_alone(state, batch_x=None):
             pool = state.memory.all_items()
