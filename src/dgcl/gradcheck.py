@@ -2,13 +2,15 @@
 
 Each loss gets a population of small random instances (feature counts up to
 6, embedding widths up to 8); the analytic gradient from the tape must match
-central differences coordinate-wise. The ``total`` instance is a KISP
-training update as ``trainer.record_update`` records it: the encoder op (one
-rectified hidden layer) and head-block op (two or three heads) into
-cross-entropy, plus the weighted KISP penalty on the replay rows of the same
-encoder pass. Its differences are taken on the model's parameter buffer
-itself, so they check the flat gradient the SGD step uses, with the relu
-mask and both branches' shared parameters.
+central differences coordinate-wise; the per-loss instances record their
+loss on a tape. The ``total`` instance is a training update as
+``trainer.update`` runs it, for a method drawn from er, lfc, rld and kisp:
+the encoder pass (one rectified hidden layer) and head block (two or three
+heads) into cross-entropy, plus the weighted regularizer on the replay rows
+of the same encoder pass, or of their own pass for a 1-row replay. Its
+differences are taken on the model's parameter buffer itself, so they check
+the flat gradient the SGD step uses, with the relu mask and both branches'
+shared parameters.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .memory import Rows
 from .model import Encoder, Model
 from .numerics import (Tape, backward, finite_diff_check, l2_normalize,
                        l2_normalize_node)
-from .trainer import TrainerConfig, record_update
+from .trainer import METHODS, TrainerConfig, update
 
 TOLERANCE = 1e-4
 LOSS_NAMES = ("ce", "kisp", "lfc", "rld", "total")
@@ -98,9 +100,10 @@ def _random_encoder(rng, sizes):
 def _total_instance(rng):
     sizes = [int(rng.integers(2, 6)) for _ in range(3)]  # d_in, hidden, d_emb
     n = int(rng.integers(1, 5))
-    m = int(rng.integers(2, 7))
-    lam = float(rng.choice([0.1, 1.0, 10.0]))
-    config = TrainerConfig(method="kisp", lam=lam)
+    m = int(rng.integers(1, 7))
+    # every method with replay; m = 1 takes the replay's own encoder pass
+    config = TrainerConfig(method=str(rng.choice(METHODS[1:])),
+                           lam=float(rng.choice([0.1, 1.0, 10.0])))
     x_cur = rng.standard_normal((n, sizes[0]))
     x_mem = rng.standard_normal((m, sizes[0]))
     snapshot = _random_encoder(rng, sizes)
@@ -115,10 +118,8 @@ def _total_instance(rng):
 
     def fn(params):
         # params is [model.buffer], which the model's views share
-        tape, loss, _, _ = record_update(model, config, x_cur, labels[:n],
-                                         replay, snapshot)
-        (grad,) = backward(tape, loss).values()
-        return float(tape.value(loss)[0, 0]), [grad[0]]
+        loss = update(model, config, x_cur, labels[:n], replay, snapshot)
+        return loss.total, [model.grad.copy()]
 
     return fn, [model.buffer]
 

@@ -10,16 +10,20 @@ match and every off-diagonal non-match, which simultaneously pulls each
 current embedding toward its own snapshot (knowledge invariance) and pushes
 it away from the other snapshots (spread-out).
 
-Every loss is one tape op, and so is the weighted sum ``total_node``. The
-regularizer ops take the live embeddings as their only input: the snapshot
-embeddings are data, copied into the record's ``aux`` and never
-differentiated. Cross-entropy and KISP keep their softmax pieces in a fresh
-``aux`` dict per node, so the backward sweep reuses them: cross-entropy its
-shifted exponentials and their row sums, KISP its exponentials, column sums
-and leave-one-out sums. The KISP node forms the similarity matrix itself
-and returns the gradient of the similarity-matrix chain (transpose,
-product, temperature scale) operand for operand. The LFC and RLD ops
-likewise repeat their old primitive chains' products and sums.
+Each loss is a forward function and a gradient function with the tape's
+``fwd(vals, aux)`` / ``grad(vals, out, aux, g)`` signatures. A training
+update (``trainer.update``) calls them in a straight line; the ``*_node``
+functions record them as one tape op each, for ``dgcl gradcheck``'s
+per-loss instances and the op tests. The regularizers take the live
+embeddings as their only input: the snapshot embeddings are data, held in
+``aux`` and never differentiated. Cross-entropy and KISP keep their softmax
+pieces in a fresh ``aux`` dict per use, so the gradient reuses them:
+cross-entropy its shifted exponentials and their row sums, KISP its
+exponentials, column sums and leave-one-out sums. The KISP forward forms
+the similarity matrix itself and its gradient returns that of the
+similarity-matrix chain (transpose, product, temperature scale) operand for
+operand. The LFC and RLD functions likewise repeat their old primitive
+chains' products and sums.
 
 ``kisp_loss``, the KISP value on a throwaway tape, and its input
 ``KispBatch`` have no consumer in the package: they stay because the
@@ -86,18 +90,8 @@ class LossBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# cross-entropy (fused log-softmax, recorded as one tape op)
+# cross-entropy (fused log-softmax)
 # ---------------------------------------------------------------------------
-
-def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise LabelRangeError(
-            f"labels must lie in [0, {n_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels
-
 
 def _ce_forward(vals, aux):
     """Mean over rows of log-sum-exp minus the label's logit. Keeps the
@@ -120,17 +114,25 @@ def _ce_grad(vals, out, aux, g):
     return [g[0, 0] * p / p.shape[0]]
 
 
+def ce_aux(logits: np.ndarray, labels) -> dict:
+    """A fresh aux dict for the cross-entropy of ``logits``, holding the
+    checked ``labels``: the forward fills it, the gradient reads it."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    n, classes = logits.shape
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise LabelRangeError(
+            f"labels must lie in [0, {classes}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+    if labels.size != n:
+        raise ShapeMismatchError(f"{n} logit rows but {labels.size} labels")
+    return {"labels": labels}
+
+
 def cross_entropy_node(tape: Tape, logits: int, labels) -> int:
     """Mean over rows of -log softmax(logits)[row, label], as a tape op."""
-    value = tape.value(logits)
-    checked = _check_labels(labels, value.shape[1])
-    if checked.size != value.shape[0]:
-        raise ShapeMismatchError(
-            f"{value.shape[0]} logit rows but {checked.size} labels"
-        )
-    # a fresh dict per node: the forward fills it, the gradient reads it
     return tape.apply("cross_entropy", (logits,), _ce_forward, _ce_grad,
-                      aux={"labels": checked})
+                      aux=ce_aux(tape.value(logits), labels))
 
 
 # ---------------------------------------------------------------------------
@@ -274,20 +276,6 @@ def rld_node(tape: Tape, f_pre: np.ndarray, f_cur: int) -> int:
     raw (unnormalized) embedding entries; the snapshot's are data."""
     return tape.apply("rld", (f_cur,), _rld_forward, _rld_grad,
                       aux=_snapshot(tape, f_pre, f_cur))
-
-
-def _total_forward(vals, lam):
-    return vals[0] + vals[1] * lam
-
-
-def _total_grad(vals, out, lam, g):
-    return [g, g * lam]
-
-
-def total_node(tape: Tape, ce: int, reg: int, lam: float) -> int:
-    """Tape-node version of :func:`total_loss`: ce + lam * reg."""
-    return tape.apply("total", (ce, reg), _total_forward, _total_grad,
-                      aux=float(lam))
 
 
 def total_loss(ce: float, kisp: float, lam: float) -> float:

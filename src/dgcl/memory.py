@@ -8,11 +8,12 @@ task. Writes follow the ring-buffer strategy: each task keeps at most
 ``capacity`` rows, so new rows for a task evict only that task's oldest
 rows. Sampling is uniform without replacement over all rows.
 
-The arrays are allocated with ``capacity`` rows per registered task, and
-the n stored rows are their first n. A write moves, in place, only the
-rows after its task's block and the task's kept rows, then copies the new
-rows in; so ``all_items`` and ``ref_norms`` are views, which a later write
-changes. ``sample`` returns copies.
+The arrays hold at least ``capacity`` rows per registered task, and the n
+stored rows are their first n; a registration that needs more rows at
+least doubles them. A write moves, in place, only the rows after its
+task's block and the task's kept rows, then copies the new rows in; so
+``all_items`` and ``ref_norms`` are views, which a later write changes.
+``sample`` returns copies.
 """
 from __future__ import annotations
 
@@ -67,6 +68,10 @@ class EpisodicMemory:
             return
         self._counts[task_id] = 0
         rows = self.capacity * len(self._counts)
+        if rows <= len(self._arrays[1]):
+            return
+        # at least double, so a T-task stream reallocates O(log T) times
+        rows = max(rows, 2 * len(self._arrays[1]))
         grown = []
         for a in self._arrays:
             b = np.empty((rows, *a.shape[1:]), dtype=a.dtype)

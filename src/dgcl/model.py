@@ -5,27 +5,21 @@ final layer produces the embedding the regularizers act on. Classification
 heads are registered one per task; their logits are concatenated in task
 order, so global class indices are per-task offsets plus local indices.
 
-On a tape, one encoder pass is one ``encoder`` op and the whole head block
-one ``heads`` op. The encoder op copies its input batch into the record's
-``aux`` and keeps its hidden activations there for the gradient; the batch
-is data, so its gradient is never formed. Both ops repeat the affine / relu
-/ concatenate chain's arithmetic operand for operand, so values and
-gradients equal that chain's bit for bit, and the plain forward passes run
-the same functions.
+An encoder pass keeps its input batch and hidden activations in an aux
+dict for the gradient; the batch is data, so its gradient is never formed.
+The pass and the head block repeat the affine / relu / concatenate chain's
+arithmetic operand for operand, so values and gradients equal that chain's
+bit for bit, and the plain forward passes run the same functions. A
+training update (``trainer.update``) calls those functions in a straight
+line; on a tape, for ``dgcl gradcheck``'s per-loss instances and the op
+tests, the pass is one ``encoder`` op and the head block one ``heads`` op
+over a leaf holding the 1 x P view of ``Model.buffer``.
 
-An encoder op may also take its rows from an earlier encoder op on the same
-tape (``build_embed_rows``): its value, batch and hidden activations are
-slices of that op's record, and it has its own gradient. A pass of at least
-``MIN_SHARED_ROWS`` rows gives each row the bits it would get alone, so the
-slice equals a separate pass over those rows.
-
-An update records one tape leaf, the 1 x P view of ``Model.buffer``, and
-every encoder and heads op takes it as its parameter input. An op reads its
-weights from the model's views of the buffer and returns its parameter
-gradient as one 1 x P row in the buffer's layout, zero outside its own
-stretch; adding a zero changes no other value, so the leaf's gradient is
-each parameter's gradient in place, and it is the SGD step's operand as it
-stands.
+The gradient functions write each parameter's gradient into an array of
+``out``, in place: in training the views of ``Model.grad``, on a tape the
+views of a zero 1 x P row. ``encoder_rows`` takes rows of an earlier pass:
+a pass of at least ``MIN_SHARED_ROWS`` rows gives each row the bits it
+would get alone, so the slice equals a separate pass over those rows.
 
 ``Model.buffer`` is one contiguous float64 array that holds every parameter
 in ``Model.parameters()`` order with no padding: the encoder's (W1, b1, ...,
@@ -33,7 +27,8 @@ WL, bL), then each task head's (W, b) in task order, each a C-ordered view
 of its stretch. ``Model._pack`` alone lays it out. A new model packs at the
 first read of its buffer or parameter list, and ``Model.add_head`` packs
 again, so a training run packs once per task; views taken before a pack
-belong to the old buffer.
+belong to the old buffer. Each pack also allocates ``Model.grad``, a
+gradient with the same layout and views.
 """
 from __future__ import annotations
 
@@ -76,31 +71,37 @@ def _encoder_forward(params, aux):
     return h
 
 
-def _encoder_rows(params, aux):
-    """Rows ``aux["rows"]`` of the earlier encoder record ``aux["source"]``:
-    its value, with its batch rows in ``aux["x"]`` and its hidden
-    activations in ``aux["hidden"]``, as :func:`_encoder_forward` leaves
-    them for those rows alone."""
-    source, rows = aux.pop("source"), aux.pop("rows")
-    aux["x"] = source.aux["x"][rows]
-    aux["hidden"] = [h[rows] for h in source.aux["hidden"]]
-    return source.value[rows]
+def encoder_rows(params, aux, f, start):
+    """Rows ``start:`` of the encoder pass that left embeddings ``f`` and
+    ``aux``: their embeddings and an aux dict for :func:`_encoder_grad`.
+    At least ``MIN_SHARED_ROWS`` rows are sliced from that pass, which gives
+    them the bits a pass of their own would; fewer get a pass of their own."""
+    x = aux["x"][start:]
+    if len(x) >= MIN_SHARED_ROWS:
+        hidden = [h[start:] for h in aux["hidden"]]
+        return f[start:], {"x": x, "hidden": hidden}
+    rows = {"x": x}
+    return _encoder_forward(params, rows), rows
 
 
-def _encoder_grad(params, aux, g):
-    """The gradient of each of ``params`` for the output adjoint ``g``."""
+def _encoder_grad(params, aux, g, out, add=False):
+    """Write the gradient of each of ``params`` for the output adjoint ``g``
+    into the matching array of ``out``, or with ``add`` add it there."""
     # layer inputs: the batch, then each rectified hidden output; a hidden
     # unit passes gradient where its output is > 0, exactly where its
     # pre-activation is
     inputs = [aux["x"], *aux["hidden"]]
-    grads = [None] * len(params)
     for layer in range(len(inputs) - 1, -1, -1):
-        grads[2 * layer] = inputs[layer].T @ g
-        grads[2 * layer + 1] = g.sum(axis=0, keepdims=True)
+        w, b = out[2 * layer], out[2 * layer + 1]
+        if add:
+            w += inputs[layer].T @ g
+            b += g.sum(axis=0, keepdims=True)
+        else:
+            np.matmul(inputs[layer].T, g, out=w)
+            g.sum(axis=0, keepdims=True, out=b)
         if layer:
             g = g @ params[2 * layer].T
             g *= inputs[layer] > 0.0
-    return grads
 
 
 def _heads_forward(f, params):
@@ -116,29 +117,28 @@ def _heads_forward(f, params):
     return np.concatenate(parts, axis=1)
 
 
-def _heads_grad(f, params, g):
-    """The gradient for ``f`` and that of each of ``params`` for the logits
-    adjoint ``g``."""
+def _heads_grad(f, params, g, out):
+    """The gradient for ``f`` for the logits adjoint ``g``; writes that of
+    each of ``params`` into the matching array of ``out``."""
     # each bias sums its own slice: numpy sums a single column pairwise but
     # a wider block row by row, so slicing one shared column sum would round
     # one-class heads differently; the gradient for f adds the heads' terms
     # last head first, an order the trained weights' rounding depends on
     df = None
-    grads = [None] * len(params)
     hi = g.shape[1]
     for i in range(len(params) - 2, -1, -2):
         w = params[i]
         lo = hi - w.shape[1]
         g_head = g[:, lo:hi]
-        grads[i] = f.T @ g_head
-        grads[i + 1] = g_head.sum(axis=0, keepdims=True)
+        np.matmul(f.T, g_head, out=out[i])
+        g_head.sum(axis=0, keepdims=True, out=out[i + 1])
         term = g_head @ w.T
         if df is None:
             df = term
         else:
             df += term
         hi = lo
-    return df, grads
+    return df
 
 
 class Encoder:
@@ -207,19 +207,26 @@ class Model:
 
     def _pack(self) -> None:
         """Copy every parameter into a new buffer, in :meth:`parameters`
-        order, and rebind the encoder's and heads' arrays to its views."""
-        buffer = np.empty(sum(p.size for p in self._params))
-        views, spans, at = [], [], 0
+        order, rebind the encoder's and heads' arrays to its views and
+        allocate :attr:`grad` beside it."""
+        self._spans, at = [], 0
         for p in self._params:
-            span = slice(at, at + p.size)
-            view = buffer[span].reshape(p.shape)
-            view[...] = p
-            views.append(view)
-            spans.append(span)
+            self._spans.append(slice(at, at + p.size))
             at += p.size
+        buffer, self._grad = np.empty(at), np.empty(at)
+        views = self._views(buffer)
+        for view, p in zip(views, self._params):
+            view[...] = p
         k = self._encoder_size
         self.encoder.weights, self.encoder.biases = views[0:k:2], views[1:k:2]
-        self._buffer, self._params, self._spans = buffer, views, spans
+        self._buffer, self._params = buffer, views
+        self._grads = self._views(self._grad)
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of the 1-D ``flat`` in :attr:`buffer`'s layout, one per
+        parameter in order."""
+        return [flat[span].reshape(p.shape)
+                for span, p in zip(self._spans, self._params)]
 
     @property
     def buffer(self) -> np.ndarray:
@@ -227,6 +234,20 @@ class Model:
         if self._buffer is None:
             self._pack()
         return self._buffer
+
+    @property
+    def grad(self) -> np.ndarray:
+        """A gradient over every parameter in :attr:`buffer`'s layout, which
+        ``trainer.update`` writes; the first read packs it."""
+        if self._buffer is None:
+            self._pack()
+        return self._grad
+
+    def gradients(self) -> list[np.ndarray]:
+        """The views of :attr:`grad`, in :meth:`parameters` order."""
+        if self._buffer is None:
+            self._pack()
+        return self._grads
 
     @classmethod
     def create(cls, d_in: int, rng: np.random.Generator,
@@ -241,32 +262,16 @@ class Model:
     def build_embed(self, tape: Tape, leaf: int, x) -> int:
         """The encoder op on batch ``x`` over ``leaf``, the tape's 1 x P
         view of :attr:`buffer`; returns the embedding node."""
-        x = self.encoder._input(x)
-        return self._encoder_op(tape, leaf, _encoder_forward,
-                                {"x": x.copy()})
-
-    def build_embed_rows(self, tape: Tape, leaf: int, source: int,
-                         start: int) -> int:
-        """The encoder op over ``leaf`` for rows ``start:`` of the earlier
-        encoder op ``source``'s batch: its value and hidden activations are
-        read from that record, not computed again, and it has its own
-        gradient. The caller keeps to :data:`MIN_SHARED_ROWS`."""
-        record = tape.records[source]
-        if record.op != "encoder" or not 0 <= start < len(record.value):
-            raise ShapeMismatchError(
-                f"node {source} has no encoder rows from {start}")
-        return self._encoder_op(tape, leaf, _encoder_rows,
-                                {"source": record, "rows": slice(start, None)})
-
-    def _encoder_op(self, tape: Tape, leaf: int, fwd, aux) -> int:
-        """An ``encoder`` op over ``leaf`` whose value is
-        ``fwd(encoder parameters, aux)``."""
         params = self.parameters()[:self._encoder_size]
-        return tape.apply(
-            "encoder", (leaf,), lambda vals, aux: fwd(params, aux),
-            lambda vals, out, aux, g: [
-                self._grad_row(0, _encoder_grad(params, aux, g))],
-            aux=aux)
+
+        def grad(vals, out, aux, g):
+            row = np.zeros((1, self._buffer.size))
+            _encoder_grad(params, aux, g, self._views(row[0]))
+            return [row]
+
+        return tape.apply("encoder", (leaf,),
+                          lambda vals, aux: _encoder_forward(params, aux),
+                          grad, aux={"x": self.encoder._input(x).copy()})
 
     def logits_all_heads(self, f) -> np.ndarray:
         if not self.task_ids:
@@ -287,21 +292,13 @@ class Model:
             )
 
         def grad(vals, out, aux, g):
-            df, grads = _heads_grad(vals[0], params, g)
-            return [df, self._grad_row(k, grads)]
+            row = np.zeros((1, self._buffer.size))
+            return [_heads_grad(vals[0], params, g, self._views(row[0])[k:]),
+                    row]
 
         return tape.apply("heads", (f_node, leaf),
                           lambda vals, aux: _heads_forward(vals[0], params),
                           grad)
-
-    def _grad_row(self, first: int, grads: Sequence[np.ndarray]
-                  ) -> np.ndarray:
-        """The gradients of parameters ``first:``, in order, as one 1 x P
-        row in :attr:`buffer`'s layout, zero elsewhere."""
-        row = np.zeros((1, self._buffer.size))
-        for span, g in zip(self._spans[first:], grads):
-            row[0, span] = g.reshape(-1)
-        return row
 
     @property
     def _encoder_size(self) -> int:

@@ -1,18 +1,17 @@
 """Dense float64 arrays plus a reverse-mode tape for small networks.
 
 Everything downstream (encoder, heads, losses) works on plain 2-D float64
-numpy arrays. Gradients come from a Wengert-style tape: each op records its
-operands and saved forward value, and ``backward`` walks the records in
-reverse. The tape is rebuilt on every training step; models here are small
-enough that clarity wins over graph caching. Its leaves hold the caller's
-arrays uncopied, so they must stay unwritten until ``backward`` returns.
-
-Every op is recorded through ``Tape.apply`` with its own forward and
-gradient functions. Besides the row normalization here, the ops are coarse:
-the encoder pass, the head block, each loss and the weighted loss sum. Each
-repeats the products, reductions and accumulation order of the primitive
-chain it replaced, so its gradients equal that chain's bit for bit with a
-fraction of the records.
+numpy arrays. Every op is a forward function and a gradient function. A
+training update calls them in a straight line (``trainer.update``), with
+no tape. The Wengert-style tape here records the same functions through
+``Tape.apply``, and ``backward`` walks its records in reverse: ``dgcl
+gradcheck``'s per-loss instances, the op tests and the benchmark's kernel
+sweep use it. A tape's leaves hold the caller's arrays uncopied, so they
+must stay unwritten until ``backward`` returns. Besides the row
+normalization here, the ops are coarse: the encoder pass, the head block
+and each loss. Each repeats the products, reductions and accumulation order
+of the primitive chain it replaced, so its gradients equal that chain's bit
+for bit.
 """
 from __future__ import annotations
 
@@ -78,9 +77,7 @@ class Tape:
     Leaves are the tensors gradients are collected for; data an op reads
     but never differentiates travels in the op's ``aux``. A leaf's value is
     the caller's array itself, not a copy: the caller must not write it
-    while the tape is in use, that is until ``backward`` returns. A
-    training update keeps to this by changing its parameters only after
-    ``backward``.
+    while the tape is in use, that is until ``backward`` returns.
     """
 
     def __init__(self):

@@ -12,20 +12,24 @@ one forward pass over the whole memory. The encoder snapshot refreshes
 exactly once per task boundary.
 
 Each piece of an update is computed once. The regularizer's live embeddings
-are the replay rows of the cross-entropy's encoder pass, recorded as their
-own encoder op. The last repeat's drift probe embeds the memory and the
-batch in one pass, and the batch's rows become the write's embeddings. Both
-rest on each row of a pass of at least ``MIN_SHARED_ROWS`` rows having the
-bits it would have alone; where a part would have a single row, it gets its
-own pass as before, so every value is the one separate passes give.
+are the replay rows of the cross-entropy's encoder pass, with their own
+gradient. The last repeat's drift probe embeds the memory and the batch in
+one pass, and the batch's rows become the write's embeddings. Both rest on
+each row of a pass of at least ``MIN_SHARED_ROWS`` rows having the bits it
+would have alone; where a part would have a single row, it gets its own
+pass as before, so every value is the one separate passes give.
 
-``record_update`` records an update's graph; ``dgcl gradcheck`` checks the
-same function. Its tape has one leaf, the 1 x P view of the model's
-parameter buffer, so ``backward`` returns the whole flat gradient in the
-buffer's layout. The SGD step writes the buffer only after ``backward``, in
-place: ``lr * g`` then the subtraction, the per-array step's two roundings.
-The drift probe takes the stored embeddings' norms from the memory, which
-computes them at each row's write.
+``update`` runs one update in a straight line, with no tape: the forward
+functions of the encoder, heads and losses, the finiteness checks, then
+their gradient functions in the order a tape's reverse sweep would visit
+them. It writes each parameter adjoint into ``Model.grad``, which has the
+parameter buffer's layout: the heads' once, the encoder's from the
+regularizer branch and then, added, from the cross-entropy branch.
+``dgcl gradcheck`` checks the same function. The SGD step writes the buffer
+in place after the gradient: ``lr * g`` then the subtraction, the per-array
+step's two roundings. Each repeat's intermediates, such as KISP's m x m
+arrays, are freed when ``update`` returns. The drift probe takes the stored
+embeddings' norms from the memory, which computes them at each row's write.
 
 ``run_stream`` first asks glibc to keep freed heap in the process: KISP's
 m x m temporaries (720 KB each at m=300) are otherwise unmapped on free and
@@ -46,11 +50,16 @@ from .errors import DivergenceError, OverlappingClassesError, UnknownTaskError
 from .memory import EpisodicMemory, Rows
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
 from .model import (DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, MIN_SHARED_ROWS,
-                    Encoder, Model)
-from .numerics import Tape, backward, l2_normalize, l2_normalize_node
+                    Encoder, Model, _encoder_forward, _encoder_grad,
+                    _heads_forward, _heads_grad, encoder_rows)
+# backward is bound here only so the benchmark's tracer can wrap it
+from .numerics import _l2norm_grad, backward, l2_normalize  # noqa: F401
 
 METHODS = ("finetune", "er", "lfc", "rld", "kisp")
-REGULARIZED = ("lfc", "rld", "kisp")
+_REGULARIZERS = {"lfc": (losses._lfc_forward, losses._lfc_grad),
+                 "rld": (losses._rld_forward, losses._rld_grad),
+                 "kisp": (losses._kisp_forward, losses._kisp_grad)}
+REGULARIZED = tuple(_REGULARIZERS)
 
 
 @dataclass
@@ -136,52 +145,57 @@ def _require_finite(update_index: int, task_id: int, **values) -> None:
             raise DivergenceError(update_index, task_id, component)
 
 
-def record_update(model: Model, config: TrainerConfig, batch_x, batch_y,
-                  replay: Rows | None, snapshot: Encoder | None
-                  ) -> tuple[Tape, int, float, float]:
-    """Record one update on a fresh tape: the cross-entropy over the batch
-    plus ``replay``, and for a regularized method with a snapshot and replay
-    rows, the regularizer on the replay rows' embeddings and the weighted
-    total. The tape's one leaf, node 0, is the 1 x P view of
-    ``model.buffer``. Returns the tape, the loss node and the cross-entropy
-    and regularizer values."""
+def update(model: Model, config: TrainerConfig, batch_x, batch_y,
+           replay: Rows | None, snapshot: Encoder | None,
+           update_index: int = 0, task_id: int = 0) -> losses.LossBreakdown:
+    """One update, written into ``model.grad``: the gradient of the
+    cross-entropy over the batch plus ``replay`` and, for a regularized
+    method with a snapshot and replay rows, of ``config.lam`` times the
+    regularizer on the replay rows' embeddings. The forward half ends with
+    the finiteness checks, which name ``update_index`` and ``task_id``; the
+    gradient half runs the ops' gradients in the order the reverse sweep of
+    a tape would."""
     if replay:
         x_all = np.concatenate([batch_x, replay.x], axis=0)
         y_all = np.concatenate([batch_y, replay.y])
     else:
         x_all, y_all = batch_x, batch_y
-    tape = Tape()
-    leaf = tape.leaf(model.buffer)
-    f_node = model.build_embed(tape, leaf, x_all)
-    logits_node = model.build_logits(tape, leaf, f_node)
-    ce_node = losses.cross_entropy_node(tape, logits_node, y_all)
-    loss_node = ce_node
-    reg_val = 0.0
+    params, grads = model.parameters(), model.gradients()
+    k = 2 * len(model.encoder.weights)
+    shared = {"x": np.ascontiguousarray(model.encoder._input(x_all))}
+    f = _encoder_forward(params[:k], shared)
+    logits = _heads_forward(f, params[k:])
+    ce_aux = losses.ce_aux(logits, y_all)
+    ce = losses._ce_forward([logits], ce_aux)
+    reg = None
     if config.method in REGULARIZED and snapshot is not None and replay:
-        f_pre_raw = snapshot.forward(replay.x)
-        if len(replay) >= MIN_SHARED_ROWS:
-            # the replay rows of the cross-entropy pass
-            f_cur_node = model.build_embed_rows(tape, leaf, f_node,
-                                                len(batch_x))
-        else:
-            f_cur_node = model.build_embed(tape, leaf, replay.x)
-        if config.method == "rld":
-            reg_node = losses.rld_node(tape, f_pre_raw, f_cur_node)
-        else:
-            pre_norm = l2_normalize(f_pre_raw)
-            cur_norm_node = l2_normalize_node(tape, f_cur_node)
-            if config.method == "kisp":
-                reg_node = losses.kisp_node(tape, pre_norm, cur_norm_node,
-                                            config.tau)
-            else:
-                reg_node = losses.lfc_node(tape, pre_norm, cur_norm_node)
-        reg_val = float(tape.value(reg_node)[0, 0])
-        if config.lam != 0.0:
-            # lam = 0 keeps the value for the breakdown but skips the
-            # gradient branch, so the trajectory matches plain replay bit
-            # for bit.
-            loss_node = losses.total_node(tape, ce_node, reg_node, config.lam)
-    return tape, loss_node, float(tape.value(ce_node)[0, 0]), reg_val
+        f_pre = snapshot.forward(replay.x)
+        f_cur, rows = encoder_rows(params[:k], shared, f, len(batch_x))
+        fwd, grad = _REGULARIZERS[config.method]
+        aux, cur = f_pre, f_cur
+        if config.method != "rld":
+            aux, cur = l2_normalize(f_pre), l2_normalize(f_cur)
+        if config.method == "kisp":
+            aux = {"pre": aux, "tau": float(config.tau)}
+        reg = fwd([cur], aux)
+    ce_val = float(ce[0, 0])
+    reg_val = 0.0 if reg is None else float(reg[0, 0])
+    total = losses.total_loss(ce_val, reg_val, config.lam)
+    _require_finite(update_index, task_id, ce=ce_val, regularizer=reg_val,
+                    total=total)
+    # lam = 0 keeps the value for the breakdown but skips the gradient
+    # branch, so the trajectory matches plain replay bit for bit
+    branch = reg is not None and config.lam != 0.0
+    if branch:
+        (g,) = grad([cur], reg, aux, np.array([[config.lam]]))
+        if config.method != "rld":
+            (g,) = _l2norm_grad([f_cur], cur, None, g)
+        _encoder_grad(params[:k], rows, g, grads[:k])
+    (g,) = losses._ce_grad([logits], ce, ce_aux, np.ones((1, 1)))
+    g = _heads_grad(f, params[k:], g, grads[k:])
+    # the encoder's two adjoints in either order: a sum of two commutes
+    _encoder_grad(params[:k], shared, g, grads[:k], add=branch)
+    return losses.LossBreakdown(ce_val, reg_val, total, config.lam)
 
 
 def train_step(state: TrainerState, config: TrainerConfig, batch_x,
@@ -196,20 +210,14 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
     for it in range(config.iterations):
         replay = (state.memory.sample(config.batch_size, state.rng_sample)
                   if config.uses_memory else None)
-        tape, loss_node, ce_val, reg_val = record_update(
-            state.model, config, batch_x, batch_y, replay, state.snapshot)
-        total = losses.total_loss(ce_val, reg_val, config.lam)
-        _require_finite(state.update_index + 1, state.task_id, ce=ce_val,
-                        regularizer=reg_val, total=total)
-        (step,) = backward(tape, loss_node).values()
-        # free this tape's intermediates (KISP's m x m arrays) before the
-        # next repeat records its own
-        del tape
+        breakdown = update(state.model, config, batch_x, batch_y, replay,
+                           state.snapshot, state.update_index + 1,
+                           state.task_id)
+        step = state.model.grad
         step *= config.lr
         buffer = state.model.buffer
-        buffer -= step[0]
+        buffer -= step
         state.update_index += 1
-        breakdown = losses.LossBreakdown(ce_val, reg_val, total, config.lam)
         if config.uses_memory:
             last = it == config.iterations - 1
             drift, ref = _buffer_drift(state, batch_x if last else None)

@@ -15,10 +15,12 @@ scale for RLD, and add / scale for the loss sum in
 ``logistic_regression_fit`` is a plain full-batch classifier that
 calibrates the synthetic stream.
 
-The last three are value forms the package itself has no use for.
+The last four are forms the package itself has no use for.
 ``cross_entropy`` runs the package's cross-entropy node on a throwaway tape,
-the one import from its numeric paths, so the value tests check the node
-training uses. ``kisp_probs`` is the column softmax the KISP node forms, and
+the one import from its numeric paths, so the value tests check the
+functions training uses. ``total_node`` records the weighted loss sum
+ce + lam * reg as a tape op, for tests that join two loss nodes.
+``kisp_probs`` is the column softmax the KISP node forms, and
 ``class_means`` the class means ``synth_stream`` draws.
 """
 import math
@@ -323,6 +325,20 @@ def cross_entropy(logits, labels):
     tape = Tape()
     node = cross_entropy_node(tape, tape.leaf(logits), labels)
     return float(tape.value(node)[0, 0])
+
+
+def _total_forward(vals, lam):
+    return vals[0] + vals[1] * lam
+
+
+def _total_grad(vals, out, lam, g):
+    return [g, g * lam]
+
+
+def total_node(tape, ce, reg, lam):
+    """The tape node ce + lam * reg."""
+    return tape.apply("total", (ce, reg), _total_forward, _total_grad,
+                      aux=float(lam))
 
 
 def kisp_probs(batch):

@@ -16,7 +16,6 @@ from dgcl.losses import (
     lfc_node,
     rld_node,
     total_loss,
-    total_node,
 )
 from dgcl.numerics import (
     Tape,
@@ -38,6 +37,7 @@ from oracles import (
     lfc_loops,
     rld_chain_reference,
     rld_loops,
+    total_node,
 )
 
 # Frozen via the scalar-arithmetic oracle scripted ahead of the build:

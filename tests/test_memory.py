@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,39 @@ class TestWrites:
                             int(rng.integers(0, 3)))
             assert (mem.ref_norms.tobytes()
                     == row_norms(mem.all_items().ref).tobytes())
+
+    def test_ten_tasks_grow_the_store_geometrically(self):
+        # tasks registered one at a time, as a stream does: the pool keeps
+        # every kept row's bytes in order, and each row's norm from its
+        # write, while the store reallocates O(log T) times
+        mem = EpisodicMemory(6, x_dim=3, ref_dim=32)
+        rng = np.random.default_rng(8)
+        kept = {}
+        stores = [mem._arrays[0]]
+        for t in range(10):
+            mem.register_task(t)
+            kept[t] = []
+            if mem._arrays[0] is not stores[-1]:
+                stores.append(mem._arrays[0])
+            for _ in range(int(rng.integers(1, 5))):
+                n = int(rng.integers(1, 9))
+                x = rng.standard_normal((n, 3))
+                y = rng.integers(0, 100, size=n)
+                ref = rng.standard_normal((n, 32))
+                norms = row_norms(ref)
+                mem.write_batch(x, y, ref, t)
+                kept[t] = (kept[t] + [(x[i], y[i], ref[i], norms[i])
+                                      for i in range(n)])[-6:]
+                x, y, ref, norms = zip(*(r for k in sorted(kept)
+                                         for r in kept[k]))
+                pool = mem.all_items()
+                assert pool.x.tobytes() == np.array(x).tobytes()
+                assert pool.y.tolist() == list(y)
+                assert pool.ref.tobytes() == np.array(ref).tobytes()
+                assert mem.ref_norms.tobytes() == np.array(norms).tobytes()
+        # capacity for 1, 2, 4, 8 and 16 tasks after the empty store
+        assert len(stores) - 1 == 5 <= 2 + math.log2(10)
+        assert len(stores[-1]) == 16 * 6
 
     def test_writes_are_deterministic(self):
         def build():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dgcl.errors import DuplicateTaskError, NoHeadsError, ShapeMismatchError
-from dgcl.model import MIN_SHARED_ROWS, Encoder, Model
+from dgcl.model import (MIN_SHARED_ROWS, Encoder, Model, _encoder_forward,
+                        _encoder_grad, encoder_rows)
 from dgcl.numerics import Tape, backward, finite_diff_check
 from dgcl.losses import cross_entropy_node
 
@@ -430,33 +431,41 @@ class TestSharedRows:
     @pytest.mark.parametrize("n,start", [(12, 10), (12, 2), (300, 150),
                                          (301, 1), (2, 0)])
     def test_rows_op_equals_its_own_pass(self, n, start):
+        # the training update's row-sharing point: value, batch, hidden
+        # activations and parameter gradient all equal a pass of their own
         rng = np.random.default_rng([59, n, start])
         model = Model.create(16, rng)
         x = rng.standard_normal((n, 16))
         adjoint = rng.standard_normal((n - start, 32))
-        tape = Tape()
-        leaf = tape.leaf(model.buffer)
-        full = model.build_embed(tape, leaf, x)
-        rows = model.build_embed_rows(tape, leaf, full, start)
-        (grad,) = backward(tape, adjoint_loss(tape, rows, adjoint)).values()
-        own = Tape()
-        alone = model.build_embed(own, own.leaf(model.buffer), x[start:])
-        (own_grad,) = backward(own, adjoint_loss(own, alone,
-                                                 adjoint)).values()
-        got, want = tape.records[rows], own.records[alone]
-        assert got.op == want.op == "encoder"
-        assert np.array_equal(got.value, want.value)
-        assert np.array_equal(got.aux["x"], want.aux["x"])
-        for a, b in zip(got.aux["hidden"], want.aux["hidden"], strict=True):
+        params = model.encoder.parameters()
+        full = {"x": x}
+        f = _encoder_forward(params, full)
+        value, rows = encoder_rows(params, full, f, start)
+        alone = {"x": x[start:].copy()}
+        assert np.shares_memory(value, f)
+        assert np.array_equal(value, _encoder_forward(params, alone))
+        assert np.array_equal(rows["x"], alone["x"])
+        for a, b in zip(rows["hidden"], alone["hidden"], strict=True):
             assert np.array_equal(a, b)
-        assert np.array_equal(grad, own_grad)
+        got = [np.empty_like(p) for p in params]
+        want = [np.empty_like(p) for p in params]
+        _encoder_grad(params, rows, adjoint, got)
+        _encoder_grad(params, alone, adjoint, want)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
 
-    def test_rows_need_an_encoder_op(self):
-        model = small_model()
-        tape = Tape()
-        leaf = tape.leaf(model.buffer)
-        full = model.build_embed(tape, leaf, np.ones((3, 4)))
-        with pytest.raises(ShapeMismatchError):
-            model.build_embed_rows(tape, leaf, leaf, 1)
-        with pytest.raises(ShapeMismatchError):
-            model.build_embed_rows(tape, leaf, full, 3)
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_one_row_gets_its_own_pass(self, n):
+        # a single row would go through a matrix-vector product, whose bits
+        # may differ from its row of a larger pass
+        rng = np.random.default_rng([61, n])
+        model = Model.create(16, rng)
+        x = rng.standard_normal((n, 16))
+        params = model.encoder.parameters()
+        full = {"x": x}
+        f = _encoder_forward(params, full)
+        value, rows = encoder_rows(params, full, f, n - 1)
+        assert not np.shares_memory(value, f)
+        assert value.tobytes() == model.embed(x[n - 1:]).tobytes()
+        assert rows["x"].tobytes() == x[n - 1:].tobytes()
+        assert [h.shape for h in rows["hidden"]] == [(1, 64)]
