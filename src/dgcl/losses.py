@@ -19,10 +19,12 @@ embeddings as their only input: the snapshot embeddings are data, held in
 ``aux`` and never differentiated. Cross-entropy and KISP keep their softmax
 pieces in a fresh ``aux`` dict per use, so the gradient reuses them:
 cross-entropy its shifted exponentials and their row sums, KISP its
-exponentials, column sums and leave-one-out sums. The KISP forward forms
-the similarity matrix itself and its gradient returns that of the
-similarity-matrix chain (transpose, product, temperature scale) operand for
-operand. The LFC and RLD functions likewise repeat their old primitive
+exponentials, column sums and leave-one-out sums. ``ce_aux`` turns the
+labels into one flat index of each row's label entry, through which the
+forward picks the label logits and the gradient subtracts one. The KISP
+forward forms the similarity matrix itself and its gradient returns that
+of the similarity-matrix chain (transpose, product, temperature scale)
+operand for operand. The LFC and RLD functions likewise repeat their old primitive
 chains' products and sums.
 
 ``kisp_loss``, the KISP value on a throwaway tape, and its input
@@ -97,26 +99,30 @@ def _ce_forward(vals, aux):
     """Mean over rows of log-sum-exp minus the label's logit. Keeps the
     shifted exponentials ``e`` and their row sums ``rowsum`` in ``aux`` for
     the gradient."""
-    logits, labels = vals[0], aux["labels"]
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    logits = vals[0]
+    # C order, so the flat index picks each row's label entry
+    shifted = np.subtract(logits, logits.max(axis=1, keepdims=True),
+                          order="C")
     e = np.exp(shifted)
     rowsum = e.sum(axis=1, keepdims=True)
     aux.update(e=e, rowsum=rowsum)
     d = np.log(rowsum[:, 0])
-    d -= shifted[np.arange(logits.shape[0]), labels]
+    d -= shifted.reshape(-1)[aux["index"]]
     # the arithmetic of np.mean
     return np.array([[d.sum() / d.size]])
 
 
 def _ce_grad(vals, out, aux, g):
     p = aux["e"] / aux["rowsum"]
-    p[np.arange(p.shape[0]), aux["labels"]] -= 1.0
+    p.reshape(-1)[aux["index"]] -= 1.0
     return [g[0, 0] * p / p.shape[0]]
 
 
 def ce_aux(logits: np.ndarray, labels) -> dict:
     """A fresh aux dict for the cross-entropy of ``logits``, holding the
-    checked ``labels``: the forward fills it, the gradient reads it."""
+    checked labels as ``index``, each row's label entry as a flat index
+    into a C-ordered array of the logits' shape: the forward fills it, the
+    gradient reads it."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n, classes = logits.shape
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
@@ -126,7 +132,7 @@ def ce_aux(logits: np.ndarray, labels) -> dict:
         )
     if labels.size != n:
         raise ShapeMismatchError(f"{n} logit rows but {labels.size} labels")
-    return {"labels": labels}
+    return {"index": labels + np.arange(0, n * classes, classes)}
 
 
 def cross_entropy_node(tape: Tape, logits: int, labels) -> int:

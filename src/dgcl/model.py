@@ -7,13 +7,21 @@ order, so global class indices are per-task offsets plus local indices.
 
 An encoder pass keeps its input batch and hidden activations in an aux
 dict for the gradient; the batch is data, so its gradient is never formed.
-The pass and the head block repeat the affine / relu / concatenate chain's
+The pass and the heads repeat the affine / relu / concatenate chain's
 arithmetic operand for operand, so values and gradients equal that chain's
-bit for bit, and the plain forward passes run the same functions. A
+bit for bit, and the plain forward passes (evaluation too) run the same
+functions. Each maximal run of equal-width heads is one block, whose
+weights (count x d x width) and biases (count x 1 x width) are strided
+views of the run's stretch of the buffer: one stacked product per block
+gives the logits, the weight gradients and the gradient for the
+embeddings. Each slice of a stacked product has the strides of the
+per-head 2-D product, so numpy hands BLAS the same call and the bits are
+the per-head ones; only a one-class head's bias gradient, a column sum,
+rounds differently when stacked, so it keeps a sum of its own. A
 training update (``trainer.update``) calls those functions in a straight
 line; on a tape, for ``dgcl gradcheck``'s per-loss instances and the op
-tests, the pass is one ``encoder`` op and the head block one ``heads`` op
-over a leaf holding the 1 x P view of ``Model.buffer``.
+tests, the pass is one ``encoder`` op and the heads one ``heads`` op over
+a leaf holding the 1 x P view of ``Model.buffer``.
 
 The gradient functions write each parameter's gradient into an array of
 ``out``, in place: in training the views of ``Model.grad``, on a tape the
@@ -24,7 +32,9 @@ would get alone, so the slice equals a separate pass over those rows.
 ``Model.buffer`` is one contiguous float64 array that holds every parameter
 in ``Model.parameters()`` order with no padding: the encoder's (W1, b1, ...,
 WL, bL), then each task head's (W, b) in task order, each a C-ordered view
-of its stretch. ``Model._pack`` alone lays it out. A new model packs at the
+of its stretch. ``Model._pack`` alone lays it out and builds the views,
+per parameter and per head block, of the buffer, of the gradient and, for
+the tape, of any flat row in that layout. A new model packs at the
 first read of its buffer or parameter list, and ``Model.add_head`` packs
 again, so a training run packs once per task; views taken before a pack
 belong to the old buffer. Each pack also allocates ``Model.grad``, a
@@ -104,39 +114,47 @@ def _encoder_grad(params, aux, g, out, add=False):
             g *= inputs[layer] > 0.0
 
 
-def _heads_forward(f, params):
-    """Logits on ``f`` of every head in ``params`` = (W, b) per head,
-    concatenated in task order."""
+def _heads_forward(f, blocks):
+    """Logits on ``f`` of every head block in ``blocks`` = (W, b) per block,
+    concatenated in task order: one stacked product and bias add per block.
+    The logits are C-ordered, which a block of one-class heads' reshape
+    alone would not be."""
     parts = []
-    for i in range(0, len(params), 2):
-        part = f @ params[i]
-        part += params[i + 1]
-        parts.append(part)
+    for w, b in blocks:
+        z = np.matmul(f, w)
+        z += b
+        parts.append(np.ascontiguousarray(
+            z.transpose(1, 0, 2).reshape(len(f), b.size)))
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts, axis=1)
 
 
-def _heads_grad(f, params, g, out):
+def _heads_grad(f, blocks, g, out):
     """The gradient for ``f`` for the logits adjoint ``g``; writes that of
-    each of ``params`` into the matching array of ``out``."""
-    # each bias sums its own slice: numpy sums a single column pairwise but
-    # a wider block row by row, so slicing one shared column sum would round
-    # one-class heads differently; the gradient for f adds the heads' terms
-    # last head first, an order the trained weights' rounding depends on
+    each block's (W, b) in ``blocks`` into the matching pair of ``out``."""
+    # a one-class head sums its own bias column: numpy sums a single column
+    # pairwise but a stacked one row by row, as it does a wider block; the
+    # gradient for f adds the heads' terms last head first, an order the
+    # trained weights' rounding depends on
     df = None
     hi = g.shape[1]
-    for i in range(len(params) - 2, -1, -2):
-        w = params[i]
-        lo = hi - w.shape[1]
-        g_head = g[:, lo:hi]
-        np.matmul(f.T, g_head, out=out[i])
-        g_head.sum(axis=0, keepdims=True, out=out[i + 1])
-        term = g_head @ w.T
-        if df is None:
-            df = term
+    for (w, _), (w_out, b_out) in zip(reversed(blocks), reversed(out)):
+        count, _, width = w.shape
+        lo = hi - count * width
+        g_blk = g[:, lo:hi].reshape(len(f), count, width).transpose(1, 0, 2)
+        np.matmul(f.T, g_blk, out=w_out)
+        if width == 1:
+            for t in range(count):
+                g_blk[t].sum(axis=0, keepdims=True, out=b_out[t])
         else:
-            df += term
+            g_blk.sum(axis=1, keepdims=True, out=b_out)
+        terms = g_blk @ w.transpose(0, 2, 1)
+        for t in range(count - 1, -1, -1):
+            if df is None:
+                df = terms[t]
+            else:
+                df += terms[t]
         hi = lo
     return df
 
@@ -208,25 +226,50 @@ class Model:
     def _pack(self) -> None:
         """Copy every parameter into a new buffer, in :meth:`parameters`
         order, rebind the encoder's and heads' arrays to its views and
-        allocate :attr:`grad` beside it."""
+        allocate :attr:`grad` beside it; group the heads into blocks."""
         self._spans, at = [], 0
         for p in self._params:
             self._spans.append(slice(at, at + p.size))
             at += p.size
+        # each maximal run of equal-width heads is one block: [start of
+        # its stretch, head count, width]
+        k = self._encoder_size
+        self._block_spans = []
+        for w, span in zip(self._params[k::2], self._spans[k::2]):
+            if self._block_spans and self._block_spans[-1][2] == w.shape[1]:
+                self._block_spans[-1][1] += 1
+            else:
+                self._block_spans.append([span.start, 1, w.shape[1]])
         buffer, self._grad = np.empty(at), np.empty(at)
         views = self._views(buffer)
         for view, p in zip(views, self._params):
             view[...] = p
-        k = self._encoder_size
         self.encoder.weights, self.encoder.biases = views[0:k:2], views[1:k:2]
         self._buffer, self._params = buffer, views
         self._grads = self._views(self._grad)
+        self._blocks, self._grad_blocks = (self._head_blocks(buffer),
+                                           self._head_blocks(self._grad))
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Views of the 1-D ``flat`` in :attr:`buffer`'s layout, one per
         parameter in order."""
         return [flat[span].reshape(p.shape)
                 for span, p in zip(self._spans, self._params)]
+
+    def _head_blocks(self, flat: np.ndarray) -> list[tuple[np.ndarray,
+                                                           np.ndarray]]:
+        """Views of the head stretch of the 1-D ``flat``, in :attr:`buffer`'s
+        layout: per block of ``count`` heads of ``width`` classes, its
+        weights (count x d x width) and biases (count x 1 x width)."""
+        d = self.encoder.embed_dim
+        blocks = []
+        for start, count, width in self._block_spans:
+            size = (d + 1) * width
+            rows = flat[start:start + count * size].reshape(count, size)
+            blocks.append(
+                (rows[:, :d * width].reshape(count, d, width, copy=False),
+                 rows[:, d * width:].reshape(count, 1, width, copy=False)))
+        return blocks
 
     @property
     def buffer(self) -> np.ndarray:
@@ -248,6 +291,13 @@ class Model:
         if self._buffer is None:
             self._pack()
         return self._grads
+
+    def head_blocks(self) -> tuple[list, list]:
+        """The heads' (W, b) block views of :attr:`buffer`, then of
+        :attr:`grad`, one pair per run of equal-width heads."""
+        if self._buffer is None:
+            self._pack()
+        return self._blocks, self._grad_blocks
 
     @classmethod
     def create(cls, d_in: int, rng: np.random.Generator,
@@ -276,16 +326,15 @@ class Model:
     def logits_all_heads(self, f) -> np.ndarray:
         if not self.task_ids:
             raise NoHeadsError("no classification heads registered")
-        return _heads_forward(as_matrix(f), self._params[self._encoder_size:])
+        return _heads_forward(as_matrix(f), self.head_blocks()[0])
 
     def build_logits(self, tape: Tape, leaf: int, f_node: int) -> int:
         """The heads op on the embedding node ``f_node`` over ``leaf``, the
         tape's 1 x P view of :attr:`buffer`; returns the logits node."""
         if not self.task_ids:
             raise NoHeadsError("no classification heads registered")
-        k = self._encoder_size
-        params = self.parameters()[k:]
-        width, rows = tape.value(f_node).shape[1], params[0].shape[0]
+        blocks = self.head_blocks()[0]
+        width, rows = tape.value(f_node).shape[1], blocks[0][0].shape[1]
         if width != rows:
             raise ShapeMismatchError(
                 f"heads take {rows}-wide embeddings, got {width} columns"
@@ -293,11 +342,11 @@ class Model:
 
         def grad(vals, out, aux, g):
             row = np.zeros((1, self._buffer.size))
-            return [_heads_grad(vals[0], params, g, self._views(row[0])[k:]),
-                    row]
+            return [_heads_grad(vals[0], blocks, g,
+                                self._head_blocks(row[0])), row]
 
         return tape.apply("heads", (f_node, leaf),
-                          lambda vals, aux: _heads_forward(vals[0], params),
+                          lambda vals, aux: _heads_forward(vals[0], blocks),
                           grad)
 
     @property

@@ -11,6 +11,19 @@ inside its own step. The drift probe compares those stored embeddings with
 one forward pass over the whole memory. The encoder snapshot refreshes
 exactly once per task boundary.
 
+The snapshot applies to the replayed rows only, and a row's snapshot
+embedding changes only with the snapshot, so the memory of a regularized
+method keeps each row's operand: the snapshot embedding, unit-scaled for
+lfc and kisp, and its norm (``snapshot_operands``). Setting
+``TrainerState.snapshot``, at the task boundary or directly, recomputes
+every stored row's operand in one pass; ``run_task`` computes the task's
+whole stream in one pass when it starts, and each write stores its rows'
+slice. An update reads the replayed rows' operands, and raises for a
+zero-norm one, as normalizing it would. A 1-row stream or memory pass is
+padded to ``MIN_SHARED_ROWS`` rows and a 1-row replay takes its own
+snapshot pass, so every operand has the bits a fresh pass over the replay
+gives.
+
 Each piece of an update is computed once. The regularizer's live embeddings
 are the replay rows of the cross-entropy's encoder pass, with their own
 gradient. The last repeat's drift probe embeds the memory and the batch in
@@ -53,13 +66,18 @@ from .model import (DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, MIN_SHARED_ROWS,
                     Encoder, Model, _encoder_forward, _encoder_grad,
                     _heads_forward, _heads_grad, encoder_rows)
 # backward is bound here only so the benchmark's tracer can wrap it
-from .numerics import _l2norm_grad, backward, l2_normalize  # noqa: F401
+from .numerics import (EPS_NORM, _l2norm_grad, backward,  # noqa: F401
+                       l2_normalize, require_norms, row_norms)
 
 METHODS = ("finetune", "er", "lfc", "rld", "kisp")
 _REGULARIZERS = {"lfc": (losses._lfc_forward, losses._lfc_grad),
                  "rld": (losses._rld_forward, losses._rld_grad),
                  "kisp": (losses._kisp_forward, losses._kisp_grad)}
 REGULARIZED = tuple(_REGULARIZERS)
+
+# the cross-entropy's adjoint: d(loss)/d(loss)
+_ONE = np.ones((1, 1))
+_ONE.setflags(write=False)
 
 
 @dataclass
@@ -96,16 +114,55 @@ class TrainerConfig:
         return self.method != "finetune"
 
 
+def snapshot_operands(snapshot: Encoder, x, unit: bool
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's regularizer operand under ``snapshot``, its embedding
+    scaled to unit norm if ``unit`` (lfc, kisp) or as it is (rld), and the
+    embedding's norm, from one pass over ``x``. A 1-row ``x`` is padded to
+    ``MIN_SHARED_ROWS`` rows, so every row has the bits any snapshot pass
+    of at least ``MIN_SHARED_ROWS`` rows gives it. A row whose norm is below
+    ``EPS_NORM`` is left unscaled: ``update`` raises when it replays it."""
+    n = len(x)
+    if n < MIN_SHARED_ROWS:
+        x = np.concatenate([x, np.zeros((MIN_SHARED_ROWS - n, x.shape[1]))])
+    pre = snapshot.forward(x)[:n]
+    norms = row_norms(pre)
+    if unit:
+        pre = pre / np.where(norms < EPS_NORM, 1.0, norms)[:, None]
+    return pre, norms
+
+
 @dataclass
 class TrainerState:
     model: Model
     memory: EpisodicMemory
     rng_sample: np.random.Generator
     rng_init: np.random.Generator
-    snapshot: Encoder | None = None
+    # the regularized method whose snapshot operands the memory keeps
+    regularizer: str | None = None
     task_id: int = 0
     update_index: int = 0
     drift: DriftLog = field(default_factory=DriftLog)
+    _snapshot: Encoder | None = field(default=None, repr=False)
+
+    @property
+    def snapshot(self) -> Encoder | None:
+        """The frozen encoder of the last task's end, or None."""
+        return self._snapshot
+
+    @snapshot.setter
+    def snapshot(self, encoder: Encoder | None) -> None:
+        # the memory rows' operands follow the snapshot, however it is set
+        self._snapshot = encoder
+        if self.regularizer and encoder is not None:
+            self.memory.set_operands(self.operands)
+
+    def operands(self, x) -> tuple[np.ndarray, np.ndarray] | None:
+        """``snapshot_operands`` of the rows ``x`` under :attr:`snapshot`
+        for the memory, or None if it keeps none or there is no snapshot."""
+        if self.regularizer is None or self._snapshot is None:
+            return None
+        return snapshot_operands(self._snapshot, x, self.regularizer != "rld")
 
 
 def init_state(config: TrainerConfig, d_in: int,
@@ -114,10 +171,12 @@ def init_state(config: TrainerConfig, d_in: int,
     rng_init = np.random.default_rng([config.seed, 101])
     rng_sample = np.random.default_rng([config.seed, 202])
     model = Model.create(d_in, rng_init, hidden=hidden, embed_dim=embed_dim)
+    regularized = config.method in REGULARIZED
     return TrainerState(model=model,
                         memory=EpisodicMemory(config.memory_size, d_in,
-                                              embed_dim),
-                        rng_sample=rng_sample, rng_init=rng_init)
+                                              embed_dim, regularized),
+                        rng_sample=rng_sample, rng_init=rng_init,
+                        regularizer=config.method if regularized else None)
 
 
 def _buffer_drift(state: TrainerState, batch_x=None
@@ -151,60 +210,80 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     """One update, written into ``model.grad``: the gradient of the
     cross-entropy over the batch plus ``replay`` and, for a regularized
     method with a snapshot and replay rows, of ``config.lam`` times the
-    regularizer on the replay rows' embeddings. The forward half ends with
-    the finiteness checks, which name ``update_index`` and ``task_id``; the
-    gradient half runs the ops' gradients in the order the reverse sweep of
-    a tape would."""
+    regularizer on the replay rows' embeddings against their snapshot
+    operands: ``replay.pre`` for at least ``MIN_SHARED_ROWS`` rows that
+    carry them, else a snapshot pass over ``replay.x``. The forward half
+    ends with the finiteness checks, which name ``update_index`` and
+    ``task_id``; the gradient half runs the ops' gradients in the order the
+    reverse sweep of a tape would."""
     if replay:
         x_all = np.concatenate([batch_x, replay.x], axis=0)
         y_all = np.concatenate([batch_y, replay.y])
     else:
         x_all, y_all = batch_x, batch_y
     params, grads = model.parameters(), model.gradients()
+    blocks, block_grads = model.head_blocks()
     k = 2 * len(model.encoder.weights)
     shared = {"x": np.ascontiguousarray(model.encoder._input(x_all))}
     f = _encoder_forward(params[:k], shared)
-    logits = _heads_forward(f, params[k:])
+    logits = _heads_forward(f, blocks)
     ce_aux = losses.ce_aux(logits, y_all)
     ce = losses._ce_forward([logits], ce_aux)
     reg = None
     if config.method in REGULARIZED and snapshot is not None and replay:
-        f_pre = snapshot.forward(replay.x)
+        unit = config.method != "rld"
+        if len(replay) >= MIN_SHARED_ROWS and replay.pre is not None:
+            # the rows' operands from the memory: a pass of their own
+            # would give the same bits
+            aux = replay.pre
+            if unit:
+                require_norms(replay.pre_norms)
+        else:
+            aux = snapshot.forward(replay.x)
+            if unit:
+                aux = l2_normalize(aux)
         f_cur, rows = encoder_rows(params[:k], shared, f, len(batch_x))
         fwd, grad = _REGULARIZERS[config.method]
-        aux, cur = f_pre, f_cur
-        if config.method != "rld":
-            aux, cur = l2_normalize(f_pre), l2_normalize(f_cur)
+        cur = l2_normalize(f_cur) if unit else f_cur
         if config.method == "kisp":
             aux = {"pre": aux, "tau": float(config.tau)}
         reg = fwd([cur], aux)
     ce_val = float(ce[0, 0])
     reg_val = 0.0 if reg is None else float(reg[0, 0])
     total = losses.total_loss(ce_val, reg_val, config.lam)
-    _require_finite(update_index, task_id, ce=ce_val, regularizer=reg_val,
-                    total=total)
+    # a finite total has finite parts: an infinite part makes it inf or
+    # NaN, even at lam = 0, since 0 * inf is NaN
+    if not math.isfinite(total):
+        _require_finite(update_index, task_id, ce=ce_val,
+                        regularizer=reg_val, total=total)
     # lam = 0 keeps the value for the breakdown but skips the gradient
     # branch, so the trajectory matches plain replay bit for bit
     branch = reg is not None and config.lam != 0.0
     if branch:
         (g,) = grad([cur], reg, aux, np.array([[config.lam]]))
-        if config.method != "rld":
+        if unit:
             (g,) = _l2norm_grad([f_cur], cur, None, g)
         _encoder_grad(params[:k], rows, g, grads[:k])
-    (g,) = losses._ce_grad([logits], ce, ce_aux, np.ones((1, 1)))
-    g = _heads_grad(f, params[k:], g, grads[k:])
+    (g,) = losses._ce_grad([logits], ce, ce_aux, _ONE)
+    g = _heads_grad(f, blocks, g, block_grads)
     # the encoder's two adjoints in either order: a sum of two commutes
     _encoder_grad(params[:k], shared, g, grads[:k], add=branch)
     return losses.LossBreakdown(ce_val, reg_val, total, config.lam)
 
 
 def train_step(state: TrainerState, config: TrainerConfig, batch_x,
-               batch_y) -> losses.LossBreakdown:
-    """One batch: ``iterations`` gradient steps, then the memory write."""
+               batch_y, operands=None) -> losses.LossBreakdown:
+    """One batch: ``iterations`` gradient steps, then the memory write.
+    ``operands`` are the batch rows' ``state.operands``, if the caller has
+    them; the write otherwise takes them from a pass over the batch."""
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=np.int64).reshape(-1)
     if state.task_id not in state.model.task_ids:
         raise UnknownTaskError(f"no head registered for task {state.task_id}")
+    if state.regularizer != (config.method if config.method in REGULARIZED
+                             else None):
+        raise ValueError(f"a {config.method} step on a state made for "
+                         f"{state.regularizer or 'no regularizer'}")
     breakdown = losses.LossBreakdown(0.0, 0.0, 0.0, config.lam)
     ref = None
     for it in range(config.iterations):
@@ -222,12 +301,17 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
             last = it == config.iterations - 1
             drift, ref = _buffer_drift(state, batch_x if last else None)
             if drift is not None:
-                _require_finite(state.update_index, state.task_id, drift=drift)
+                if not math.isfinite(drift):
+                    _require_finite(state.update_index, state.task_id,
+                                    drift=drift)
                 state.drift.append(state.update_index, state.task_id, drift)
     if config.uses_memory:
         if ref is None:
             ref = state.model.embed(batch_x)
-        state.memory.write_batch(batch_x, batch_y, ref, state.task_id)
+        if operands is None:
+            operands = state.operands(batch_x)
+        state.memory.write_batch(batch_x, batch_y, ref, state.task_id,
+                                 operands)
     return breakdown
 
 
@@ -239,10 +323,14 @@ def run_task(state: TrainerState, config: TrainerConfig,
                                "registered before running the task")
     state.task_id = task.task_id
     n = task.n_train
+    # the whole stream's snapshot operands in one pass, for the writes
+    operands = state.operands(task.train_x)
     for start in range(0, n, config.batch_size):
         stop = min(start + config.batch_size, n)
         train_step(state, config, task.train_x[start:stop],
-                   task.train_y[start:stop])
+                   task.train_y[start:stop],
+                   operands and tuple(a[start:stop] for a in operands))
+    del operands
     # once per task, not per update: a full scan of every parameter
     if not np.isfinite(state.model.buffer).all():
         raise DivergenceError(state.update_index, state.task_id, "parameters")

@@ -3,7 +3,8 @@ import pytest
 
 from dgcl.errors import DuplicateTaskError, NoHeadsError, ShapeMismatchError
 from dgcl.model import (MIN_SHARED_ROWS, Encoder, Model, _encoder_forward,
-                        _encoder_grad, encoder_rows)
+                        _encoder_grad, _heads_forward, _heads_grad,
+                        encoder_rows)
 from dgcl.numerics import Tape, backward, finite_diff_check
 from dgcl.losses import cross_entropy_node
 
@@ -469,3 +470,79 @@ class TestSharedRows:
         assert value.tobytes() == model.embed(x[n - 1:]).tobytes()
         assert rows["x"].tobytes() == x[n - 1:].tobytes()
         assert [h.shape for h in rows["hidden"]] == [(1, 64)]
+
+
+class TestStackedHeads:
+    """Each run of equal-width heads is one block, whose stacked product,
+    bias add, weight and bias gradients and adjoint for the embeddings
+    equal the per-head 2-D ops bit for bit (a one-class head sums its bias
+    on its own): the property the head blocks rest on."""
+
+    @staticmethod
+    def check(widths, n, seed):
+        rng = np.random.default_rng([61, n, seed, *widths])
+        model = Model.create(12, rng, hidden=(16,), embed_dim=32)
+        for t, width in enumerate(widths):
+            model.add_head(t, width, rng)
+            model.parameters()[-1][:] = rng.standard_normal((1, width))
+        blocks, block_grads = model.head_blocks()
+        assert len(blocks) == 1 + sum(a != b for a, b in zip(widths,
+                                                              widths[1:]))
+        f = rng.standard_normal((n, 32))
+        g = rng.standard_normal((n, sum(widths)))
+        logits = _heads_forward(f, blocks)
+        d_f = _heads_grad(f, blocks, g, block_grads)
+        k = 2 * len(model.encoder.weights)
+        grads = model.gradients()[k:]
+        hi, want_d_f = g.shape[1], None
+        for (w, b), (gw, gb) in zip(reversed(heads_of(model)),
+                                    reversed(list(zip(grads[0::2],
+                                                      grads[1::2])))):
+            lo = hi - w.shape[1]
+            g_head = g[:, lo:hi]
+            part = f @ w
+            part += b
+            assert np.array_equal(logits[:, lo:hi], part)
+            assert np.array_equal(gw, np.matmul(f.T, g_head))
+            assert np.array_equal(gb, g_head.sum(axis=0, keepdims=True))
+            term = g_head @ w.T
+            want_d_f = term if want_d_f is None else want_d_f + term
+            hi = lo
+        assert logits.flags.c_contiguous and logits.shape == g.shape
+        assert np.array_equal(d_f, want_d_f)
+        assert np.array_equal(model.logits_all_heads(f), logits)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 600])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_uniform_widths(self, width, n):
+        for heads in range(1, 11):
+            self.check([width] * heads, n, heads)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 600])
+    @pytest.mark.parametrize("widths", [
+        [1, 1, 2, 2, 2, 3], [3, 1, 3, 1], [2, 2, 1, 1, 1, 1, 5, 5],
+        [1, 2, 3, 1, 2, 3, 1, 2, 3, 1], [4, 4, 4, 1],
+    ])
+    def test_mixed_widths(self, widths, n):
+        self.check(widths, n, 0)
+
+    def test_blocks_are_views_of_the_buffer(self):
+        model = Model.create(12, np.random.default_rng(3), hidden=(16,),
+                             embed_dim=8)
+        for t, width in enumerate([2, 2, 2, 1, 3, 3]):
+            model.add_head(t, width, np.random.default_rng(t))
+        blocks, block_grads = model.head_blocks()
+        assert [w.shape for w, _ in blocks] == [(3, 8, 2), (1, 8, 1),
+                                                (2, 8, 3)]
+        k = 2 * len(model.encoder.weights)
+        heads = iter(heads_of(model))
+        grads = iter(zip(model.gradients()[k::2], model.gradients()[k + 1::2]))
+        for (w, b), (gw, gb) in zip(blocks, block_grads, strict=True):
+            assert w.base is model.buffer and gw.base is model.grad
+            for t in range(len(w)):
+                (hw, hb), (hgw, hgb) = next(heads), next(grads)
+                for block, head in ((w[t], hw), (b[t], hb), (gw[t], hgw),
+                                    (gb[t], hgb)):
+                    assert block.ctypes.data == head.ctypes.data
+                    assert block.shape == head.shape
+                    assert block.strides == head.strides
