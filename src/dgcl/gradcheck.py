@@ -7,9 +7,7 @@ loss on a tape. The ``total`` instance is a training update as
 ``trainer.update`` runs it, for a method drawn from er, lfc, rld and kisp:
 the encoder pass (one rectified hidden layer) and head block (two or three
 heads) into cross-entropy, plus the weighted regularizer on the replay rows
-of the same encoder pass, or of their own pass for a 1-row replay. The
-replay carries the snapshot operands the memory keeps in training, except
-that a 1-row replay takes its own snapshot pass, as in training. Its
+of the same encoder pass, or of their own pass for a 1-row replay. Its
 differences are taken on the model's parameter buffer itself, so they check
 the flat gradient the SGD step uses, with the relu mask and both branches'
 shared parameters.
@@ -20,11 +18,10 @@ import numpy as np
 
 from . import losses
 from .memory import Rows
-from .model import MIN_SHARED_ROWS, Encoder, Model
+from .model import Encoder, Model
 from .numerics import (Tape, backward, finite_diff_check, l2_normalize,
                        l2_normalize_node)
-from .trainer import (METHODS, REGULARIZED, TrainerConfig, snapshot_operands,
-                      update)
+from .trainer import METHODS, TrainerConfig, update
 
 TOLERANCE = 1e-4
 LOSS_NAMES = ("ce", "kisp", "lfc", "rld", "total")
@@ -117,13 +114,7 @@ def _total_instance(rng):
         model.add_head(task_id, count, rng)
         classes += count
     labels = rng.integers(0, classes, size=n + m)
-    # the replay's snapshot operands as the memory keeps them in training;
-    # a 1-row replay takes its own snapshot pass
-    operands = ()
-    if config.method in REGULARIZED and m >= MIN_SHARED_ROWS:
-        operands = snapshot_operands(snapshot, x_mem, config.method != "rld")
-    # update never reads the write-time embeddings
-    replay = Rows(x_mem, labels[n:], np.zeros((m, sizes[2])), *operands)
+    replay = Rows(x_mem, labels[n:], snapshot.forward(x_mem))
 
     def fn(params):
         # params is [model.buffer], which the model's views share

@@ -24,8 +24,8 @@ labels into one flat index of each row's label entry, through which the
 forward picks the label logits and the gradient subtracts one. The KISP
 forward forms the similarity matrix itself and its gradient returns that
 of the similarity-matrix chain (transpose, product, temperature scale)
-operand for operand. The LFC and RLD functions likewise repeat their old primitive
-chains' products and sums.
+operand for operand. The LFC and RLD functions likewise repeat their old
+primitive chains' products and sums.
 
 ``kisp_loss``, the KISP value on a throwaway tape, and its input
 ``KispBatch`` have no consumer in the package: they stay because the

@@ -2,12 +2,8 @@
 
 The store is one block of row-aligned arrays: inputs ``x`` (n x d), global
 labels ``y`` (n) and ``ref`` (n x e), the embedding each row had when it was
-written, plus each ``ref`` row's Euclidean norm, taken at its write. A store
-made ``with_operands`` also keeps each row's snapshot operand ``pre`` (n x e),
-the regularizer's data for that row under the current encoder snapshot, and
-its norm ``pre_norms`` (n); the trainer computes both, at the write and again
-for every row whenever the snapshot changes (``set_operands``). Rows are
-grouped by task, tasks in id order and rows oldest to newest within a
+written, plus each ``ref`` row's Euclidean norm, taken at its write. Rows
+are grouped by task, tasks in id order and rows oldest to newest within a
 task. Writes follow the ring-buffer strategy: each task keeps at most
 ``capacity`` rows, so new rows for a task evict only that task's oldest
 rows. Sampling is uniform without replacement over all rows.
@@ -31,52 +27,41 @@ from .numerics import as_matrix, row_norms
 
 @dataclass(frozen=True)
 class Rows:
-    """Row-aligned inputs, labels and write-time embeddings, plus the
-    snapshot operands and their norms when the store keeps them."""
+    """Row-aligned inputs, labels and write-time embeddings."""
     x: np.ndarray
     y: np.ndarray
     ref: np.ndarray
-    pre: np.ndarray | None = None
-    pre_norms: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.y.shape[0]
 
     def take(self, idx) -> "Rows":
-        if self.pre is None:
-            return Rows(self.x[idx], self.y[idx], self.ref[idx])
-        return Rows(self.x[idx], self.y[idx], self.ref[idx], self.pre[idx],
-                    self.pre_norms[idx])
+        return Rows(self.x[idx], self.y[idx], self.ref[idx])
 
 
 class EpisodicMemory:
     """Per-task FIFO buffers, each capped at ``capacity`` rows, stored as
-    one block of ``x_dim``-wide inputs and ``ref_dim``-wide embeddings,
-    and ``with_operands`` also ``ref_dim``-wide snapshot operands.
+    one block of ``x_dim``-wide inputs and ``ref_dim``-wide embeddings.
     ``ref_norms`` is ``row_norms`` of the stored embeddings, a view like
     :meth:`all_items`."""
 
-    def __init__(self, capacity: int, x_dim: int, ref_dim: int,
-                 with_operands: bool = False):
+    def __init__(self, capacity: int, x_dim: int, ref_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._counts: dict[int, int] = {}
         self._len = 0
-        # x, y, ref, the norms of ref and maybe the operands and their
-        # norms, each with capacity rows per task
+        # x, y, ref and the norms of ref, each with capacity rows per task
         self._arrays = (np.empty((0, x_dim)), np.empty(0, dtype=np.int64),
                         np.empty((0, ref_dim)), np.empty(0))
-        if with_operands:
-            self._arrays += (np.empty((0, ref_dim)), np.empty(0))
         self._publish()
 
     def _publish(self) -> None:
         """Rebuild the views of the stored rows after a change."""
         n = self._len
-        self._pool = Rows(*(a[:n] for a in self._arrays[:3]),
-                          *(a[:n] for a in self._arrays[4:]))
-        self.ref_norms = self._arrays[3][:n]
+        x, y, ref, norms = self._arrays
+        self._pool = Rows(x[:n], y[:n], ref[:n])
+        self.ref_norms = norms[:n]
 
     def register_task(self, task_id: int) -> None:
         if task_id in self._counts:
@@ -95,11 +80,8 @@ class EpisodicMemory:
         self._arrays = tuple(grown)
         self._publish()
 
-    def write_batch(self, x, y, ref, task_id: int, operands=None) -> None:
-        """Append rows to one task's buffer, evicting its oldest at capacity.
-        A store made ``with_operands`` takes the rows' ``(pre, pre_norms)``
-        as ``operands``, or stores NaN for them until the next
-        :meth:`set_operands`."""
+    def write_batch(self, x, y, ref, task_id: int) -> None:
+        """Append rows to one task's buffer, evicting its oldest at capacity."""
         if task_id not in self._counts:
             raise UnknownTaskError(f"task {task_id} is not registered")
         x, ref = as_matrix(x), as_matrix(ref)
@@ -110,8 +92,6 @@ class EpisodicMemory:
             raise ShapeMismatchError(
                 f"rows {x.shape}, {y.shape}, {ref.shape} do not fit a store "
                 f"of widths {x_dim}, {ref_dim}")
-        if operands is not None and self._pool.pre is None:
-            raise ValueError("this store keeps no operands")
         # this task's rows are [start, end); its newest ``count`` survive:
         # the kept old rows move to the block's front, the later tasks'
         # rows to its new end, and the fresh rows fill the gap
@@ -123,12 +103,9 @@ class EpisodicMemory:
         count = keep_old + take_new
         drop = len(y) - take_new
         ref = ref[drop:]
-        new = [x[drop:], y[drop:], ref, row_norms(ref)]
-        if self._pool.pre is not None:
-            new += ((np.nan, np.nan) if operands is None
-                    else (a[drop:] for a in operands))
         n = self._len
-        for a, b in zip(self._arrays, new):
+        for a, b in zip(self._arrays, (x[drop:], y[drop:], ref,
+                                       row_norms(ref))):
             if keep_old < held:
                 a[start:start + keep_old] = a[end - keep_old:end]
             if count != held:
@@ -137,15 +114,6 @@ class EpisodicMemory:
         self._counts[task_id] = count
         self._len = n - held + count
         self._publish()
-
-    def set_operands(self, operands_of) -> None:
-        """Replace every stored row's snapshot operand and its norm with
-        ``operands_of(x)``, a ``(pre, pre_norms)`` pair for the stored
-        inputs ``x``."""
-        n = self._len
-        if n:
-            self._arrays[4][:n], self._arrays[5][:n] = operands_of(
-                self._arrays[0][:n])
 
     def sample(self, k: int, rng: np.random.Generator) -> Rows:
         """Uniform without replacement over all rows; min(k, total) rows,

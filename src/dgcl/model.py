@@ -267,8 +267,8 @@ class Model:
             size = (d + 1) * width
             rows = flat[start:start + count * size].reshape(count, size)
             blocks.append(
-                (rows[:, :d * width].reshape(count, d, width, copy=False),
-                 rows[:, d * width:].reshape(count, 1, width, copy=False)))
+                (rows[:, :d * width].reshape(count, d, width),
+                 rows[:, d * width:].reshape(count, 1, width)))
         return blocks
 
     @property

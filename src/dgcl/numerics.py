@@ -45,18 +45,12 @@ def l2_normalize(f) -> np.ndarray:
     """Scale each row to unit Euclidean norm."""
     f = as_matrix(f)
     norms = row_norms(f)
-    require_norms(norms)
-    return f / norms[:, None]
-
-
-def require_norms(norms: np.ndarray) -> None:
-    """Raise DegenerateFeatureError naming the first row whose norm in
-    ``norms`` is below ``EPS_NORM``."""
     bad = np.flatnonzero(norms < EPS_NORM)
     if bad.size:
         raise DegenerateFeatureError(
             f"row {bad[0]} has norm {norms[bad[0]]:.3e} < {EPS_NORM:g}"
         )
+    return f / norms[:, None]
 
 
 # ---------------------------------------------------------------------------

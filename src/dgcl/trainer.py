@@ -11,19 +11,6 @@ inside its own step. The drift probe compares those stored embeddings with
 one forward pass over the whole memory. The encoder snapshot refreshes
 exactly once per task boundary.
 
-The snapshot applies to the replayed rows only, and a row's snapshot
-embedding changes only with the snapshot, so the memory of a regularized
-method keeps each row's operand: the snapshot embedding, unit-scaled for
-lfc and kisp, and its norm (``snapshot_operands``). Setting
-``TrainerState.snapshot``, at the task boundary or directly, recomputes
-every stored row's operand in one pass; ``run_task`` computes the task's
-whole stream in one pass when it starts, and each write stores its rows'
-slice. An update reads the replayed rows' operands, and raises for a
-zero-norm one, as normalizing it would. A 1-row stream or memory pass is
-padded to ``MIN_SHARED_ROWS`` rows and a 1-row replay takes its own
-snapshot pass, so every operand has the bits a fresh pass over the replay
-gives.
-
 Each piece of an update is computed once. The regularizer's live embeddings
 are the replay rows of the cross-entropy's encoder pass, with their own
 gradient. The last repeat's drift probe embeds the memory and the batch in
@@ -66,8 +53,7 @@ from .model import (DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, MIN_SHARED_ROWS,
                     Encoder, Model, _encoder_forward, _encoder_grad,
                     _heads_forward, _heads_grad, encoder_rows)
 # backward is bound here only so the benchmark's tracer can wrap it
-from .numerics import (EPS_NORM, _l2norm_grad, backward,  # noqa: F401
-                       l2_normalize, require_norms, row_norms)
+from .numerics import _l2norm_grad, backward, l2_normalize  # noqa: F401
 
 METHODS = ("finetune", "er", "lfc", "rld", "kisp")
 _REGULARIZERS = {"lfc": (losses._lfc_forward, losses._lfc_grad),
@@ -114,55 +100,16 @@ class TrainerConfig:
         return self.method != "finetune"
 
 
-def snapshot_operands(snapshot: Encoder, x, unit: bool
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's regularizer operand under ``snapshot``, its embedding
-    scaled to unit norm if ``unit`` (lfc, kisp) or as it is (rld), and the
-    embedding's norm, from one pass over ``x``. A 1-row ``x`` is padded to
-    ``MIN_SHARED_ROWS`` rows, so every row has the bits any snapshot pass
-    of at least ``MIN_SHARED_ROWS`` rows gives it. A row whose norm is below
-    ``EPS_NORM`` is left unscaled: ``update`` raises when it replays it."""
-    n = len(x)
-    if n < MIN_SHARED_ROWS:
-        x = np.concatenate([x, np.zeros((MIN_SHARED_ROWS - n, x.shape[1]))])
-    pre = snapshot.forward(x)[:n]
-    norms = row_norms(pre)
-    if unit:
-        pre = pre / np.where(norms < EPS_NORM, 1.0, norms)[:, None]
-    return pre, norms
-
-
 @dataclass
 class TrainerState:
     model: Model
     memory: EpisodicMemory
     rng_sample: np.random.Generator
     rng_init: np.random.Generator
-    # the regularized method whose snapshot operands the memory keeps
-    regularizer: str | None = None
+    snapshot: Encoder | None = None
     task_id: int = 0
     update_index: int = 0
     drift: DriftLog = field(default_factory=DriftLog)
-    _snapshot: Encoder | None = field(default=None, repr=False)
-
-    @property
-    def snapshot(self) -> Encoder | None:
-        """The frozen encoder of the last task's end, or None."""
-        return self._snapshot
-
-    @snapshot.setter
-    def snapshot(self, encoder: Encoder | None) -> None:
-        # the memory rows' operands follow the snapshot, however it is set
-        self._snapshot = encoder
-        if self.regularizer and encoder is not None:
-            self.memory.set_operands(self.operands)
-
-    def operands(self, x) -> tuple[np.ndarray, np.ndarray] | None:
-        """``snapshot_operands`` of the rows ``x`` under :attr:`snapshot`
-        for the memory, or None if it keeps none or there is no snapshot."""
-        if self.regularizer is None or self._snapshot is None:
-            return None
-        return snapshot_operands(self._snapshot, x, self.regularizer != "rld")
 
 
 def init_state(config: TrainerConfig, d_in: int,
@@ -171,12 +118,10 @@ def init_state(config: TrainerConfig, d_in: int,
     rng_init = np.random.default_rng([config.seed, 101])
     rng_sample = np.random.default_rng([config.seed, 202])
     model = Model.create(d_in, rng_init, hidden=hidden, embed_dim=embed_dim)
-    regularized = config.method in REGULARIZED
     return TrainerState(model=model,
                         memory=EpisodicMemory(config.memory_size, d_in,
-                                              embed_dim, regularized),
-                        rng_sample=rng_sample, rng_init=rng_init,
-                        regularizer=config.method if regularized else None)
+                                              embed_dim),
+                        rng_sample=rng_sample, rng_init=rng_init)
 
 
 def _buffer_drift(state: TrainerState, batch_x=None
@@ -210,12 +155,10 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     """One update, written into ``model.grad``: the gradient of the
     cross-entropy over the batch plus ``replay`` and, for a regularized
     method with a snapshot and replay rows, of ``config.lam`` times the
-    regularizer on the replay rows' embeddings against their snapshot
-    operands: ``replay.pre`` for at least ``MIN_SHARED_ROWS`` rows that
-    carry them, else a snapshot pass over ``replay.x``. The forward half
-    ends with the finiteness checks, which name ``update_index`` and
-    ``task_id``; the gradient half runs the ops' gradients in the order the
-    reverse sweep of a tape would."""
+    regularizer on the replay rows' embeddings. The forward half ends with
+    the finiteness checks, which name ``update_index`` and ``task_id``; the
+    gradient half runs the ops' gradients in the order the reverse sweep of
+    a tape would."""
     if replay:
         x_all = np.concatenate([batch_x, replay.x], axis=0)
         y_all = np.concatenate([batch_y, replay.y])
@@ -231,20 +174,12 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     ce = losses._ce_forward([logits], ce_aux)
     reg = None
     if config.method in REGULARIZED and snapshot is not None and replay:
-        unit = config.method != "rld"
-        if len(replay) >= MIN_SHARED_ROWS and replay.pre is not None:
-            # the rows' operands from the memory: a pass of their own
-            # would give the same bits
-            aux = replay.pre
-            if unit:
-                require_norms(replay.pre_norms)
-        else:
-            aux = snapshot.forward(replay.x)
-            if unit:
-                aux = l2_normalize(aux)
+        f_pre = snapshot.forward(replay.x)
         f_cur, rows = encoder_rows(params[:k], shared, f, len(batch_x))
         fwd, grad = _REGULARIZERS[config.method]
-        cur = l2_normalize(f_cur) if unit else f_cur
+        aux, cur = f_pre, f_cur
+        if config.method != "rld":
+            aux, cur = l2_normalize(f_pre), l2_normalize(f_cur)
         if config.method == "kisp":
             aux = {"pre": aux, "tau": float(config.tau)}
         reg = fwd([cur], aux)
@@ -261,7 +196,7 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     branch = reg is not None and config.lam != 0.0
     if branch:
         (g,) = grad([cur], reg, aux, np.array([[config.lam]]))
-        if unit:
+        if config.method != "rld":
             (g,) = _l2norm_grad([f_cur], cur, None, g)
         _encoder_grad(params[:k], rows, g, grads[:k])
     (g,) = losses._ce_grad([logits], ce, ce_aux, _ONE)
@@ -272,18 +207,12 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
 
 
 def train_step(state: TrainerState, config: TrainerConfig, batch_x,
-               batch_y, operands=None) -> losses.LossBreakdown:
-    """One batch: ``iterations`` gradient steps, then the memory write.
-    ``operands`` are the batch rows' ``state.operands``, if the caller has
-    them; the write otherwise takes them from a pass over the batch."""
+               batch_y) -> losses.LossBreakdown:
+    """One batch: ``iterations`` gradient steps, then the memory write."""
     batch_x = np.asarray(batch_x, dtype=np.float64)
     batch_y = np.asarray(batch_y, dtype=np.int64).reshape(-1)
     if state.task_id not in state.model.task_ids:
         raise UnknownTaskError(f"no head registered for task {state.task_id}")
-    if state.regularizer != (config.method if config.method in REGULARIZED
-                             else None):
-        raise ValueError(f"a {config.method} step on a state made for "
-                         f"{state.regularizer or 'no regularizer'}")
     breakdown = losses.LossBreakdown(0.0, 0.0, 0.0, config.lam)
     ref = None
     for it in range(config.iterations):
@@ -308,10 +237,7 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
     if config.uses_memory:
         if ref is None:
             ref = state.model.embed(batch_x)
-        if operands is None:
-            operands = state.operands(batch_x)
-        state.memory.write_batch(batch_x, batch_y, ref, state.task_id,
-                                 operands)
+        state.memory.write_batch(batch_x, batch_y, ref, state.task_id)
     return breakdown
 
 
@@ -323,14 +249,10 @@ def run_task(state: TrainerState, config: TrainerConfig,
                                "registered before running the task")
     state.task_id = task.task_id
     n = task.n_train
-    # the whole stream's snapshot operands in one pass, for the writes
-    operands = state.operands(task.train_x)
     for start in range(0, n, config.batch_size):
         stop = min(start + config.batch_size, n)
         train_step(state, config, task.train_x[start:stop],
-                   task.train_y[start:stop],
-                   operands and tuple(a[start:stop] for a in operands))
-    del operands
+                   task.train_y[start:stop])
     # once per task, not per update: a full scan of every parameter
     if not np.isfinite(state.model.buffer).all():
         raise DivergenceError(state.update_index, state.task_id, "parameters")

@@ -174,52 +174,6 @@ class TestWrites:
         assert_aligned(mem.all_items())
 
 
-class TestOperands:
-    @staticmethod
-    def write_tagged(mem, task_id, tags):
-        """Rows whose operand and its norm also encode their tag."""
-        t = np.asarray(tags, dtype=np.float64).reshape(-1, 1)
-        mem.write_batch(t, np.asarray(tags), np.hstack([t, -t]), task_id,
-                        (np.hstack([2 * t, t]), 3 * t[:, 0]))
-
-    def test_operands_stay_with_their_rows(self):
-        # through evictions, task registrations below stored rows, store
-        # growth and sampling, as the rows' inputs do
-        mem = EpisodicMemory(4, x_dim=1, ref_dim=2, with_operands=True)
-        rng = np.random.default_rng(9)
-        for step in range(60):
-            t = int(rng.choice([3, 1, 2]))
-            mem.register_task(t)
-            n = int(rng.integers(1, 7))
-            self.write_tagged(mem, t, [100 * step + i for i in range(n)])
-            for rows in (mem.all_items(), mem.sample(5, rng)):
-                assert_aligned(rows)
-                assert (rows.pre == np.hstack([2 * rows.x, rows.x])).all()
-                assert (rows.pre_norms == 3 * rows.x[:, 0]).all()
-
-    def test_rows_written_without_operands_hold_nan_until_set(self):
-        mem = EpisodicMemory(4, x_dim=1, ref_dim=2, with_operands=True)
-        mem.register_task(1)
-        self.write_tagged(mem, 1, [1, 2])
-        write(mem, 1, [3])
-        pool = mem.all_items()
-        assert not np.isnan(pool.pre[:2]).any()
-        assert np.isnan(pool.pre[2]).all() and np.isnan(pool.pre_norms[2])
-        mem.set_operands(lambda x: (np.hstack([x, x]), 2 * x[:, 0]))
-        assert (pool.pre == np.hstack([pool.x, pool.x])).all()
-        assert (pool.pre_norms == 2 * pool.x[:, 0]).all()
-
-    def test_a_store_without_operands_takes_none(self):
-        mem = memory(4)
-        mem.register_task(1)
-        write(mem, 1, [1, 2])
-        assert mem.all_items().pre is None
-        assert mem.sample(2, np.random.default_rng(0)).pre is None
-        with pytest.raises(ValueError, match="no operands"):
-            mem.write_batch(np.zeros((1, 1)), [0], np.zeros((1, 2)), 1,
-                            (np.zeros((1, 2)), np.zeros(1)))
-
-
 class TestSampling:
     def test_exhaustion_returns_everything(self):
         mem = memory(10)

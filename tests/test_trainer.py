@@ -1,5 +1,4 @@
 import copy
-import re
 import sys
 
 import numpy as np
@@ -7,13 +6,11 @@ import pytest
 
 from dgcl import losses, trainer
 from dgcl.datasets import StreamSpec, TaskData, synth_stream
-from dgcl.errors import (DegenerateFeatureError, DivergenceError,
-                         OverlappingClassesError, UnknownTaskError)
+from dgcl.errors import DivergenceError, OverlappingClassesError, UnknownTaskError
 from dgcl.losses import ONE_MINUS_P_FLOOR
-from dgcl.memory import Rows
 from dgcl.metrics import embedding_drift
 from dgcl.model import Model, _encoder_forward
-from dgcl.numerics import Tape, l2_normalize, row_norms
+from dgcl.numerics import Tape, l2_normalize
 from dgcl.trainer import (
     TrainerConfig,
     evaluate_accuracy,
@@ -39,14 +36,13 @@ def encoder_bytes(model):
 
 def record_feeds(monkeypatch):
     """Patch ``trainer.train_step`` to log, per call, the task id, the batch
-    ``run_task`` fed and how many updates the call made; the batch's
-    snapshot operands, when ``run_task`` passes them, go through."""
+    ``run_task`` fed and how many updates the call made."""
     fed = []
     real = trainer.train_step
 
-    def recording(state, config, batch_x, batch_y, operands=None):
+    def recording(state, config, batch_x, batch_y):
         before = state.update_index
-        out = real(state, config, batch_x, batch_y, operands)
+        out = real(state, config, batch_x, batch_y)
         fed.append((state.task_id, np.array(batch_x), np.array(batch_y),
                     state.update_index - before))
         return out
@@ -129,17 +125,6 @@ class TestTrainStep:
         state.task_id = 1
         with pytest.raises(UnknownTaskError):
             train_step(state, cfg, np.zeros((2, 8)), np.zeros(2, dtype=np.int64))
-
-    def test_step_requires_the_state_of_its_method(self):
-        # the memory keeps unit operands for kisp and raw ones for rld
-        state = init_state(TrainerConfig(method="kisp"), 8)
-        state.model.add_head(1, 2, state.rng_init)
-        state.memory.register_task(1)
-        state.task_id = 1
-        for method in ("rld", "er"):
-            with pytest.raises(ValueError, match="made for kisp"):
-                train_step(state, TrainerConfig(method=method),
-                           np.zeros((2, 8)), np.zeros(2, dtype=np.int64))
 
     def test_regularizer_reported_on_later_tasks(self):
         tasks = small_tasks()
@@ -561,8 +546,7 @@ class TestUpdateMatchesPrimitiveChain:
 class TestSharedPasses:
     """Whole runs with the shared encoder passes (the replay rows of the
     cross-entropy pass feed the regularizer; the last drift probe embeds
-    the write batch; the memory keeps each row's snapshot operand) equal
-    runs with one pass per use, bit for bit."""
+    the write batch) equal runs with one pass per use, bit for bit."""
 
     @staticmethod
     def separate_passes(monkeypatch):
@@ -576,20 +560,8 @@ class TestSharedPasses:
                 return None, None
             return embedding_drift(pool.ref, state.model.embed(pool.x)), None
 
-        real_update = trainer.update
-
-        def own_snapshot_pass(model, config, batch_x, batch_y, replay,
-                              *rest):
-            # without the memory's operands, the update takes a fresh
-            # snapshot.forward(replay.x), normalized for lfc and kisp
-            if replay:
-                replay = Rows(replay.x, replay.y, replay.ref)
-            return real_update(model, config, batch_x, batch_y, replay,
-                               *rest)
-
         monkeypatch.setattr(trainer, "encoder_rows", own_pass)
         monkeypatch.setattr(trainer, "_buffer_drift", probe_alone)
-        monkeypatch.setattr(trainer, "update", own_snapshot_pass)
 
     @pytest.mark.parametrize("method,memory_size,batch_size,iterations", [
         ("kisp", 20, 7, 1), ("kisp", 1, 7, 3), ("kisp", 30, 2, 2),
@@ -614,90 +586,3 @@ class TestSharedPasses:
         for a, b in zip(shared.model.parameters(),
                         separate.model.parameters(), strict=True):
             assert a.tobytes() == b.tobytes()
-
-
-class TestSnapshotOperands:
-    """The memory keeps each row's snapshot operand: it follows the
-    snapshot however it is set, and a degenerate row fails only when an
-    update replays it, with the line a fresh snapshot pass gives."""
-
-    @staticmethod
-    def task_two_state(method, zero_row=None, seed=0):
-        """Task 1's 8 rows in memory (row ``zero_row`` an all-zero input)
-        under a snapshot with zero biases, which maps a zero input to the
-        zero embedding; the live encoder's biases are not zero. Task 2's
-        head is registered and current."""
-        cfg = TrainerConfig(method=method, seed=seed, batch_size=4,
-                            memory_size=8)
-        state = init_state(cfg, 8)
-        rng = np.random.default_rng([71, seed])
-        for b in state.model.encoder.biases:
-            b += 0.1
-        state.model.add_head(1, 2, state.rng_init)
-        state.memory.register_task(1)
-        x = rng.standard_normal((8, 8))
-        if zero_row is not None:
-            x[zero_row] = 0.0
-        state.memory.write_batch(x, rng.integers(0, 2, size=8),
-                                 state.model.embed(x), 1)
-        snapshot = state.model.snapshot()
-        for b in snapshot.biases:
-            b[...] = 0.0
-        state.snapshot = snapshot
-        state.model.add_head(2, 2, state.rng_init)
-        state.memory.register_task(2)
-        state.task_id = 2
-        return cfg, state, rng
-
-    def first_failure(self, method):
-        cfg, state, rng = self.task_two_state(method, zero_row=3)
-        for _ in range(20):
-            x = rng.standard_normal((4, 8))
-            try:
-                train_step(state, cfg, x, 2 + rng.integers(0, 2, size=4))
-            except DegenerateFeatureError as err:
-                return state.update_index, str(err)
-        raise AssertionError("the zero row was never replayed")
-
-    @pytest.mark.parametrize("method", ["lfc", "kisp"])
-    def test_zero_norm_row_fails_when_replayed(self, monkeypatch, method):
-        cached = self.first_failure(method)
-        assert re.fullmatch(r"row \d+ has norm 0\.000e\+00 < 1e-08",
-                            cached[1])
-        TestSharedPasses.separate_passes(monkeypatch)
-        assert self.first_failure(method) == cached
-
-    @pytest.mark.parametrize("method", ["lfc", "rld", "kisp"])
-    def test_unreplayed_zero_norm_row_raises_nothing(self, method):
-        # the stream's zero row comes last, and a batch is written after
-        # its updates, so no update replays it; the stream pass and the
-        # memory pass compute its operand without a warning
-        cfg, state, rng = self.task_two_state(method)
-        snapshot = state.snapshot
-        x = np.vstack([rng.standard_normal((9, 8)), np.zeros((1, 8))])
-        run_task(state, cfg, TaskData(2, (2, 3), x,
-                                      rng.integers(2, 4, size=10),
-                                      np.zeros((0, 8)),
-                                      np.array([], dtype=np.int64)))
-        assert state.snapshot is not snapshot
-        state.snapshot = snapshot
-        pool = state.memory.all_items()
-        assert (pool.x[-1] == 0.0).all() and pool.pre_norms[-1] == 0.0
-        assert not pool.pre[-1].any()
-
-    @pytest.mark.parametrize("method", ["lfc", "rld", "kisp"])
-    def test_operands_follow_a_directly_set_snapshot(self, method):
-        cfg, state, rng = self.task_two_state(method)
-        train_step(state, cfg, rng.standard_normal((4, 8)),
-                   2 + rng.integers(0, 2, size=4))
-        for snapshot in (state.model.snapshot(), state.snapshot):
-            for w in snapshot.weights:
-                w += 0.05 * rng.standard_normal(w.shape)
-            state.snapshot = snapshot
-            pool = state.memory.all_items()
-            assert len(pool) == 12
-            f = snapshot.forward(pool.x)
-            assert pool.pre_norms.tobytes() == row_norms(f).tobytes()
-            if method != "rld":
-                f = l2_normalize(f)
-            assert pool.pre.tobytes() == f.tobytes()
