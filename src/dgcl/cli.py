@@ -273,6 +273,9 @@ def main(argv=None) -> int:
                              help="paired drift / accuracy-evolution report")
     p_drift.add_argument("config", help="path to a key=value config file")
     args = parser.parse_args(argv)
+    if args.command == "gradcheck" and args.instances < 1:
+        # zero instances would check nothing and report a pass
+        p_grad.error("--instances must be >= 1")
     if args.command == "run":
         return cmd_run(args.config)
     if args.command == "gradcheck":

@@ -1,27 +1,31 @@
 """Finite-difference verification of every analytic gradient in the package.
 
 Each loss gets a population of small random instances (feature counts up to
-6, embedding widths up to 8); the analytic gradient from the tape must match
-central differences coordinate-wise; the per-loss instances record their
-loss on a tape. The ``total`` instance is a training update as
-``trainer.update`` runs it, for a method drawn from er, lfc, rld and kisp:
-the encoder pass (one rectified hidden layer) and head block (two or three
-heads) into cross-entropy, plus the weighted regularizer on the replay rows
-of the same encoder pass, or of their own pass for a 1-row replay. Its
-differences are taken on the model's parameter buffer itself, so they check
-the flat gradient the SGD step uses, with the relu mask and both branches'
-shared parameters.
+6, embedding widths up to 8); its analytic gradient must match central
+differences coordinate-wise. No instance builds a tape: each runs the
+functions training runs. The ``ce`` instance calls cross-entropy's forward
+and gradient functions on random logits. The ``kisp``, ``lfc`` and ``rld``
+instances call ``losses.regularizer`` on random raw snapshot and live rows,
+so the normalization is checked with the loss. The ``total`` instance is a
+training update as ``trainer.update`` runs it, for a method drawn from er,
+lfc, rld and kisp: the encoder pass (one rectified hidden layer) and head
+block (two or three heads) into cross-entropy, plus the weighted
+regularizer on the replay rows of the same encoder pass, or of their own
+pass for a 1-row replay. Its differences are taken on the model's parameter
+buffer itself, so they check the flat gradient the SGD step uses, with the
+relu mask and both branches' shared parameters.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from . import losses
 from .memory import Rows
 from .model import Encoder, Model
-from .numerics import (Tape, backward, finite_diff_check, l2_normalize,
-                       l2_normalize_node)
-from .trainer import METHODS, TrainerConfig, update
+from .numerics import finite_diff_check
+from .trainer import _ONE, METHODS, TrainerConfig, update
 
 TOLERANCE = 1e-4
 LOSS_NAMES = ("ce", "kisp", "lfc", "rld", "total")
@@ -34,59 +38,22 @@ def _ce_instance(rng):
     labels = rng.integers(0, c, size=n)
 
     def fn(params):
-        tape = Tape()
-        lid = tape.leaf(params[0])
-        loss = losses.cross_entropy_node(tape, lid, labels)
-        grads = backward(tape, loss)
-        return float(tape.value(loss)[0, 0]), [grads[lid]]
+        aux = losses.ce_aux(params[0], labels)
+        value = losses._ce_forward(params, aux)
+        return float(value[0, 0]), losses._ce_grad(params, value, aux, _ONE)
 
     return fn, [logits]
 
 
-def _paired_features(rng):
+def _regularizer_instance(method, rng):
     m = int(rng.integers(2, 7))
     d = int(rng.integers(2, 9))
-    return rng.standard_normal((m, d)), rng.standard_normal((m, d))
-
-
-def _kisp_instance(rng, tau=losses.DEFAULT_TAU):
-    f_pre, f_cur = _paired_features(rng)
-    pre_norm = l2_normalize(f_pre)
+    f_pre, f_cur = rng.standard_normal((m, d)), rng.standard_normal((m, d))
 
     def fn(params):
-        tape = Tape()
-        cur = tape.leaf(params[0])
-        loss = losses.kisp_node(tape, pre_norm, l2_normalize_node(tape, cur),
-                                tau)
-        grads = backward(tape, loss)
-        return float(tape.value(loss)[0, 0]), [grads[cur]]
-
-    return fn, [f_cur]
-
-
-def _lfc_instance(rng):
-    f_pre, f_cur = _paired_features(rng)
-    pre_norm = l2_normalize(f_pre)
-
-    def fn(params):
-        tape = Tape()
-        cur = tape.leaf(params[0])
-        loss = losses.lfc_node(tape, pre_norm, l2_normalize_node(tape, cur))
-        grads = backward(tape, loss)
-        return float(tape.value(loss)[0, 0]), [grads[cur]]
-
-    return fn, [f_cur]
-
-
-def _rld_instance(rng):
-    f_pre, f_cur = _paired_features(rng)
-
-    def fn(params):
-        tape = Tape()
-        cur = tape.leaf(params[0])
-        loss = losses.rld_node(tape, f_pre, cur)
-        grads = backward(tape, loss)
-        return float(tape.value(loss)[0, 0]), [grads[cur]]
+        value, grad = losses.regularizer(method, f_pre, params[0],
+                                         losses.DEFAULT_TAU)
+        return float(value[0, 0]), [grad(_ONE)]
 
     return fn, [f_cur]
 
@@ -124,13 +91,9 @@ def _total_instance(rng):
     return fn, [model.buffer]
 
 
-_BUILDERS = {
-    "ce": _ce_instance,
-    "kisp": _kisp_instance,
-    "lfc": _lfc_instance,
-    "rld": _rld_instance,
-    "total": _total_instance,
-}
+_BUILDERS = {"ce": _ce_instance, "total": _total_instance,
+             **{method: functools.partial(_regularizer_instance, method)
+                for method in losses.REGULARIZERS}}
 
 
 def run_gradcheck(seed: int = 0, instances: int = 100,

@@ -11,21 +11,23 @@ current embedding toward its own snapshot (knowledge invariance) and pushes
 it away from the other snapshots (spread-out).
 
 Each loss is a forward function and a gradient function with the tape's
-``fwd(vals, aux)`` / ``grad(vals, out, aux, g)`` signatures. A training
-update (``trainer.update``) calls them in a straight line; the ``*_node``
-functions record them as one tape op each, for ``dgcl gradcheck``'s
-per-loss instances and the op tests. The regularizers take the live
-embeddings as their only input: the snapshot embeddings are data, held in
-``aux`` and never differentiated. Cross-entropy and KISP keep their softmax
-pieces in a fresh ``aux`` dict per use, so the gradient reuses them:
-cross-entropy its shifted exponentials and their row sums, KISP its
-exponentials, column sums and leave-one-out sums. ``ce_aux`` turns the
-labels into one flat index of each row's label entry, through which the
+``fwd(vals, aux)`` / ``grad(vals, out, aux, g)`` signatures. A
+regularizer's ``aux`` holds the snapshot embeddings as ``pre``, data that
+is never differentiated, and the temperature as ``tau``, which only KISP
+reads. ``REGULARIZERS`` gives each method's forward, gradient and whether
+it acts on L2-normalized rows (LFC, KISP) or raw ones (RLD);
+``regularizer``, the one call ``trainer.update`` and ``dgcl gradcheck``
+make, reads it per call. The ``*_node`` functions record the same functions
+as tape ops, for the op tests and the benchmark. Cross-entropy and KISP
+keep their softmax pieces in a fresh ``aux`` dict per use, so the gradient
+reuses them: cross-entropy its shifted exponentials and their row sums,
+KISP its exponentials, column sums and leave-one-out sums. ``ce_aux`` turns
+the labels into one flat index of each row's label entry, through which the
 forward picks the label logits and the gradient subtracts one. The KISP
-forward forms the similarity matrix itself and its gradient returns that
-of the similarity-matrix chain (transpose, product, temperature scale)
-operand for operand. The LFC and RLD functions likewise repeat their old
-primitive chains' products and sums.
+forward forms the similarity matrix itself and its gradient returns that of
+the similarity-matrix chain (transpose, product, temperature scale) operand
+for operand. The LFC and RLD functions likewise repeat their old primitive
+chains' products and sums.
 
 ``kisp_loss``, the KISP value on a throwaway tape, and its input
 ``KispBatch`` have no consumer in the package: they stay because the
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelRangeError, ShapeMismatchError
-from .numerics import Tape, as_matrix
+from .numerics import Tape, _l2norm_grad, as_matrix, l2_normalize
 
 # Floor for (1 - P) before the log; at small temperatures P can reach 1.0
 # in floating point and would otherwise produce -inf.
@@ -246,15 +248,17 @@ def kisp_node(tape: Tape, f_pre_norm: np.ndarray, f_cur_norm: int,
 
 
 # ---------------------------------------------------------------------------
-# comparison regularizers and the total
+# comparison regularizers
 # ---------------------------------------------------------------------------
 
-def _lfc_forward(vals, pre):
+def _lfc_forward(vals, aux):
+    pre = aux["pre"]
     dots = np.array([[(pre * vals[0]).sum()]])
     return dots * (-1.0 / pre.shape[0]) + 1.0
 
 
-def _lfc_grad(vals, out, pre, g):
+def _lfc_grad(vals, out, aux, g):
+    pre = aux["pre"]
     return [np.full_like(pre, (g * (-1.0 / pre.shape[0]))[0, 0]) * pre]
 
 
@@ -262,15 +266,17 @@ def lfc_node(tape: Tape, f_pre_norm: np.ndarray, f_cur_norm: int) -> int:
     """Less-forget constraint: mean of (1 - <f_pre_i, f_cur_i>) over unit
     rows; the snapshot embeddings are data (no gradient)."""
     return tape.apply("lfc", (f_cur_norm,), _lfc_forward, _lfc_grad,
-                      aux=_snapshot(tape, f_pre_norm, f_cur_norm))
+                      aux={"pre": _snapshot(tape, f_pre_norm, f_cur_norm)})
 
 
-def _rld_forward(vals, pre):
+def _rld_forward(vals, aux):
+    pre = aux["pre"]
     d = pre - vals[0]
     return np.array([[(d * d).sum()]]) * (1.0 / pre.size)
 
 
-def _rld_grad(vals, out, pre, g):
+def _rld_grad(vals, out, aux, g):
+    pre = aux["pre"]
     d = pre - vals[0]
     # the squared difference's two factors each send this term back
     t = np.full_like(d, (g * (1.0 / pre.size))[0, 0]) * d
@@ -281,7 +287,44 @@ def rld_node(tape: Tape, f_pre: np.ndarray, f_cur: int) -> int:
     """Representation-level distillation: mean squared distance over the
     raw (unnormalized) embedding entries; the snapshot's are data."""
     return tape.apply("rld", (f_cur,), _rld_forward, _rld_grad,
-                      aux=_snapshot(tape, f_pre, f_cur))
+                      aux={"pre": _snapshot(tape, f_pre, f_cur)})
+
+
+# ---------------------------------------------------------------------------
+# one call per regularizer, and the total
+# ---------------------------------------------------------------------------
+
+# method -> (forward, gradient, whether it acts on L2-normalized rows)
+REGULARIZERS = {"lfc": (_lfc_forward, _lfc_grad, True),
+                "rld": (_rld_forward, _rld_grad, False),
+                "kisp": (_kisp_forward, _kisp_grad, True)}
+
+
+def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
+                tau: float):
+    """The regularizer ``method`` of the live embeddings ``f_cur`` against
+    the snapshot embeddings ``f_pre``, both raw rows of equal shape: the
+    1 x 1 value, and a function taking the value's adjoint to the gradient
+    for ``f_cur``. Rows are normalized where ``REGULARIZERS`` says, the
+    snapshot's first, so a zero-norm snapshot row raises before a zero-norm
+    live row; the gradient then runs back through the normalization."""
+    if f_pre.shape != f_cur.shape:
+        raise ShapeMismatchError(
+            f"paired embeddings differ: {f_pre.shape} vs {f_cur.shape}")
+    fwd, grad, unit = REGULARIZERS[method]
+    pre, cur = f_pre, f_cur
+    if unit:
+        pre, cur = l2_normalize(f_pre), l2_normalize(f_cur)
+    aux = {"pre": pre, "tau": float(tau)}
+    value = fwd([cur], aux)
+
+    def cur_grad(g: np.ndarray) -> np.ndarray:
+        (g,) = grad([cur], value, aux, g)
+        if unit:
+            (g,) = _l2norm_grad([f_cur], cur, None, g)
+        return g
+
+    return value, cur_grad
 
 
 def total_loss(ce: float, kisp: float, lam: float) -> float:

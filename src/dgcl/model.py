@@ -19,9 +19,9 @@ per-head 2-D product, so numpy hands BLAS the same call and the bits are
 the per-head ones; only a one-class head's bias gradient, a column sum,
 rounds differently when stacked, so it keeps a sum of its own. A
 training update (``trainer.update``) calls those functions in a straight
-line; on a tape, for ``dgcl gradcheck``'s per-loss instances and the op
-tests, the pass is one ``encoder`` op and the heads one ``heads`` op over
-a leaf holding the 1 x P view of ``Model.buffer``.
+line; on a tape, for the op tests and the benchmark's tracer, the pass is
+one ``encoder`` op and the heads one ``heads`` op over a leaf holding the
+1 x P view of ``Model.buffer``.
 
 The gradient functions write each parameter's gradient into an array of
 ``out``, in place: in training the views of ``Model.grad``, on a tape the

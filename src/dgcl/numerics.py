@@ -2,16 +2,17 @@
 
 Everything downstream (encoder, heads, losses) works on plain 2-D float64
 numpy arrays. Every op is a forward function and a gradient function. A
-training update calls them in a straight line (``trainer.update``), with
-no tape. The Wengert-style tape here records the same functions through
-``Tape.apply``, and ``backward`` walks its records in reverse: ``dgcl
-gradcheck``'s per-loss instances, the op tests and the benchmark's kernel
-sweep use it. A tape's leaves hold the caller's arrays uncopied, so they
-must stay unwritten until ``backward`` returns. Besides the row
-normalization here, the ops are coarse: the encoder pass, the head block
-and each loss. Each repeats the products, reductions and accumulation order
-of the primitive chain it replaced, so its gradients equal that chain's bit
-for bit.
+training update (``trainer.update``) and every ``dgcl gradcheck`` instance
+call them in a straight line, with no tape. The Wengert-style tape here
+records the same functions through ``Tape.apply``, and ``backward`` walks
+its records in reverse: only the op tests and the benchmark's kernel sweep
+and tracer use it. A tape's leaves hold the caller's arrays uncopied, so
+they must stay unwritten until ``backward`` returns. The row normalization
+here is ``l2_normalize`` and its gradient function ``_l2norm_grad``, which
+``losses.regularizer`` chains after a regularizer's own. The other ops are
+coarse: the encoder pass, the head block and each loss. Each repeats the
+products, reductions and accumulation order of the primitive chain it
+replaced, so its gradients equal that chain's bit for bit.
 """
 from __future__ import annotations
 
@@ -51,6 +52,13 @@ def l2_normalize(f) -> np.ndarray:
             f"row {bad[0]} has norm {norms[bad[0]]:.3e} < {EPS_NORM:g}"
         )
     return f / norms[:, None]
+
+
+def _l2norm_grad(vals, out, aux, g):
+    # y = x / ||x||; dx = (g - y <g, y>) / ||x|| per row
+    norms = row_norms(vals[0], keepdims=True)
+    gy = (g * out).sum(axis=1, keepdims=True)
+    return [(g - out * gy) / norms]
 
 
 # ---------------------------------------------------------------------------
@@ -110,22 +118,6 @@ class Tape:
         """
         vals = [self.records[i].value for i in inputs]
         return self._push(Record(op, inputs, fwd(vals, aux), aux, grad))
-
-
-def _l2norm_forward(vals, aux):
-    return l2_normalize(vals[0])
-
-
-def _l2norm_grad(vals, out, aux, g):
-    # y = x / ||x||; dx = (g - y <g, y>) / ||x|| per row
-    norms = row_norms(vals[0], keepdims=True)
-    gy = (g * out).sum(axis=1, keepdims=True)
-    return [(g - out * gy) / norms]
-
-
-def l2_normalize_node(tape: Tape, a: int) -> int:
-    """Tape-node version of :func:`l2_normalize` (differentiable)."""
-    return tape.apply("l2_normalize", (a,), _l2norm_forward, _l2norm_grad)
 
 
 def backward(tape: Tape, loss: int) -> dict[int, np.ndarray]:

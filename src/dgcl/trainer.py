@@ -22,14 +22,16 @@ pass as before, so every value is the one separate passes give.
 ``update`` runs one update in a straight line, with no tape: the forward
 functions of the encoder, heads and losses, the finiteness checks, then
 their gradient functions in the order a tape's reverse sweep would visit
-them. It writes each parameter adjoint into ``Model.grad``, which has the
-parameter buffer's layout: the heads' once, the encoder's from the
-regularizer branch and then, added, from the cross-entropy branch.
-``dgcl gradcheck`` checks the same function. The SGD step writes the buffer
-in place after the gradient: ``lr * g`` then the subtraction, the per-array
-step's two roundings. Each repeat's intermediates, such as KISP's m x m
-arrays, are freed when ``update`` returns. The drift probe takes the stored
-embeddings' norms from the memory, which computes them at each row's write.
+them. The regularizer is one ``losses.regularizer`` call, which holds the
+rule for each method's operands. It writes each parameter adjoint into
+``Model.grad``, which has the parameter buffer's layout: the heads' once,
+the encoder's from the regularizer branch and then, added, from the
+cross-entropy branch. ``dgcl gradcheck`` checks the same function. The SGD
+step writes the buffer in place after the gradient: ``lr * g`` then the
+subtraction, the per-array step's two roundings. Each repeat's
+intermediates, such as KISP's m x m arrays, are freed when ``update``
+returns. The drift probe takes the stored embeddings' norms from the
+memory, which computes them at each row's write.
 
 ``run_stream`` first asks glibc to keep freed heap in the process: KISP's
 m x m temporaries (720 KB each at m=300) are otherwise unmapped on free and
@@ -49,17 +51,13 @@ from .datasets import TaskData
 from .errors import DivergenceError, OverlappingClassesError, UnknownTaskError
 from .memory import EpisodicMemory, Rows
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
-from .model import (DEFAULT_EMBED_DIM, DEFAULT_HIDDEN, MIN_SHARED_ROWS,
-                    Encoder, Model, _encoder_forward, _encoder_grad,
-                    _heads_forward, _heads_grad, encoder_rows)
+from .model import (MIN_SHARED_ROWS, Encoder, Model, _encoder_forward,
+                    _encoder_grad, _heads_forward, _heads_grad, encoder_rows)
 # backward is bound here only so the benchmark's tracer can wrap it
-from .numerics import _l2norm_grad, backward, l2_normalize  # noqa: F401
+from .numerics import backward  # noqa: F401
 
 METHODS = ("finetune", "er", "lfc", "rld", "kisp")
-_REGULARIZERS = {"lfc": (losses._lfc_forward, losses._lfc_grad),
-                 "rld": (losses._rld_forward, losses._rld_grad),
-                 "kisp": (losses._kisp_forward, losses._kisp_grad)}
-REGULARIZED = tuple(_REGULARIZERS)
+REGULARIZED = tuple(losses.REGULARIZERS)
 
 # the cross-entropy's adjoint: d(loss)/d(loss)
 _ONE = np.ones((1, 1))
@@ -112,15 +110,14 @@ class TrainerState:
     drift: DriftLog = field(default_factory=DriftLog)
 
 
-def init_state(config: TrainerConfig, d_in: int,
-               hidden=DEFAULT_HIDDEN, embed_dim=DEFAULT_EMBED_DIM) -> TrainerState:
+def init_state(config: TrainerConfig, d_in: int) -> TrainerState:
     """Fresh model, memory, and seeded rng streams for one run."""
     rng_init = np.random.default_rng([config.seed, 101])
     rng_sample = np.random.default_rng([config.seed, 202])
-    model = Model.create(d_in, rng_init, hidden=hidden, embed_dim=embed_dim)
+    model = Model.create(d_in, rng_init)
     return TrainerState(model=model,
                         memory=EpisodicMemory(config.memory_size, d_in,
-                                              embed_dim),
+                                              model.encoder.embed_dim),
                         rng_sample=rng_sample, rng_init=rng_init)
 
 
@@ -176,13 +173,8 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     if config.method in REGULARIZED and snapshot is not None and replay:
         f_pre = snapshot.forward(replay.x)
         f_cur, rows = encoder_rows(params[:k], shared, f, len(batch_x))
-        fwd, grad = _REGULARIZERS[config.method]
-        aux, cur = f_pre, f_cur
-        if config.method != "rld":
-            aux, cur = l2_normalize(f_pre), l2_normalize(f_cur)
-        if config.method == "kisp":
-            aux = {"pre": aux, "tau": float(config.tau)}
-        reg = fwd([cur], aux)
+        reg, reg_grad = losses.regularizer(config.method, f_pre, f_cur,
+                                           config.tau)
     ce_val = float(ce[0, 0])
     reg_val = 0.0 if reg is None else float(reg[0, 0])
     total = losses.total_loss(ce_val, reg_val, config.lam)
@@ -195,9 +187,7 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     # branch, so the trajectory matches plain replay bit for bit
     branch = reg is not None and config.lam != 0.0
     if branch:
-        (g,) = grad([cur], reg, aux, np.array([[config.lam]]))
-        if config.method != "rld":
-            (g,) = _l2norm_grad([f_cur], cur, None, g)
+        g = reg_grad(np.array([[config.lam]]))
         _encoder_grad(params[:k], rows, g, grads[:k])
     (g,) = losses._ce_grad([logits], ce, ce_aux, _ONE)
     g = _heads_grad(f, blocks, g, block_grads)
@@ -298,8 +288,7 @@ class RunResult:
     model: Model
 
 
-def run_stream(config: TrainerConfig, tasks: list[TaskData],
-               hidden=DEFAULT_HIDDEN, embed_dim=DEFAULT_EMBED_DIM) -> RunResult:
+def run_stream(config: TrainerConfig, tasks: list[TaskData]) -> RunResult:
     """Train across the task sequence and fill the accuracy matrix."""
     _keep_freed_heap()
     if not tasks:
@@ -312,8 +301,7 @@ def run_stream(config: TrainerConfig, tasks: list[TaskData],
                 f"task {task.task_id} reuses class ids {sorted(overlap)}"
             )
         seen |= set(task.class_ids)
-    state = init_state(config, tasks[0].train_x.shape[1],
-                       hidden=hidden, embed_dim=embed_dim)
+    state = init_state(config, tasks[0].train_x.shape[1])
     matrix = AccuracyMatrix()
     # a non-finite loss, drift or parameter raises DivergenceError; numpy's
     # overflow warnings on the way there would only bury that one line

@@ -15,11 +15,13 @@ scale for RLD, and add / scale for the loss sum in
 ``logistic_regression_fit`` is a plain full-batch classifier that
 calibrates the synthetic stream.
 
-The last four are forms the package itself has no use for.
+The last five are forms the package itself has no use for.
 ``cross_entropy`` runs the package's cross-entropy node on a throwaway tape,
-the one import from its numeric paths, so the value tests check the
-functions training uses. ``total_node`` records the weighted loss sum
-ce + lam * reg as a tape op, for tests that join two loss nodes.
+so the value tests check the functions training uses. ``total_node``
+records the weighted loss sum ce + lam * reg as a tape op, for tests that
+join two loss nodes, and ``l2_normalize_node`` the row normalization with
+the package's own value and gradient functions, for tests that chain it
+into a loss node. Those three are the imports from its numeric paths.
 ``kisp_probs`` is the column softmax the KISP node forms, and
 ``class_means`` the class means ``synth_stream`` draws.
 """
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 from dgcl.losses import cross_entropy_node
-from dgcl.numerics import Tape
+from dgcl.numerics import Tape, _l2norm_grad, l2_normalize
 
 
 def matmul_loops(a, b):
@@ -339,6 +341,15 @@ def total_node(tape, ce, reg, lam):
     """The tape node ce + lam * reg."""
     return tape.apply("total", (ce, reg), _total_forward, _total_grad,
                       aux=float(lam))
+
+
+def _l2norm_forward(vals, aux):
+    return l2_normalize(vals[0])
+
+
+def l2_normalize_node(tape, a):
+    """The tape node l2_normalize(a), differentiable."""
+    return tape.apply("l2_normalize", (a,), _l2norm_forward, _l2norm_grad)
 
 
 def kisp_probs(batch):

@@ -224,3 +224,14 @@ def test_indivisible_file_stream_is_one_config_error_per_cell(
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--instances", "10"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+@pytest.mark.parametrize("instances", ["0", "-5"])
+def test_gradcheck_needs_an_instance(instances, capsys):
+    # no instance would check nothing and print PASS
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gradcheck", "--instances", instances])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--instances must be >= 1" in captured.err

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcl.errors import LabelRangeError, ShapeMismatchError
+from dgcl.errors import (
+    DegenerateFeatureError,
+    LabelRangeError,
+    ShapeMismatchError,
+)
 from dgcl.losses import (
     ONE_MINUS_P_FLOOR,
     KispBatch,
@@ -14,6 +18,7 @@ from dgcl.losses import (
     kisp_loss,
     kisp_node,
     lfc_node,
+    regularizer,
     rld_node,
     total_loss,
 )
@@ -22,7 +27,6 @@ from dgcl.numerics import (
     backward,
     finite_diff_check,
     l2_normalize,
-    l2_normalize_node,
 )
 
 from oracles import (
@@ -33,6 +37,7 @@ from oracles import (
     kisp_prob_loops,
     kisp_probs,
     kisp_sim_reference,
+    l2_normalize_node,
     lfc_chain_reference,
     lfc_loops,
     rld_chain_reference,
@@ -417,6 +422,53 @@ class TestComparisonLosses:
             return float(tape.value(loss)[0, 0]), [grads[cur]]
 
         assert finite_diff_check(fn, [raw], h=1e-5) < 1e-4
+
+
+class TestSharedRegularizer:
+    """``losses.regularizer``, the one call training and ``dgcl gradcheck``
+    make, against each regularizer's tape chain: the node over normalized
+    rows (raw rows for rld) and the reverse sweep."""
+
+    NODES = {"lfc": lfc_node, "rld": rld_node, "kisp": kisp_node}
+
+    @pytest.mark.parametrize("lam", [1.0, 0.7])
+    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("method", ["lfc", "rld", "kisp"])
+    def test_equals_tape_chain(self, method, seed, m, lam):
+        rng = np.random.default_rng([38, seed, m])
+        d = int(rng.integers(1, 33))
+        tau = float(rng.choice([0.05, 0.1, 1.0]))
+        f_pre, f_cur = rng.standard_normal((m, d)), rng.standard_normal((m, d))
+        value, grad = regularizer(method, f_pre, f_cur, tau)
+        tape = Tape()
+        leaf = tape.leaf(f_cur)
+        if method == "rld":
+            pre, cur = f_pre, leaf
+        else:
+            pre, cur = l2_normalize(f_pre), l2_normalize_node(tape, leaf)
+        args = (tau,) if method == "kisp" else ()
+        node = self.NODES[method](tape, pre, cur, *args)
+        loss = total_node(tape, tape.leaf([[0.0]]), node, lam)
+        assert np.array_equal(value, tape.value(node))
+        assert np.array_equal(grad(np.array([[lam]])),
+                              backward(tape, loss)[leaf])
+
+    @pytest.mark.parametrize("method", ["lfc", "rld", "kisp"])
+    def test_shape_mismatch(self, method):
+        # a one-row snapshot would otherwise broadcast against three rows
+        with pytest.raises(ShapeMismatchError):
+            regularizer(method, np.ones((1, 4)), np.ones((3, 4)), 0.1)
+
+    @pytest.mark.parametrize("method", ["lfc", "kisp"])
+    def test_snapshot_row_checked_first(self, method):
+        pre, cur = np.ones((3, 4)), np.ones((3, 4))
+        pre[2] = 0.0
+        cur[0] = 0.0
+        with pytest.raises(DegenerateFeatureError, match="^row 2 "):
+            regularizer(method, pre, cur, 0.1)
+        with pytest.raises(DegenerateFeatureError, match="^row 0 "):
+            regularizer(method, np.ones((3, 4)), cur, 0.1)
 
 
 class TestTotalLoss:

@@ -11,10 +11,9 @@ from dgcl.numerics import (
     backward,
     finite_diff_check,
     l2_normalize,
-    l2_normalize_node,
 )
 
-from oracles import matmul_loops, total_node
+from oracles import l2_normalize_node, matmul_loops, total_node
 
 
 def linear(w, b):

@@ -7,6 +7,7 @@ import pytest
 from dgcl import losses, trainer
 from dgcl.datasets import StreamSpec, TaskData, synth_stream
 from dgcl.errors import DivergenceError, OverlappingClassesError, UnknownTaskError
+from dgcl.gradcheck import LOSS_NAMES, run_gradcheck
 from dgcl.losses import ONE_MINUS_P_FLOOR
 from dgcl.metrics import embedding_drift
 from dgcl.model import Model, _encoder_forward
@@ -172,6 +173,15 @@ class TestTrainStep:
             assert g.base is model.grad and g.shape == p.shape
             assert (g.ctypes.data - model.grad.ctypes.data
                     == p.ctypes.data - buffer.ctypes.data)
+
+    def test_gradcheck_without_tape(self, monkeypatch):
+        # every gradcheck instance runs the functions training runs
+        tapes = []
+        real_init = Tape.__init__
+        monkeypatch.setattr(Tape, "__init__", lambda self: (
+            tapes.append(self), real_init(self))[1])
+        assert set(run_gradcheck(instances=3)) == set(LOSS_NAMES)
+        assert tapes == []
 
 
 class TestReductionIdentity:
