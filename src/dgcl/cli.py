@@ -6,10 +6,17 @@ Subcommands::
     dgcl gradcheck [--seed]  finite-difference check of all loss gradients
     dgcl drift <config>      paired lambda=0 vs first lambda>0 drift report
 
-``run`` exits 0 on full success, 1 if any grid cell failed (outputs from
-completed cells are preserved), and 2 on configuration errors. Set the
-``DGCL_THREADS`` environment variable to a positive integer to run grid
-cells in that many worker processes; output files are identical either way.
+``run`` writes ``run-<config hash>/`` under ``output_dir``: three report
+files per cell and the aggregate ``summary.json``. ``drift`` runs the
+two-cell grid of KISP at lambda=0 and at the first lambda>0 (first M and
+seed) the same way, into the directory a ``run`` of those two cells writes,
+and adds ``drift_paired.csv``: their drift CSVs joined column by column.
+
+Both exit 0 on full success, 1 if any grid cell failed (outputs from
+completed cells are preserved) or an output could not be written, and 2 on
+configuration errors, which create nothing. Set the ``DGCL_THREADS``
+environment variable to a positive integer to run grid cells in that many
+worker processes; output files are identical either way.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import gradcheck, metrics
@@ -126,13 +133,9 @@ def _aggregate(cfg: RunConfig, cells: list[Cell], summaries: dict[Cell, dict],
                "seeds": sorted(c.seed for c in members)}
         for key in ("fa", "ga", "fm", "la"):
             values = [summaries[c][key] for c in members]
-            if any(v is None for v in values):
-                row[f"{key}_mean"] = None
-                row[f"{key}_ci95"] = None
-            else:
-                mean, ci = metrics.mean_and_ci95(values)
-                row[f"{key}_mean"] = mean
-                row[f"{key}_ci95"] = ci
+            row[f"{key}_mean"], row[f"{key}_ci95"] = (
+                (None, None) if None in values
+                else metrics.mean_and_ci95(values))
         rows.append(row)
     out = {"config_hash": config_hash(cfg), "cells": rows}
     if failures:  # absent on full success, so those files do not change
@@ -153,16 +156,22 @@ def _failure_line(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def cmd_run(config_path: str) -> int:
-    try:
-        cfg = parse_config_file(config_path)
-        cells = expand_cells(cfg)
-        workers = _worker_count(len(cells))
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+def _unwritable(path, exc: OSError) -> int:
+    print(f"cannot write {path}: {_failure_line(exc)}", file=sys.stderr)
+    return 1
+
+
+def _run_grid(cfg: RunConfig) -> int:
+    """``dgcl run``: every cell of ``cfg`` into :func:`_cell_dir`, then the
+    aggregate ``summary.json``. Returns the exit status; a bad
+    ``DGCL_THREADS`` raises ConfigError before anything is created."""
+    cells = expand_cells(cfg)
+    workers = _worker_count(len(cells))
     outdir = _cell_dir(cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        return _unwritable(outdir, e)
     summaries: dict[Cell, dict] = {}
     errors: dict[Cell, Exception] = {}
     if workers > 1:
@@ -183,14 +192,18 @@ def cmd_run(config_path: str) -> int:
                 errors[cell] = e
         _STREAM.clear()  # a later run in this process builds its own
     failures = [(cell, errors[cell]) for cell in _grid(cfg) if cell in errors]
-    metrics.write_json(_aggregate(cfg, cells, summaries, failures),
-                       outdir / "summary.json")
     for cell, exc in failures:
         print(f"cell {cell.name} failed: {_failure_line(exc)}", file=sys.stderr)
         if not isinstance(exc, _RUN_FAULTS):
             # a bug rather than a run fault: show where it was raised (a
             # worker's traceback comes back as the exception's cause)
             traceback.print_exception(exc, limit=3, file=sys.stderr)
+    summary = outdir / "summary.json"
+    try:
+        metrics.write_json(_aggregate(cfg, cells, summaries, failures),
+                           summary)
+    except OSError as e:
+        return _unwritable(summary, e)
     print(f"{len(summaries)}/{len(cells)} cells completed -> {outdir}")
     return 1 if failures else 0
 
@@ -213,49 +226,32 @@ def cmd_gradcheck(seed: int = 0, instances: int = 100) -> int:
     return 0
 
 
-def cmd_drift(config_path: str) -> int:
-    try:
-        cfg = parse_config_file(config_path)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+def cmd_drift(cfg: RunConfig) -> int:
+    """KISP at lambda=0 and at the first lambda>0, as ``dgcl run`` runs that
+    two-cell grid, plus the column join of their drift CSVs."""
     # pairing lambda=0 against itself would compare a run with its twin
     lam_reg = next((lam for lam in cfg.lams if lam != 0.0), None)
     if lam_reg is None:
-        print("config error: drift needs a nonzero trainer.lambda",
-              file=sys.stderr)
-        return 2
-    seed = cfg.seeds[0]
-    memory = cfg.memories[0]
-    outdir = Path(cfg.output_dir) / f"drift-{config_hash(cfg)}"
-    try:
-        tasks = build_tasks(cfg, seed)
-        results = {}
-        for label, lam in (("base", 0.0), ("reg", lam_reg)):
-            results[label] = run_stream(
-                cfg.trainer_config("kisp", lam, memory, seed), tasks)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_paired_drift(results["base"].drift, results["reg"].drift,
-                            lam_reg, outdir / "drift_paired.csv")
-        for label, lam in (("base", 0.0), ("reg", lam_reg)):
-            metrics.write_accuracy_csv(
-                results[label].matrix,
-                outdir / f"accuracy_evolution_lam{lambda_label(lam)}.csv")
-    except _RUN_FAULTS as e:
-        print(f"drift run failed: {_failure_line(e)}", file=sys.stderr)
-        return 1
-    print(f"drift report -> {outdir}")
-    return 0
-
-
-def _write_paired_drift(base, reg, lam_reg: float, path) -> None:
+        raise ConfigError("drift needs a nonzero trainer.lambda")
+    pair = replace(cfg, methods=["kisp"], lams=[0.0, lam_reg],
+                   memories=cfg.memories[:1], seeds=cfg.seeds[:1])
+    status = _run_grid(pair)
+    if status:
+        return status
+    outdir = _cell_dir(pair)
+    # the two cells' drift CSVs, joined on their update_index,task_id
+    base, reg = ((outdir / f"{cell.name}.drift.csv").read_text("utf-8")
+                 .splitlines() for cell in expand_cells(pair))
     lines = ["update_index,task_id,drift_lam0,"
              f"drift_lam{lambda_label(lam_reg)}"]
-    for eb, er in zip(base.entries, reg.entries):
-        lines.append(f"{eb.update_index},{eb.task_id},"
-                     f"{eb.value!r},{er.value!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    lines += [f"{b},{r.rpartition(',')[2]}" for b, r in zip(base[1:], reg[1:])]
+    paired = outdir / "drift_paired.csv"
+    try:
+        paired.write_text("\n".join(lines) + "\n", "utf-8", newline="\n")
+    except OSError as e:
+        return _unwritable(paired, e)
+    print(f"drift report -> {paired}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -270,17 +266,20 @@ def main(argv=None) -> int:
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--instances", type=int, default=100)
     p_drift = sub.add_parser("drift",
-                             help="paired drift / accuracy-evolution report")
+                             help="paired lambda=0 / lambda>0 drift report")
     p_drift.add_argument("config", help="path to a key=value config file")
     args = parser.parse_args(argv)
     if args.command == "gradcheck" and args.instances < 1:
         # zero instances would check nothing and report a pass
         p_grad.error("--instances must be >= 1")
-    if args.command == "run":
-        return cmd_run(args.config)
     if args.command == "gradcheck":
         return cmd_gradcheck(seed=args.seed, instances=args.instances)
-    return cmd_drift(args.config)
+    try:
+        cfg = parse_config_file(args.config)
+        return _run_grid(cfg) if args.command == "run" else cmd_drift(cfg)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -13,7 +13,7 @@ stored rows are their first n; a registration that needs more rows at
 least doubles them. A write moves, in place, only the rows after its
 task's block and the task's kept rows, then copies the new rows in; so
 ``all_items`` and ``ref_norms`` are views, which a later write changes.
-``sample`` returns copies.
+``sample`` returns copies of inputs and labels.
 """
 from __future__ import annotations
 
@@ -26,17 +26,19 @@ from .numerics import as_matrix, row_norms
 
 
 @dataclass(frozen=True)
-class Rows:
-    """Row-aligned inputs, labels and write-time embeddings."""
+class Batch:
+    """Row-aligned inputs and labels: what a replay sample carries."""
     x: np.ndarray
     y: np.ndarray
-    ref: np.ndarray
 
     def __len__(self) -> int:
         return self.y.shape[0]
 
-    def take(self, idx) -> "Rows":
-        return Rows(self.x[idx], self.y[idx], self.ref[idx])
+
+@dataclass(frozen=True)
+class Rows(Batch):
+    """Stored rows: a batch plus each row's write-time embedding."""
+    ref: np.ndarray
 
 
 class EpisodicMemory:
@@ -115,17 +117,17 @@ class EpisodicMemory:
         self._len = n - held + count
         self._publish()
 
-    def sample(self, k: int, rng: np.random.Generator) -> Rows:
-        """Uniform without replacement over all rows; min(k, total) rows,
-        copied out of the store. An empty store returns no rows and leaves
-        ``rng`` untouched."""
+    def sample(self, k: int, rng: np.random.Generator) -> Batch:
+        """Uniform without replacement over all rows; the inputs and labels
+        of min(k, total) rows, copied out of the store. An empty store
+        returns no rows and leaves ``rng`` untouched."""
         if k < 1:
             raise ValueError("sample size k must be >= 1")
         pool = self.all_items()
         if not pool:
-            return pool
+            return Batch(pool.x, pool.y)
         idx = rng.choice(len(pool), size=min(k, len(pool)), replace=False)
-        return pool.take(idx)
+        return Batch(pool.x[idx], pool.y[idx])
 
     def all_items(self) -> Rows:
         """Every row: tasks in id order, oldest to newest within a task.

@@ -57,9 +57,6 @@ class AccuracyMatrix:
             raise IndexError(f"row {i} outside [1, {self.T}]")
         return list(self._rows[i - 1])
 
-    def rows(self) -> list[list[float]]:
-        return [list(r) for r in self._rows]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AccuracyMatrix) and self._rows == other._rows
 

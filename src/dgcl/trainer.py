@@ -49,7 +49,7 @@ import numpy as np
 from . import losses
 from .datasets import TaskData
 from .errors import DivergenceError, OverlappingClassesError, UnknownTaskError
-from .memory import EpisodicMemory, Rows
+from .memory import Batch, EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
 from .model import (MIN_SHARED_ROWS, Encoder, Model, _encoder_forward,
                     _encoder_grad, _heads_forward, _heads_grad, encoder_rows)
@@ -147,7 +147,7 @@ def _require_finite(update_index: int, task_id: int, **values) -> None:
 
 
 def update(model: Model, config: TrainerConfig, batch_x, batch_y,
-           replay: Rows | None, snapshot: Encoder | None,
+           replay: Batch | None, snapshot: Encoder | None,
            update_index: int = 0, task_id: int = 0) -> losses.LossBreakdown:
     """One update, written into ``model.grad``: the gradient of the
     cross-entropy over the batch plus ``replay`` and, for a regularized
@@ -203,7 +203,6 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
     batch_y = np.asarray(batch_y, dtype=np.int64).reshape(-1)
     if state.task_id not in state.model.task_ids:
         raise UnknownTaskError(f"no head registered for task {state.task_id}")
-    breakdown = losses.LossBreakdown(0.0, 0.0, 0.0, config.lam)
     ref = None
     for it in range(config.iterations):
         replay = (state.memory.sample(config.batch_size, state.rng_sample)

@@ -5,6 +5,7 @@ import pytest
 
 from dgcl import cli, trainer
 from dgcl.cli import main
+from dgcl.config import parse_config_file
 from dgcl.datasets import save_tensor_file
 
 GRID = """\
@@ -147,22 +148,98 @@ def _csv_column(data: bytes, index: int) -> list[bytes]:
     return [line.split(b",")[index] for line in data.splitlines()[1:]]
 
 
-def test_drift_pairs_zero_with_first_nonzero_lambda(tmp_path):
-    config = _grid_config(tmp_path, "drift", "kisp", lams="0,1", seeds="0")
+def test_drift_pairs_zero_with_first_nonzero_lambda(tmp_path, monkeypatch):
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    config = _grid_config(tmp_path, "drift", "er,kisp", lams="0,1,10")
     assert main(["drift", str(config)]) == 0
-    (drift_dir,) = (tmp_path / "drift").glob("drift-*")
-    paired = (drift_dir / "drift_paired.csv").read_bytes()
+    drift = _run_files(tmp_path, "drift")
+    paired = drift.pop("drift_paired.csv")
     assert (paired.splitlines()[0]
             == b"update_index,task_id,drift_lam0,drift_lam1")
-    # the drift report and a dgcl run cell of the same lambda agree exactly
-    assert main(["run", str(config)]) == 0
-    cells = _run_files(tmp_path, "drift")
+    # the rest is what dgcl run writes for the two cells, in the same place
+    pair = _grid_config(tmp_path, "pair", "kisp", lams="0,1", seeds="0")
+    assert main(["run", str(pair)]) == 0
+    assert ([p.name for p in (tmp_path / "drift").iterdir()]
+            == [p.name for p in (tmp_path / "pair").iterdir()])
+    assert drift == _run_files(tmp_path, "pair")
     for lam, column in (("0", 2), ("1", 3)):
-        cell = f"kisp_lam{lam}_M20_seed0"
-        assert (_csv_column(paired, column)
-                == _csv_column(cells[f"{cell}.drift.csv"], 2))
-        assert ((drift_dir / f"accuracy_evolution_lam{lam}.csv").read_bytes()
-                == cells[f"{cell}.matrix.csv"])
+        cell = drift[f"kisp_lam{lam}_M20_seed0.drift.csv"]
+        assert _csv_column(paired, column) == _csv_column(cell, 2)
+        for key in (0, 1):  # update_index, task_id
+            assert _csv_column(paired, key) == _csv_column(cell, key)
+
+
+def test_drift_is_identical_serial_and_parallel(tmp_path, monkeypatch):
+    files = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DGCL_THREADS", threads)
+        config = _grid_config(tmp_path, f"d{threads}", "kisp", lams="0,1")
+        assert main(["drift", str(config)]) == 0
+        files[threads] = _run_files(tmp_path, f"d{threads}")
+    assert len(files["1"]) == 2 * 3 + 2 and "drift_paired.csv" in files["1"]
+    assert files["2"] == files["1"]
+
+
+def test_diverging_drift_fails_like_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    config = _grid_config(tmp_path, "lr50", "kisp", lams="0,1", seeds="0")
+    config.write_text(config.read_text().replace("trainer.lr = 0.05",
+                                                 "trainer.lr = 50"))
+    assert main(["drift", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.partition(": ")[0] for line in err] == [
+        f"cell kisp_lam{lam}_M20_seed0 failed" for lam in ("0", "1")]
+    assert all(" failed: DivergenceError: non-finite " in line
+               for line in err)
+    # the failures are recorded as dgcl run records them; no paired file
+    (run_dir,) = (tmp_path / "lr50").iterdir()
+    assert "drift_paired.csv" not in {p.name for p in run_dir.iterdir()}
+    assert len(json.loads((run_dir / "summary.json").read_text())
+               ["failures"]) == 2
+    assert main(["run", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == err
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_drift_bad_thread_count_is_a_config_error(tmp_path, monkeypatch,
+                                                  capsys, raw):
+    monkeypatch.setenv("DGCL_THREADS", raw)
+    config = _grid_config(tmp_path, "bad", "kisp", lams="0,1")
+    assert main(["drift", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: DGCL_THREADS must be a positive integer, got {raw!r}"]
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "drift"])
+def test_unwritable_output_dir_is_one_line(tmp_path, monkeypatch, capsys,
+                                           command):
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    (tmp_path / "file").write_text("")
+    config = _grid_config(tmp_path, "x", "kisp", lams="0,1", seeds="0")
+    config.write_text(config.read_text().replace(
+        str(tmp_path / "x"), str(tmp_path / "file" / "out")))
+    assert main([command, str(config)]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()  # no traceback
+    assert line.startswith(f"cannot write {tmp_path / 'file' / 'out'}/run-")
+    assert ": NotADirectoryError: " in line
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "drift"])
+def test_unwritable_summary_is_one_line(tmp_path, monkeypatch, capsys,
+                                        command):
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    config = _grid_config(tmp_path, "s", "kisp", lams="0,1", seeds="0")
+    run_dir = cli._cell_dir(parse_config_file(config))
+    (run_dir / "summary.json").mkdir(parents=True)
+    assert main([command, str(config)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"cannot write {run_dir / 'summary.json'}: "
+                           "IsADirectoryError: ")
+    # the cells ran and wrote their files; the paired file needs the summary
+    assert len(list(run_dir.iterdir())) == 2 * 3 + 1
 
 
 def test_drift_needs_a_nonzero_lambda(tmp_path, capsys):

@@ -29,6 +29,13 @@ def assert_aligned(rows):
     assert (rows.ref == np.hstack([rows.x, -rows.x])).all()
 
 
+def assert_sample(out):
+    """A replay sample: aligned inputs and labels, and no embeddings, which
+    replay does not read."""
+    assert out.x.shape == (len(out), 1) and (out.x[:, 0] == out.y).all()
+    assert not hasattr(out, "ref")
+
+
 class TestWrites:
     def test_under_capacity_keeps_order(self):
         mem = memory(3)
@@ -181,7 +188,7 @@ class TestSampling:
         write(mem, 1, range(5))
         out = mem.sample(10, np.random.default_rng(0))
         assert sorted(tags(out)) == [0, 1, 2, 3, 4]
-        assert_aligned(out)
+        assert_sample(out)
 
     def test_zero_k_is_a_contract_error(self):
         mem = memory(2)
@@ -193,7 +200,8 @@ class TestSampling:
         mem.register_task(1)
         out = mem.sample(3, np.random.default_rng(0))
         assert len(out) == 0 and not out
-        assert out.x.shape == (0, 1) and out.ref.shape == (0, 2)
+        assert out.y.shape == (0,)
+        assert_sample(out)
 
     def test_empty_memory_leaves_rng_untouched(self):
         mem = memory(2)
@@ -225,7 +233,7 @@ class TestSampling:
         idx = np.random.default_rng(8).choice(5, size=4, replace=False)
         out = mem.sample(4, np.random.default_rng(8))
         assert tags(out) == [pool[i] for i in idx]
-        assert_aligned(out)
+        assert_sample(out)
 
     def test_uniform_frequencies_within_three_sigma(self):
         mem = memory(4)
@@ -248,11 +256,11 @@ class TestSampling:
         write(mem, 2, [20, 21, 22])
         write(mem, 1, [10, 11])
         out = mem.sample(5, np.random.default_rng(3))
-        drawn = (out.x.copy(), out.y.copy(), out.ref.copy())
+        drawn = (out.x.copy(), out.y.copy())
         write(mem, 1, [12, 13, 14])
         write(mem, 2, [23])
         assert tags(mem.all_items()) == [12, 13, 14, 21, 22, 23]
-        for a, b in zip((out.x, out.y, out.ref), drawn):
+        for a, b in zip((out.x, out.y), drawn):
             assert np.array_equal(a, b)
 
     def test_deterministic_for_fixed_rng_state(self):

@@ -376,9 +376,10 @@ class TestMemoryInteraction:
                 bx = task.train_x[start:stop]
                 train_step(state, cfg, bx, task.train_y[start:stop])
                 # the current task has the highest id: its rows come last
-                written = state.memory.all_items().take(slice(-len(bx), None))
-                assert written.x.tobytes() == bx.tobytes()
-                assert written.ref.tobytes() == state.model.embed(bx).tobytes()
+                written = state.memory.all_items()
+                assert written.x[-len(bx):].tobytes() == bx.tobytes()
+                assert (written.ref[-len(bx):].tobytes()
+                        == state.model.embed(bx).tobytes())
             state.snapshot = state.model.snapshot()
         # older rows keep the embeddings they were written with
         rows = state.memory.all_items()
@@ -403,9 +404,9 @@ class TestMemoryInteraction:
                 bx = task.train_x[start:stop]
                 train_step(state, cfg, bx, task.train_y[start:stop])
                 kept = min(len(bx), memory_size)
-                written = state.memory.all_items().take(slice(-kept, None))
-                assert written.x.tobytes() == bx[-kept:].tobytes()
-                assert (written.ref.tobytes()
+                written = state.memory.all_items()
+                assert written.x[-kept:].tobytes() == bx[-kept:].tobytes()
+                assert (written.ref[-kept:].tobytes()
                         == state.model.embed(bx)[-kept:].tobytes())
                 one_row_writes += len(bx) == 1
             state.snapshot = state.model.snapshot()
