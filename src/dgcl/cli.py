@@ -14,7 +14,8 @@ and adds ``drift_paired.csv``: their drift CSVs joined column by column.
 
 Both exit 0 on full success, 1 if any grid cell failed (outputs from
 completed cells are preserved) or an output could not be written, and 2 on
-configuration errors, which create nothing. Set the ``DGCL_THREADS``
+configuration errors, which create nothing: among them a stream file that
+does not exist (a corrupt one fails each cell). Set the ``DGCL_THREADS``
 environment variable to a positive integer to run grid cells in that many
 worker processes; output files are identical either way.
 """
@@ -164,9 +165,14 @@ def _unwritable(path, exc: OSError) -> int:
 def _run_grid(cfg: RunConfig) -> int:
     """``dgcl run``: every cell of ``cfg`` into :func:`_cell_dir`, then the
     aggregate ``summary.json``. Returns the exit status; a bad
-    ``DGCL_THREADS`` raises ConfigError before anything is created."""
+    ``DGCL_THREADS`` or a missing stream file raises ConfigError before
+    anything is created."""
     cells = expand_cells(cfg)
     workers = _worker_count(len(cells))
+    if cfg.stream_kind == "file":
+        for path in (cfg.train_path, cfg.test_path):
+            if not Path(path).is_file():
+                raise ConfigError(f"no stream file at {path}")
     outdir = _cell_dir(cfg)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

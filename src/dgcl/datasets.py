@@ -5,6 +5,11 @@ Synthetic streams draw one mean per global class uniformly on a radius-s
 sphere and sample isotropic gaussian points around it. Classes are assigned
 to tasks in consecutive blocks, labels are global, and everything is a
 deterministic function of the spec (seed included).
+
+A task's class ids are the model's logits columns: task t's are the next
+``classes_per_task`` after task t-1's. Synthetic labels already are; a file
+stream's sorted distinct train labels are mapped to 0..K-1, test labels
+with them, so native 1-based or gapped labels train as 0..K-1 would.
 """
 from __future__ import annotations
 
@@ -71,11 +76,12 @@ class TaskData:
         self.train_x = as_matrix(self.train_x)
         self.train_y = np.asarray(self.train_y, dtype=np.int64).reshape(-1)
         self.test_y = np.asarray(self.test_y, dtype=np.int64).reshape(-1)
-        if self.test_y.size:
-            self.test_x = as_matrix(self.test_x)
-        else:
-            self.test_x = np.asarray(self.test_x,
-                                     dtype=np.float64).reshape(0, self.train_x.shape[1])
+        # a task without test rows could never be evaluated
+        if not self.test_y.size:
+            raise LabelRangeError(
+                f"test data has no examples of task {self.task_id}'s "
+                f"classes {list(self.class_ids)}")
+        self.test_x = as_matrix(self.test_x)
         allowed = set(self.class_ids)
         for name, y in (("train", self.train_y), ("test", self.test_y)):
             bad = set(np.unique(y).tolist()) - allowed
@@ -122,43 +128,35 @@ def synth_stream(spec: StreamSpec) -> list[TaskData]:
     return tasks
 
 
-def split_by_class(x, y, classes_per_task: int, *, test_x=None, test_y=None,
+def split_by_class(x, y, classes_per_task: int, *, test_x, test_y,
                    seed: int = 0) -> list[TaskData]:
     """Partition labelled examples into disjoint consecutive-class tasks.
 
-    Within-task train order is shuffled by ``seed``; test examples (when
-    given) are split with the same class blocks, unshuffled, and every block
-    must have some, since a task without them could never be evaluated.
+    The sorted distinct train labels become class ids 0..K-1, in train and
+    test rows alike. Within-task train order is shuffled by ``seed``; test
+    examples are split with the same class blocks, unshuffled, and test rows
+    of a label the train rows lack are dropped.
     """
     x = as_matrix(x)
     y = np.asarray(y, dtype=np.int64).reshape(-1)
-    classes = sorted(np.unique(y).tolist())
-    if len(classes) % classes_per_task != 0:
+    test_x = as_matrix(test_x)
+    test_y = np.asarray(test_y, dtype=np.int64).reshape(-1)
+    labels = np.unique(y)
+    if len(labels) % classes_per_task != 0:
         raise ConfigError(
-            f"{len(classes)} classes not divisible by {classes_per_task} per task"
+            f"{len(labels)} classes not divisible by {classes_per_task} per task"
         )
-    if test_x is not None:
-        test_x = as_matrix(test_x)
-        test_y = np.asarray(test_y, dtype=np.int64).reshape(-1)
     rng = np.random.default_rng(seed)
     tasks = []
-    n_tasks = len(classes) // classes_per_task
-    for t in range(n_tasks):
-        block = classes[t * classes_per_task:(t + 1) * classes_per_task]
-        mask = np.isin(y, block)
-        tx, ty = x[mask], y[mask]
-        order = rng.permutation(tx.shape[0])
-        if test_x is not None:
-            tmask = np.isin(test_y, block)
-            if not tmask.any():
-                raise LabelRangeError(
-                    f"test data has no examples of task {t + 1}'s "
-                    f"classes {block}")
-            ex, ey = test_x[tmask], test_y[tmask]
-        else:
-            ex = np.empty((0, x.shape[1]))
-            ey = np.empty(0, dtype=np.int64)
-        tasks.append(TaskData(t + 1, tuple(block), tx[order], ty[order], ex, ey))
+    for start in range(0, len(labels), classes_per_task):
+        block = labels[start:start + classes_per_task]
+        mask, tmask = np.isin(y, block), np.isin(test_y, block)
+        order = rng.permutation(np.count_nonzero(mask))
+        tasks.append(TaskData(
+            start // classes_per_task + 1,
+            tuple(range(start, start + classes_per_task)),
+            x[mask][order], np.searchsorted(labels, y[mask])[order],
+            test_x[tmask], np.searchsorted(labels, test_y[tmask])))
     return tasks
 
 

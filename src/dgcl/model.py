@@ -33,12 +33,13 @@ would get alone, so the slice equals a separate pass over those rows.
 in ``Model.parameters()`` order with no padding: the encoder's (W1, b1, ...,
 WL, bL), then each task head's (W, b) in task order, each a C-ordered view
 of its stretch. ``Model._pack`` alone lays it out and builds the views,
-per parameter and per head block, of the buffer, of the gradient and, for
-the tape, of any flat row in that layout. A new model packs at the
-first read of its buffer or parameter list, and ``Model.add_head`` packs
-again, so a training run packs once per task; views taken before a pack
-belong to the old buffer. Each pack also allocates ``Model.grad``, a
-gradient with the same layout and views.
+per parameter, for the encoder and per head block, of the buffer, of the
+gradient and, for the tape, of any flat row in that layout. A model packs
+at construction and at each ``Model.add_head``, never in an update, so a
+training run packs once per task plus once for the bare encoder; views
+taken before a pack belong to the old buffer. Each pack also allocates
+``Model.grad``, a gradient with the same layout and views, which
+``trainer.update`` writes.
 """
 from __future__ import annotations
 
@@ -214,47 +215,47 @@ class Encoder:
 
 class Model:
     """Shared encoder plus per-task linear heads, whose parameters are views
-    of one buffer. Add heads through :meth:`add_head`; the encoder passed in
-    is rebound to views of the buffer at each pack."""
+    of one buffer, :attr:`buffer`; :attr:`grad` is a gradient in its layout.
+    Add heads through :meth:`add_head`; the encoder passed in is rebound to
+    views of the buffer at each pack."""
 
     def __init__(self, encoder: Encoder):
         self.encoder = encoder
         self.task_ids: tuple[int, ...] = ()
-        self._params = encoder.parameters()
-        self._buffer: np.ndarray | None = None
+        self._pack(encoder.parameters())
 
-    def _pack(self) -> None:
-        """Copy every parameter into a new buffer, in :meth:`parameters`
-        order, rebind the encoder's and heads' arrays to its views and
+    def _pack(self, params: list[np.ndarray]) -> None:
+        """Copy ``params``, the encoder's then each head's, into a new
+        :attr:`buffer`, rebind the encoder's arrays to its views and
         allocate :attr:`grad` beside it; group the heads into blocks."""
         self._spans, at = [], 0
-        for p in self._params:
-            self._spans.append(slice(at, at + p.size))
+        for p in params:
+            self._spans.append((slice(at, at + p.size), p.shape))
             at += p.size
         # each maximal run of equal-width heads is one block: [start of
         # its stretch, head count, width]
-        k = self._encoder_size
+        k = 2 * len(self.encoder.weights)
         self._block_spans = []
-        for w, span in zip(self._params[k::2], self._spans[k::2]):
-            if self._block_spans and self._block_spans[-1][2] == w.shape[1]:
+        for span, shape in self._spans[k::2]:
+            if self._block_spans and self._block_spans[-1][2] == shape[1]:
                 self._block_spans[-1][1] += 1
             else:
-                self._block_spans.append([span.start, 1, w.shape[1]])
-        buffer, self._grad = np.empty(at), np.empty(at)
-        views = self._views(buffer)
-        for view, p in zip(views, self._params):
+                self._block_spans.append([span.start, 1, shape[1]])
+        self.buffer, self.grad = np.empty(at), np.empty(at)
+        self._params, self._grads = (self._views(self.buffer),
+                                     self._views(self.grad))
+        for view, p in zip(self._params, params):
             view[...] = p
-        self.encoder.weights, self.encoder.biases = views[0:k:2], views[1:k:2]
-        self._buffer, self._params = buffer, views
-        self._grads = self._views(self._grad)
-        self._blocks, self._grad_blocks = (self._head_blocks(buffer),
-                                           self._head_blocks(self._grad))
+        self.encoder.weights = self._params[0:k:2]
+        self.encoder.biases = self._params[1:k:2]
+        self._encoder_views = self._params[:k], self._grads[:k]
+        self._blocks, self._grad_blocks = (self._head_blocks(self.buffer),
+                                           self._head_blocks(self.grad))
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Views of the 1-D ``flat`` in :attr:`buffer`'s layout, one per
         parameter in order."""
-        return [flat[span].reshape(p.shape)
-                for span, p in zip(self._spans, self._params)]
+        return [flat[span].reshape(shape) for span, shape in self._spans]
 
     def _head_blocks(self, flat: np.ndarray) -> list[tuple[np.ndarray,
                                                            np.ndarray]]:
@@ -271,32 +272,18 @@ class Model:
                  rows[:, d * width:].reshape(count, 1, width)))
         return blocks
 
-    @property
-    def buffer(self) -> np.ndarray:
-        """Every parameter in one array; the first read packs it."""
-        if self._buffer is None:
-            self._pack()
-        return self._buffer
-
-    @property
-    def grad(self) -> np.ndarray:
-        """A gradient over every parameter in :attr:`buffer`'s layout, which
-        ``trainer.update`` writes; the first read packs it."""
-        if self._buffer is None:
-            self._pack()
-        return self._grad
-
     def gradients(self) -> list[np.ndarray]:
         """The views of :attr:`grad`, in :meth:`parameters` order."""
-        if self._buffer is None:
-            self._pack()
         return self._grads
+
+    def encoder_views(self) -> tuple[list, list]:
+        """The encoder's (W1, b1, ..., WL, bL) views of :attr:`buffer`, then
+        of :attr:`grad`."""
+        return self._encoder_views
 
     def head_blocks(self) -> tuple[list, list]:
         """The heads' (W, b) block views of :attr:`buffer`, then of
         :attr:`grad`, one pair per run of equal-width heads."""
-        if self._buffer is None:
-            self._pack()
         return self._blocks, self._grad_blocks
 
     @classmethod
@@ -312,10 +299,10 @@ class Model:
     def build_embed(self, tape: Tape, leaf: int, x) -> int:
         """The encoder op on batch ``x`` over ``leaf``, the tape's 1 x P
         view of :attr:`buffer`; returns the embedding node."""
-        params = self.parameters()[:self._encoder_size]
+        params = self.encoder_views()[0]
 
         def grad(vals, out, aux, g):
-            row = np.zeros((1, self._buffer.size))
+            row = np.zeros((1, self.buffer.size))
             _encoder_grad(params, aux, g, self._views(row[0]))
             return [row]
 
@@ -341,17 +328,13 @@ class Model:
             )
 
         def grad(vals, out, aux, g):
-            row = np.zeros((1, self._buffer.size))
+            row = np.zeros((1, self.buffer.size))
             return [_heads_grad(vals[0], blocks, g,
                                 self._head_blocks(row[0])), row]
 
         return tape.apply("heads", (f_node, leaf),
                           lambda vals, aux: _heads_forward(vals[0], blocks),
                           grad)
-
-    @property
-    def _encoder_size(self) -> int:
-        return 2 * len(self.encoder.weights)
 
     def add_head(self, task_id: int, class_count: int,
                  rng: np.random.Generator) -> None:
@@ -361,11 +344,10 @@ class Model:
             raise DuplicateTaskError(f"head for task {task_id} already registered")
         if class_count < 1:
             raise ValueError("class_count must be >= 1")
-        self._params = [*self._params,
-                        _init_weight(self.encoder.embed_dim, class_count, rng),
-                        np.zeros((1, class_count))]
+        self._pack([*self._params,
+                    _init_weight(self.encoder.embed_dim, class_count, rng),
+                    np.zeros((1, class_count))])
         self.task_ids += (task_id,)
-        self._pack()
 
     def predict(self, x) -> np.ndarray:
         """Global class indices via argmax over all heads (ties -> lowest)."""
@@ -375,8 +357,6 @@ class Model:
         """Every trainable array: the encoder's, then each head's (W, b) in
         task order. The views of :attr:`buffer`, in its order; the list is
         the one packing built, so read it, do not change it."""
-        if self._buffer is None:
-            self._pack()
         return self._params
 
     def snapshot(self) -> Encoder:

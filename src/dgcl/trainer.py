@@ -26,9 +26,12 @@ them. The regularizer is one ``losses.regularizer`` call, which holds the
 rule for each method's operands. It writes each parameter adjoint into
 ``Model.grad``, which has the parameter buffer's layout: the heads' once,
 the encoder's from the regularizer branch and then, added, from the
-cross-entropy branch. ``dgcl gradcheck`` checks the same function. The SGD
-step writes the buffer in place after the gradient: ``lr * g`` then the
-subtraction, the per-array step's two roundings. Each repeat's
+cross-entropy branch. It reads the encoder's and the heads' views of the
+buffer and of the gradient as the model hands them over: a model packs at
+construction and at each ``add_head``, never inside ``train_step``, so an
+update computes no layout. ``dgcl gradcheck`` checks the same function.
+The SGD step writes the buffer in place after the gradient: ``lr * g`` then
+the subtraction, the per-array step's two roundings. Each repeat's
 intermediates, such as KISP's m x m arrays, are freed when ``update``
 returns. The drift probe takes the stored embeddings' norms from the
 memory, which computes them at each row's write.
@@ -48,7 +51,8 @@ import numpy as np
 
 from . import losses
 from .datasets import TaskData
-from .errors import DivergenceError, OverlappingClassesError, UnknownTaskError
+from .errors import (DivergenceError, LabelRangeError, OverlappingClassesError,
+                     UnknownTaskError)
 from .memory import Batch, EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
 from .model import (MIN_SHARED_ROWS, Encoder, Model, _encoder_forward,
@@ -161,18 +165,17 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
         y_all = np.concatenate([batch_y, replay.y])
     else:
         x_all, y_all = batch_x, batch_y
-    params, grads = model.parameters(), model.gradients()
+    params, grads = model.encoder_views()
     blocks, block_grads = model.head_blocks()
-    k = 2 * len(model.encoder.weights)
     shared = {"x": np.ascontiguousarray(model.encoder._input(x_all))}
-    f = _encoder_forward(params[:k], shared)
+    f = _encoder_forward(params, shared)
     logits = _heads_forward(f, blocks)
     ce_aux = losses.ce_aux(logits, y_all)
     ce = losses._ce_forward([logits], ce_aux)
     reg = None
     if config.method in REGULARIZED and snapshot is not None and replay:
         f_pre = snapshot.forward(replay.x)
-        f_cur, rows = encoder_rows(params[:k], shared, f, len(batch_x))
+        f_cur, rows = encoder_rows(params, shared, f, len(batch_x))
         reg, reg_grad = losses.regularizer(config.method, f_pre, f_cur,
                                            config.tau)
     ce_val = float(ce[0, 0])
@@ -188,11 +191,11 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     branch = reg is not None and config.lam != 0.0
     if branch:
         g = reg_grad(np.array([[config.lam]]))
-        _encoder_grad(params[:k], rows, g, grads[:k])
+        _encoder_grad(params, rows, g, grads)
     (g,) = losses._ce_grad([logits], ce, ce_aux, _ONE)
     g = _heads_grad(f, blocks, g, block_grads)
     # the encoder's two adjoints in either order: a sum of two commutes
-    _encoder_grad(params[:k], shared, g, grads[:k], add=branch)
+    _encoder_grad(params, shared, g, grads, add=branch)
     return losses.LossBreakdown(ce_val, reg_val, total, config.lam)
 
 
@@ -251,8 +254,6 @@ def run_task(state: TrainerState, config: TrainerConfig,
 
 def evaluate_accuracy(model: Model, task: TaskData) -> float:
     """Fraction of the task's test set classified correctly."""
-    if task.test_y.size == 0:
-        raise ValueError(f"task {task.task_id} has no test examples")
     return float(np.mean(model.predict(task.test_x) == task.test_y))
 
 
@@ -288,18 +289,25 @@ class RunResult:
 
 
 def run_stream(config: TrainerConfig, tasks: list[TaskData]) -> RunResult:
-    """Train across the task sequence and fill the accuracy matrix."""
+    """Train across the task sequence and fill the accuracy matrix. Each
+    task's head takes the next logits columns, and a label is its column,
+    so before any update each task's class ids must be exactly those
+    columns."""
     _keep_freed_heap()
     if not tasks:
         raise ValueError("need at least one task")
-    seen: set[int] = set()
+    columns = 0
     for task in tasks:
-        overlap = seen & set(task.class_ids)
-        if overlap:
-            raise OverlappingClassesError(
-                f"task {task.task_id} reuses class ids {sorted(overlap)}"
-            )
-        seen |= set(task.class_ids)
+        expected = list(range(columns, columns + len(task.class_ids)))
+        if sorted(task.class_ids) != expected:
+            reused = sorted(set(task.class_ids).intersection(range(columns)))
+            if reused:
+                raise OverlappingClassesError(
+                    f"task {task.task_id} reuses class ids {reused}")
+            raise LabelRangeError(
+                f"task {task.task_id} has class ids {list(task.class_ids)}, "
+                f"expected {expected}: its head's logits columns")
+        columns += len(task.class_ids)
     state = init_state(config, tasks[0].train_x.shape[1])
     matrix = AccuracyMatrix()
     # a non-finite loss, drift or parameter raises DivergenceError; numpy's

@@ -276,6 +276,59 @@ def test_test_file_missing_a_task_fails_each_cell_before_training(
     assert steps == []
 
 
+def _file_config(path, train, test, out, methods="kisp"):
+    path.write_text(f"stream.kind = file\nstream.train_path = {train}\n"
+                    f"stream.test_path = {test}\n"
+                    "stream.classes_per_task = 2\n"
+                    f"trainer.methods = {methods}\nseeds = 0\n"
+                    f"output_dir = {out}\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "drift"])
+@pytest.mark.parametrize("missing", ["train", "test"])
+def test_missing_stream_file_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                               command, missing):
+    paths = {name: tmp_path / f"{name}.dgds" for name in ("train", "test")}
+    rng = np.random.default_rng(3)
+    for name, path in paths.items():
+        if name != missing:
+            save_tensor_file(path, rng.standard_normal((8, 4)),
+                             np.repeat(np.arange(2), 4), class_count=2)
+    config = _file_config(tmp_path / "file.cfg", paths["train"],
+                          paths["test"], tmp_path / "out")
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    assert main([command, str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: no stream file at {paths[missing]}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("labels", [[1, 2, 3, 4], [0, 1, 5, 6]])
+def test_native_file_labels_run_as_0_to_k(tmp_path, monkeypatch, labels):
+    # a 1-based or gapped file stream writes the bytes the same data
+    # labelled 0..3 writes; the relative paths keep the config hash
+    rng = np.random.default_rng(2)
+    x, tx = rng.standard_normal((40, 4)), rng.standard_normal((16, 4))
+    y, ty = np.repeat(np.arange(4), 10), np.tile(np.arange(4), 4)
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    outputs = []
+    for name, native in (("plain", np.arange(4)),
+                         ("native", np.array(labels))):
+        root = tmp_path / name
+        root.mkdir()
+        monkeypatch.chdir(root)
+        save_tensor_file("train.dgds", x, native[y], class_count=7)
+        save_tensor_file("test.dgds", tx, native[ty], class_count=7)
+        config = _file_config(root / "file.cfg", "train.dgds", "test.dgds",
+                              "out", methods="finetune,er,kisp")
+        assert main(["run", str(config)]) == 0
+        (run_dir,) = (root / "out").iterdir()
+        outputs.append({f.name: f.read_bytes() for f in run_dir.iterdir()})
+    assert len(outputs[0]) == 3 * 3 + 1
+    assert outputs[1] == outputs[0]
+
+
 def test_indivisible_file_stream_is_one_config_error_per_cell(
         tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(1)

@@ -107,7 +107,7 @@ class TestSplitByClass:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((100, 3))
         y = np.repeat(np.arange(10), 10)
-        tasks = split_by_class(x, y, 5)
+        tasks = split_by_class(x, y, 5, test_x=x, test_y=y)
         assert len(tasks) == 2
         assert tasks[0].class_ids == (0, 1, 2, 3, 4)
         assert tasks[1].class_ids == (5, 6, 7, 8, 9)
@@ -117,14 +117,14 @@ class TestSplitByClass:
         y = np.repeat(np.arange(10), 1)
         with pytest.raises(ConfigError,
                            match="10 classes not divisible by 3 per task"):
-            split_by_class(x, y, 3)
+            split_by_class(x, y, 3, test_x=x, test_y=y)
 
     def test_partition_property(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((60, 2))
         y = rng.integers(0, 6, size=60)
         y[:6] = np.arange(6)  # every class present
-        tasks = split_by_class(x, y, 2)
+        tasks = split_by_class(x, y, 2, test_x=x, test_y=y)
         union = set()
         for t in tasks:
             assert not union & set(t.class_ids)
@@ -152,11 +152,41 @@ class TestSplitByClass:
             split_by_class(x, y, 2, test_x=np.zeros((3, 2)),
                            test_y=[0, 1, 1])
 
+    @pytest.mark.parametrize("labels", [[1, 2, 3, 4], [0, 1, 5, 6],
+                                        [3, 7, 8, 20]])
+    def test_labels_map_to_class_ids_in_order(self, labels):
+        # a 1-based or gapped stream splits as the same data labelled 0..3
+        rng = np.random.default_rng(8)
+        x, tx = rng.standard_normal((40, 2)), rng.standard_normal((12, 2))
+        y, ty = np.repeat(np.arange(4), 10), np.tile(np.arange(4), 3)
+        want = split_by_class(x, y, 2, test_x=tx, test_y=ty, seed=3)
+        native = np.array(labels)
+        got = split_by_class(x, native[y], 2, test_x=tx, test_y=native[ty],
+                             seed=3)
+        assert [t.class_ids for t in got] == [(0, 1), (2, 3)]
+        for a, b in zip(got, want, strict=True):
+            for name in ("train_x", "train_y", "test_x", "test_y"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_test_rows_of_labels_train_lacks_are_dropped(self):
+        x = np.arange(8.0).reshape(4, 2)
+        tasks = split_by_class(x, [1, 1, 3, 3], 2, test_x=x,
+                               test_y=[1, 2, 3, 9])
+        assert tasks[0].test_y.tolist() == [0, 1]
+        assert tasks[0].test_x.tolist() == [[0.0, 1.0], [4.0, 5.0]]
+
 
 class TestTaskDataValidation:
     def test_foreign_label_rejected(self):
-        with pytest.raises(LabelRangeError):
+        with pytest.raises(LabelRangeError, match=r"train labels \[5\]"):
             TaskData(1, (0, 1), np.zeros((2, 2)), np.array([0, 5]),
+                     np.zeros((1, 2)), np.array([1]))
+
+    def test_task_without_test_rows_rejected(self):
+        # such a task could never be evaluated
+        with pytest.raises(LabelRangeError,
+                           match=r"no examples of task 2's classes \[2, 3\]"):
+            TaskData(2, (2, 3), np.zeros((2, 2)), np.array([2, 3]),
                      np.zeros((0, 2)), np.array([], dtype=np.int64))
 
 

@@ -205,6 +205,29 @@ class TestParameterBuffer:
         assert after[0] is model.encoder.weights[0]
         assert [p.shape for p in after[-2:]] == [(3, 1), (1, 1)]
 
+    def test_encoder_views_alias_buffer_and_grad(self):
+        # the encoder's views of the buffer and the gradient sit at the
+        # encoder's offsets; each add_head packs anew and rebuilds them
+        model = small_model(hidden=(6, 5))
+        rng = np.random.default_rng(4)
+        for task_id in (None, 1, 2):
+            if task_id is not None:
+                model.add_head(task_id, task_id + 1, rng)
+            params, grads = model.encoder_views()
+            k = 2 * len(model.encoder.weights)
+            for views, want in ((params, model.parameters()[:k]),
+                                (grads, model.gradients()[:k]),
+                                (params[0::2], model.encoder.weights),
+                                (params[1::2], model.encoder.biases)):
+                assert list(map(id, views)) == list(map(id, want))
+            at = 0
+            for p, g in zip(params, grads, strict=True):
+                assert p.base is model.buffer and g.base is model.grad
+                assert p.ctypes.data - model.buffer.ctypes.data == 8 * at
+                assert g.ctypes.data - model.grad.ctypes.data == 8 * at
+                assert g.shape == p.shape
+                at += p.size
+
     def test_views_after_a_one_class_head_are_8_byte_aligned(self):
         # the exact update oracles (TestUpdateMatchesPrimitiveChain) train
         # this layout: d_in 12, default widths, heads of 1, 2, 3 classes;

@@ -6,7 +6,8 @@ import pytest
 
 from dgcl import losses, trainer
 from dgcl.datasets import StreamSpec, TaskData, synth_stream
-from dgcl.errors import DivergenceError, OverlappingClassesError, UnknownTaskError
+from dgcl.errors import (DivergenceError, LabelRangeError,
+                         OverlappingClassesError, UnknownTaskError)
 from dgcl.gradcheck import LOSS_NAMES, run_gradcheck
 from dgcl.losses import ONE_MINUS_P_FLOOR
 from dgcl.metrics import embedding_drift
@@ -106,19 +107,32 @@ class TestTrainStep:
         assert b.kisp == 0.0
         assert b.total == b.ce
 
-    def test_one_pack_before_the_first_update(self, monkeypatch):
+    def test_packs_at_construction_and_each_add_head_only(self,
+                                                          monkeypatch):
+        # a model packs when it is built and when it gains a head; an
+        # update reads the views those packs made and never packs
         packs = []
         real = Model._pack
-        monkeypatch.setattr(Model, "_pack", lambda self: (
-            packs.append(self), real(self)))
-        tasks = small_tasks()
-        cfg = TrainerConfig(method="er", seed=0)
+        monkeypatch.setattr(Model, "_pack", lambda self, params: (
+            packs.append(self), real(self, params)))
+        steps = []
+        real_step = trainer.train_step
+
+        def counting(state, *args):
+            before = len(packs)
+            out = real_step(state, *args)
+            steps.append(len(packs) - before)
+            return out
+
+        monkeypatch.setattr(trainer, "train_step", counting)
+        cfg = TrainerConfig(method="kisp", seed=0)
         state = init_state(cfg, SMALL_SPEC.d_in)
-        state.model.add_head(1, 2, state.rng_init)
-        state.memory.register_task(1)
-        state.task_id = 1
-        train_step(state, cfg, tasks[0].train_x[:10], tasks[0].train_y[:10])
         assert packs == [state.model]
+        state.model.add_head(1, 2, state.rng_init)
+        assert packs == [state.model] * 2
+        result = run_stream(cfg, small_tasks())
+        assert packs[2:] == [result.model] * (1 + SMALL_SPEC.tasks)
+        assert len(steps) == SMALL_SPEC.tasks * 6 and not any(steps)
 
     def test_step_requires_registered_head(self):
         cfg = TrainerConfig(method="er", seed=0)
@@ -203,8 +217,8 @@ class TestRunTask:
         state.memory.register_task(1)
         before = encoder_bytes(state.model)
         empty = TaskData(1, (0, 1), np.zeros((0, 8)),
-                         np.array([], dtype=np.int64), np.zeros((0, 8)),
-                         np.array([], dtype=np.int64))
+                         np.array([], dtype=np.int64), np.zeros((2, 8)),
+                         [0, 1])
         assert state.snapshot is None
         run_task(state, cfg, empty)
         assert encoder_bytes(state.model) == before
@@ -214,8 +228,7 @@ class TestRunTask:
         fed = record_feeds(monkeypatch)
         rng = np.random.default_rng(5)
         task = TaskData(1, (0, 1), rng.standard_normal((35, 8)),
-                        rng.integers(0, 2, size=35), np.zeros((0, 8)),
-                        np.array([], dtype=np.int64))
+                        rng.integers(0, 2, size=35), np.zeros((2, 8)), [0, 1])
         cfg = TrainerConfig(method="er", iterations=2, batch_size=10, seed=0)
         state = init_state(cfg, 8)
         state.model.add_head(1, 2, state.rng_init)
@@ -282,6 +295,22 @@ class TestRunStream:
                          tasks[0].train_y, tasks[0].test_x, tasks[0].test_y)
         with pytest.raises(OverlappingClassesError):
             run_stream(TrainerConfig(method="er", seed=0), tasks + [clash])
+
+    @pytest.mark.parametrize("ids", [[(5, 6), (7, 8)], [(0, 1), (3, 4)],
+                                     [(0, 1), (2, 2)], [(0,), (2, 3)]])
+    def test_class_ids_must_be_the_next_columns(self, monkeypatch, ids):
+        # a label is its logits column: the first task's ids are 0..k-1,
+        # each later task's the next ones, checked before any update
+        fed = record_feeds(monkeypatch)
+        rng = np.random.default_rng(0)
+        tasks = []
+        for t, classes in enumerate(ids, start=1):
+            y = np.array(classes * 3)
+            tasks.append(TaskData(t, classes, rng.standard_normal((len(y), 8)),
+                                  y, rng.standard_normal((len(y), 8)), y))
+        with pytest.raises(LabelRangeError, match="task [12] has class ids"):
+            run_stream(TrainerConfig(method="er", seed=0), tasks)
+        assert fed == []
 
     def test_same_seed_is_bit_identical(self):
         tasks = small_tasks()
@@ -451,8 +480,8 @@ class TestDivergence:
         state.memory.register_task(1)
         state.model.parameters()[-1][0, 0] = np.inf  # the head's bias
         empty = TaskData(1, (0, 1), np.zeros((0, 8)),
-                         np.array([], dtype=np.int64), np.zeros((0, 8)),
-                         np.array([], dtype=np.int64))
+                         np.array([], dtype=np.int64), np.zeros((2, 8)),
+                         [0, 1])
         with pytest.raises(DivergenceError, match="non-finite parameters"):
             run_task(state, cfg, empty)
         assert state.snapshot is None
