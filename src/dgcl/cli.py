@@ -275,10 +275,12 @@ def main(argv=None) -> int:
                              help="paired lambda=0 / lambda>0 drift report")
     p_drift.add_argument("config", help="path to a key=value config file")
     args = parser.parse_args(argv)
-    if args.command == "gradcheck" and args.instances < 1:
-        # zero instances would check nothing and report a pass
-        p_grad.error("--instances must be >= 1")
     if args.command == "gradcheck":
+        # zero instances would check nothing and report a pass
+        if args.instances < 1:
+            p_grad.error("--instances must be >= 1")
+        if args.seed < 0:
+            p_grad.error("--seed must be >= 0")
         return cmd_gradcheck(seed=args.seed, instances=args.instances)
     try:
         cfg = parse_config_file(args.config)

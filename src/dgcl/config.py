@@ -15,9 +15,10 @@ Lists are comma-separated. Lines starting with ``#`` are comments.
 ``KEYS`` is the list of keys: each maps to the ``RunConfig`` field it sets
 and the parser that reads it, and both ``parse_config`` and
 ``canonical_text`` iterate it. Unknown keys are rejected so typos fail
-loudly at parse time, and so are non-finite numbers. Bounds live in the
-section dataclasses, ``StreamSpec`` and ``TrainerConfig``; their errors
-become ``ConfigError("stream: ...")`` and ``ConfigError("trainer: ...")``.
+loudly at parse time, and so are non-finite numbers and the keys the stream
+kind does not read. Bounds live in the section dataclasses, ``StreamSpec``
+and ``TrainerConfig``; their errors become ``ConfigError("stream: ...")``
+and ``ConfigError("trainer: ...")``.
 """
 from __future__ import annotations
 
@@ -111,6 +112,12 @@ def _list_of(conv, label=None):
     return parse
 
 
+# the keys one stream kind alone reads: set for the other kind, a key would
+# change the config hash and nothing that runs
+SYNTH_KEYS = ("stream.tasks", "stream.d_in", "stream.train_per_class",
+              "stream.test_per_class", "stream.separation", "stream.noise")
+FILE_KEYS = ("stream.train_path", "stream.test_path")
+
 # key -> (RunConfig attribute path, parser)
 KEYS = {
     "stream.kind": ("stream_kind", _parse_str),
@@ -175,6 +182,9 @@ def parse_config(text: str) -> RunConfig:
     if cfg.stream_kind not in ("synth", "file"):
         raise ConfigError(f"stream.kind must be synth or file, "
                           f"got {cfg.stream_kind!r}")
+    for key in FILE_KEYS if cfg.stream_kind == "synth" else SYNTH_KEYS:
+        if key in pairs:
+            raise ConfigError(f"{key}: {cfg.stream_kind} streams ignore it")
     if cfg.stream_kind == "file" and not (cfg.train_path and cfg.test_path):
         raise ConfigError("file streams need stream.train_path and "
                           "stream.test_path")

@@ -11,9 +11,10 @@ training update as ``trainer.update`` runs it, for a method drawn from er,
 lfc, rld and kisp: the encoder pass (one rectified hidden layer) and head
 block (two or three heads) into cross-entropy, plus the weighted
 regularizer on the replay rows of the same encoder pass, or of their own
-pass for a 1-row replay. Its differences are taken on the model's parameter
-buffer itself, so they check the flat gradient the SGD step uses, with the
-relu mask and both branches' shared parameters.
+pass for a 1-row replay, against a second random model's snapshot. Its
+differences are taken on the model's parameter buffer itself, so they
+check the flat gradient the SGD step uses, with the relu mask and both
+branches' shared parameters.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import losses
 from .memory import Batch
-from .model import Encoder, Model
+from .model import Model
 from .numerics import finite_diff_check
 from .trainer import _ONE, METHODS, TrainerConfig, update
 
@@ -58,10 +59,11 @@ def _regularizer_instance(method, rng):
     return fn, [f_cur]
 
 
-def _random_encoder(rng, sizes):
+def _random_model(rng, sizes):
+    """A model on the size chain ``sizes``: every weight drawn, then biases."""
     layers = list(zip(sizes, sizes[1:]))
-    return Encoder([rng.standard_normal(shape) for shape in layers],
-                   [rng.standard_normal((1, cols)) for _, cols in layers])
+    return Model([rng.standard_normal(shape) for shape in layers],
+                 [rng.standard_normal((1, cols)) for _, cols in layers])
 
 
 def _total_instance(rng):
@@ -73,8 +75,8 @@ def _total_instance(rng):
                            lam=float(rng.choice([0.1, 1.0, 10.0])))
     x_cur = rng.standard_normal((n, sizes[0]))
     x_mem = rng.standard_normal((m, sizes[0]))
-    snapshot = _random_encoder(rng, sizes)
-    model = Model(_random_encoder(rng, sizes))
+    snapshot = _random_model(rng, sizes).snapshot()
+    model = _random_model(rng, sizes)
     classes = 0
     for task_id in range(1, int(rng.integers(2, 4)) + 1):
         count = int(rng.integers(1, 4))

@@ -30,19 +30,20 @@ a pass of at least ``MIN_SHARED_ROWS`` rows gives each row the bits it
 would get alone, so the slice equals a separate pass over those rows.
 
 ``Model.buffer`` is one contiguous float64 array that holds every parameter
-in ``Model.parameters()`` order with no padding: the encoder's (W1, b1, ...,
-WL, bL), then each task head's (W, b) in task order, each a C-ordered view
-of its stretch. ``Model._pack`` alone lays it out and builds the views,
-per parameter, for the encoder and per head block, of the buffer, of the
-gradient and, for the tape, of any flat row in that layout. A model packs
-at construction and at each ``Model.add_head``, never in an update, so a
-training run packs once per task plus once for the bare encoder; views
-taken before a pack belong to the old buffer. Each pack also allocates
-``Model.grad``, a gradient with the same layout and views, which
-``trainer.update`` writes.
+with no padding: the encoder's (W1, b1, ..., WL, bL), then each task head's
+(W, b) in task order, each C-ordered in its stretch. The model keeps only
+the encoder's parameter shapes and the heads' widths; from them
+``Model._pack`` alone builds the views, per parameter for the encoder and
+per head block for the heads, of the buffer and of ``Model.grad``, a
+gradient in the same layout that ``trainer.update`` writes. A model packs
+at construction and at each ``Model.add_head``, which appends the new
+head's values to the buffer, never in an update, so a training run packs
+once per task plus once for the bare encoder; views taken before a pack
+belong to the old buffer.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -160,12 +161,17 @@ def _heads_grad(f, blocks, g, out):
     return df
 
 
-class Encoder:
-    """MLP mapping inputs to embeddings; relu on hidden layers only."""
+class Model:
+    """Shared encoder plus per-task linear heads, whose parameters are views
+    of one buffer, :attr:`buffer`; :attr:`grad` is a gradient in its layout.
+    The encoder is the layers of ``weights`` and ``biases``; add heads
+    through :meth:`add_head`."""
 
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.weights = weights
-        self.biases = biases
+    def __init__(self, weights: Sequence[np.ndarray],
+                 biases: Sequence[np.ndarray]):
+        if not weights or len(weights) != len(biases):
+            raise ShapeMismatchError(f"{len(weights)} weights need as many "
+                                     f"biases, got {len(biases)}")
         for w, b in zip(weights, biases):
             if b.shape != (1, w.shape[1]):
                 raise ShapeMismatchError(f"bias {b.shape} vs weight {w.shape}")
@@ -174,107 +180,41 @@ class Encoder:
                 raise ShapeMismatchError(
                     f"layer sizes do not chain: {wa.shape} -> {wb.shape}"
                 )
-
-    @classmethod
-    def initialize(cls, sizes: Sequence[int], rng: np.random.Generator) -> "Encoder":
-        """Build from a size chain [d_in, hidden..., d_emb]."""
-        weights, biases = [], []
-        for d_in, d_out in zip(sizes, sizes[1:]):
-            weights.append(_init_weight(d_in, d_out, rng))
-            biases.append(np.zeros((1, d_out)))
-        return cls(weights, biases)
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    def _input(self, x) -> np.ndarray:
-        x = as_matrix(x)
-        if x.shape[1] != self.input_dim:
-            raise ShapeMismatchError(
-                f"input of shape {x.shape} does not chain with the first "
-                f"weight of shape {self.weights[0].shape}"
-            )
-        return x
-
-    def parameters(self) -> list[np.ndarray]:
-        """(W1, b1, ..., WL, bL): the encoder op's input order."""
-        return [p for pair in zip(self.weights, self.biases) for p in pair]
-
-    def forward(self, x) -> np.ndarray:
-        return _encoder_forward(self.parameters(), {"x": self._input(x)})
-
-    def copy(self) -> "Encoder":
-        return Encoder([w.copy() for w in self.weights],
-                       [b.copy() for b in self.biases])
-
-
-class Model:
-    """Shared encoder plus per-task linear heads, whose parameters are views
-    of one buffer, :attr:`buffer`; :attr:`grad` is a gradient in its layout.
-    Add heads through :meth:`add_head`; the encoder passed in is rebound to
-    views of the buffer at each pack."""
-
-    def __init__(self, encoder: Encoder):
-        self.encoder = encoder
+        params = [p for pair in zip(weights, biases) for p in pair]
+        self._shapes = [p.shape for p in params]
+        self._widths: list[int] = []
         self.task_ids: tuple[int, ...] = ()
-        self._pack(encoder.parameters())
+        self._pack(np.concatenate([p.ravel() for p in params],
+                                  dtype=np.float64))
 
-    def _pack(self, params: list[np.ndarray]) -> None:
-        """Copy ``params``, the encoder's then each head's, into a new
-        :attr:`buffer`, rebind the encoder's arrays to its views and
-        allocate :attr:`grad` beside it; group the heads into blocks."""
-        self._spans, at = [], 0
-        for p in params:
-            self._spans.append((slice(at, at + p.size), p.shape))
-            at += p.size
-        # each maximal run of equal-width heads is one block: [start of
-        # its stretch, head count, width]
-        k = 2 * len(self.encoder.weights)
-        self._block_spans = []
-        for span, shape in self._spans[k::2]:
-            if self._block_spans and self._block_spans[-1][2] == shape[1]:
-                self._block_spans[-1][1] += 1
-            else:
-                self._block_spans.append([span.start, 1, shape[1]])
-        self.buffer, self.grad = np.empty(at), np.empty(at)
-        self._params, self._grads = (self._views(self.buffer),
-                                     self._views(self.grad))
-        for view, p in zip(self._params, params):
-            view[...] = p
-        self.encoder.weights = self._params[0:k:2]
-        self.encoder.biases = self._params[1:k:2]
-        self._encoder_views = self._params[:k], self._grads[:k]
-        self._blocks, self._grad_blocks = (self._head_blocks(self.buffer),
-                                           self._head_blocks(self.grad))
+    def _pack(self, flat: np.ndarray) -> None:
+        """Make the 1-D ``flat`` :attr:`buffer`, allocate :attr:`grad` beside
+        it and build both's views."""
+        self.buffer, self.grad = flat, np.empty(flat.size)
+        (params, blocks), (grads, grad_blocks) = (self._views(self.buffer),
+                                                  self._views(self.grad))
+        self._encoder_views = params, grads
+        self._blocks = blocks, grad_blocks
 
-    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of the 1-D ``flat`` in :attr:`buffer`'s layout, one per
-        parameter in order."""
-        return [flat[span].reshape(shape) for span, shape in self._spans]
-
-    def _head_blocks(self, flat: np.ndarray) -> list[tuple[np.ndarray,
-                                                           np.ndarray]]:
-        """Views of the head stretch of the 1-D ``flat``, in :attr:`buffer`'s
-        layout: per block of ``count`` heads of ``width`` classes, its
-        weights (count x d x width) and biases (count x 1 x width)."""
-        d = self.encoder.embed_dim
-        blocks = []
-        for start, count, width in self._block_spans:
-            size = (d + 1) * width
-            rows = flat[start:start + count * size].reshape(count, size)
-            blocks.append(
-                (rows[:, :d * width].reshape(count, d, width),
-                 rows[:, d * width:].reshape(count, 1, width)))
-        return blocks
-
-    def gradients(self) -> list[np.ndarray]:
-        """The views of :attr:`grad`, in :meth:`parameters` order."""
-        return self._grads
+    def _views(self, flat: np.ndarray) -> tuple[list, list]:
+        """Views of the 1-D ``flat`` in :attr:`buffer`'s layout: the
+        encoder's, one per parameter, then per block of ``count`` heads of
+        ``width`` classes its weights (count x d x width) and biases
+        (count x 1 x width)."""
+        encoder, at = [], 0
+        for shape in self._shapes:
+            size = shape[0] * shape[1]
+            encoder.append(flat[at:at + size].reshape(shape))
+            at += size
+        d, blocks = self.embed_dim, []
+        # each maximal run of equal-width heads is one block
+        for width, run in itertools.groupby(self._widths):
+            count, size = len(list(run)), (d + 1) * width
+            rows = flat[at:at + count * size].reshape(count, size)
+            blocks.append((rows[:, :d * width].reshape(count, d, width),
+                           rows[:, d * width:].reshape(count, 1, width)))
+            at += count * size
+        return encoder, blocks
 
     def encoder_views(self) -> tuple[list, list]:
         """The encoder's (W1, b1, ..., WL, bL) views of :attr:`buffer`, then
@@ -284,17 +224,34 @@ class Model:
     def head_blocks(self) -> tuple[list, list]:
         """The heads' (W, b) block views of :attr:`buffer`, then of
         :attr:`grad`, one pair per run of equal-width heads."""
-        return self._blocks, self._grad_blocks
+        return self._blocks
 
     @classmethod
     def create(cls, d_in: int, rng: np.random.Generator,
                hidden: Sequence[int] = DEFAULT_HIDDEN,
                embed_dim: int = DEFAULT_EMBED_DIM) -> "Model":
         sizes = (d_in, *hidden, embed_dim)
-        return cls(Encoder.initialize(sizes, rng))
+        layers = list(zip(sizes, sizes[1:]))
+        return cls([_init_weight(rows, cols, rng) for rows, cols in layers],
+                   [np.zeros((1, cols)) for _, cols in layers])
+
+    @property
+    def embed_dim(self) -> int:
+        return self._shapes[-1][1]
+
+    def as_input(self, x) -> np.ndarray:
+        """``x`` as a float64 matrix, checked against the first layer."""
+        x = as_matrix(x)
+        if x.shape[1] != self._shapes[0][0]:
+            raise ShapeMismatchError(
+                f"input of shape {x.shape} does not chain with the first "
+                f"weight of shape {self._shapes[0]}"
+            )
+        return x
 
     def embed(self, x) -> np.ndarray:
-        return self.encoder.forward(x)
+        return _encoder_forward(self._encoder_views[0],
+                                {"x": self.as_input(x)})
 
     def build_embed(self, tape: Tape, leaf: int, x) -> int:
         """The encoder op on batch ``x`` over ``leaf``, the tape's 1 x P
@@ -303,12 +260,12 @@ class Model:
 
         def grad(vals, out, aux, g):
             row = np.zeros((1, self.buffer.size))
-            _encoder_grad(params, aux, g, self._views(row[0]))
+            _encoder_grad(params, aux, g, self._views(row[0])[0])
             return [row]
 
         return tape.apply("encoder", (leaf,),
                           lambda vals, aux: _encoder_forward(params, aux),
-                          grad, aux={"x": self.encoder._input(x).copy()})
+                          grad, aux={"x": self.as_input(x).copy()})
 
     def logits_all_heads(self, f) -> np.ndarray:
         if not self.task_ids:
@@ -330,7 +287,7 @@ class Model:
         def grad(vals, out, aux, g):
             row = np.zeros((1, self.buffer.size))
             return [_heads_grad(vals[0], blocks, g,
-                                self._head_blocks(row[0])), row]
+                                self._views(row[0])[1]), row]
 
         return tape.apply("heads", (f_node, leaf),
                           lambda vals, aux: _heads_forward(vals[0], blocks),
@@ -344,21 +301,17 @@ class Model:
             raise DuplicateTaskError(f"head for task {task_id} already registered")
         if class_count < 1:
             raise ValueError("class_count must be >= 1")
-        self._pack([*self._params,
-                    _init_weight(self.encoder.embed_dim, class_count, rng),
-                    np.zeros((1, class_count))])
+        w = _init_weight(self.embed_dim, class_count, rng)
+        self._widths.append(class_count)
+        self._pack(np.concatenate([self.buffer, w.ravel(),
+                                   np.zeros(class_count)]))
         self.task_ids += (task_id,)
 
     def predict(self, x) -> np.ndarray:
         """Global class indices via argmax over all heads (ties -> lowest)."""
         return np.argmax(self.logits_all_heads(self.embed(x)), axis=1)
 
-    def parameters(self) -> list[np.ndarray]:
-        """Every trainable array: the encoder's, then each head's (W, b) in
-        task order. The views of :attr:`buffer`, in its order; the list is
-        the one packing built, so read it, do not change it."""
-        return self._params
-
-    def snapshot(self) -> Encoder:
-        """A frozen copy of the encoder: later updates leave it unchanged."""
-        return self.encoder.copy()
+    def snapshot(self) -> tuple[np.ndarray, ...]:
+        """A frozen copy of the encoder's (W1, b1, ..., WL, bL), for
+        :func:`_encoder_forward`: later updates leave it unchanged."""
+        return tuple(p.copy() for p in self._encoder_views[0])

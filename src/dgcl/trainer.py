@@ -8,8 +8,9 @@ vs. live encoder), and do one plain SGD step. After its repeats the batch
 is written to memory in one call, inputs and labels together with their
 embeddings at that moment, so an example is never replayed against itself
 inside its own step. The drift probe compares those stored embeddings with
-one forward pass over the whole memory. The encoder snapshot refreshes
-exactly once per task boundary.
+one forward pass over the whole memory. The encoder snapshot, the tuple of
+encoder parameters ``Model.snapshot`` copies, refreshes exactly once per
+task boundary.
 
 Each piece of an update is computed once. The regularizer's live embeddings
 are the replay rows of the cross-entropy's encoder pass, with their own
@@ -55,8 +56,8 @@ from .errors import (DivergenceError, LabelRangeError, OverlappingClassesError,
                      UnknownTaskError)
 from .memory import Batch, EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
-from .model import (MIN_SHARED_ROWS, Encoder, Model, _encoder_forward,
-                    _encoder_grad, _heads_forward, _heads_grad, encoder_rows)
+from .model import (MIN_SHARED_ROWS, Model, _encoder_forward, _encoder_grad,
+                    _heads_forward, _heads_grad, encoder_rows)
 # backward is bound here only so the benchmark's tracer can wrap it
 from .numerics import backward  # noqa: F401
 
@@ -108,7 +109,7 @@ class TrainerState:
     memory: EpisodicMemory
     rng_sample: np.random.Generator
     rng_init: np.random.Generator
-    snapshot: Encoder | None = None
+    snapshot: tuple[np.ndarray, ...] | None = None
     task_id: int = 0
     update_index: int = 0
     drift: DriftLog = field(default_factory=DriftLog)
@@ -121,7 +122,7 @@ def init_state(config: TrainerConfig, d_in: int) -> TrainerState:
     model = Model.create(d_in, rng_init)
     return TrainerState(model=model,
                         memory=EpisodicMemory(config.memory_size, d_in,
-                                              model.encoder.embed_dim),
+                                              model.embed_dim),
                         rng_sample=rng_sample, rng_init=rng_init)
 
 
@@ -151,12 +152,13 @@ def _require_finite(update_index: int, task_id: int, **values) -> None:
 
 
 def update(model: Model, config: TrainerConfig, batch_x, batch_y,
-           replay: Batch | None, snapshot: Encoder | None,
+           replay: Batch | None, snapshot: tuple[np.ndarray, ...] | None,
            update_index: int = 0, task_id: int = 0) -> losses.LossBreakdown:
     """One update, written into ``model.grad``: the gradient of the
     cross-entropy over the batch plus ``replay`` and, for a regularized
     method with a snapshot and replay rows, of ``config.lam`` times the
-    regularizer on the replay rows' embeddings. The forward half ends with
+    regularizer on the replay rows' embeddings by the live encoder and by
+    ``snapshot``'s parameters. The forward half ends with
     the finiteness checks, which name ``update_index`` and ``task_id``; the
     gradient half runs the ops' gradients in the order the reverse sweep of
     a tape would."""
@@ -167,14 +169,14 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
         x_all, y_all = batch_x, batch_y
     params, grads = model.encoder_views()
     blocks, block_grads = model.head_blocks()
-    shared = {"x": np.ascontiguousarray(model.encoder._input(x_all))}
+    shared = {"x": np.ascontiguousarray(model.as_input(x_all))}
     f = _encoder_forward(params, shared)
     logits = _heads_forward(f, blocks)
     ce_aux = losses.ce_aux(logits, y_all)
     ce = losses._ce_forward([logits], ce_aux)
     reg = None
     if config.method in REGULARIZED and snapshot is not None and replay:
-        f_pre = snapshot.forward(replay.x)
+        f_pre = _encoder_forward(snapshot, {"x": replay.x})
         f_cur, rows = encoder_rows(params, shared, f, len(batch_x))
         reg, reg_grad = losses.regularizer(config.method, f_pre, f_cur,
                                            config.tau)

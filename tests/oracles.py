@@ -24,6 +24,8 @@ the package's own value and gradient functions, for tests that chain it
 into a loss node. Those three are the imports from its numeric paths.
 ``kisp_probs`` is the column softmax the KISP node forms, and
 ``class_means`` the class means ``synth_stream`` draws.
+``parameter_views`` lists a model's views one parameter at a time, for
+tests that read or set a single parameter.
 """
 import math
 
@@ -372,3 +374,17 @@ def class_means(spec):
         v = rng.standard_normal(spec.d_in)
         means[c] = spec.separation * v / np.linalg.norm(v)
     return means
+
+
+def parameter_views(model):
+    """Each parameter's view of ``model.buffer``, then of ``model.grad``:
+    the encoder's (W1, b1, ..., WL, bL), then each head's (W, b) in task
+    order, taken from ``encoder_views()`` and ``head_blocks()``."""
+    out = []
+    for encoder, blocks in zip(model.encoder_views(), model.head_blocks()):
+        views = list(encoder)
+        for w, b in blocks:
+            for w_t, b_t in zip(w, b):
+                views += [w_t, b_t]
+        out.append(views)
+    return out

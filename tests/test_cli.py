@@ -365,3 +365,13 @@ def test_gradcheck_needs_an_instance(instances, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--instances must be >= 1" in captured.err
+
+
+def test_gradcheck_needs_a_nonnegative_seed(capsys):
+    # numpy seeds no generator from a negative seed
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gradcheck", "--seed", "-1", "--instances", "1"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed must be >= 0" in captured.err

@@ -79,6 +79,11 @@ def with_key(text, key, value):
     ("stream.train_per_class", "0", "stream: train_per_class must be >= 1"),
     ("stream.test_per_class", "0", "stream: test_per_class must be >= 1"),
     ("seeds", "-1", "trainer: seed must be >= 0"),
+    # keys a synth stream never reads would only change the run hash
+    ("stream.train_path", "data/train.dgds",
+     "stream.train_path: synth streams ignore it"),
+    ("stream.test_path", "data/test.dgds",
+     "stream.test_path: synth streams ignore it"),
 ])
 def test_bad_value_exits_2_before_running(tmp_path, capsys, key, value,
                                           error):
@@ -97,6 +102,23 @@ stream.classes_per_task = 5
 trainer.methods = er,kisp
 seeds = 0,1,2
 """
+
+
+@pytest.mark.parametrize("key,value", [
+    ("stream.tasks", "7"), ("stream.d_in", "16"),
+    ("stream.train_per_class", "10"), ("stream.test_per_class", "5"),
+    ("stream.separation", "3"), ("stream.noise", "2"),
+])
+def test_synth_key_on_a_file_stream_exits_2_before_running(tmp_path, capsys,
+                                                          key, value):
+    # a file stream reads none of these: each would only change the run hash
+    config = tmp_path / "bad.cfg"
+    config.write_text(with_key(with_key(FILE_STREAM, "output_dir",
+                                        tmp_path / "out"), key, value))
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {key}: file streams ignore it"]
+    assert not (tmp_path / "out").exists()
 
 
 def bench_grid(tasks, per_class, methods, memory, batch, iterations, seeds):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgcl.errors import DuplicateTaskError, NoHeadsError, ShapeMismatchError
-from dgcl.model import (MIN_SHARED_ROWS, Encoder, Model, _encoder_forward,
+from dgcl.model import (MIN_SHARED_ROWS, Model, _encoder_forward,
                         _encoder_grad, _heads_forward, _heads_grad,
                         encoder_rows)
 from dgcl.numerics import Tape, backward, finite_diff_check
@@ -12,6 +12,7 @@ from oracles import (
     encoder_chain_reference,
     heads_chain_reference,
     matmul_loops,
+    parameter_views,
 )
 
 ROWS = [1, 2, 10, 100, 300]
@@ -29,14 +30,14 @@ def adjoint_loss(tape, node, adjoint):
 
 def heads_of(model):
     """Each head's (W, b) views of the buffer, in task order."""
-    params = model.parameters()[2 * len(model.encoder.weights):]
+    params = parameter_views(model)[0][len(model.encoder_views()[0]):]
     return list(zip(params[0::2], params[1::2]))
 
 
 def stretches(model):
-    """Each parameter's slice of the buffer, in parameters() order."""
+    """Each parameter's slice of the buffer, in its order."""
     spans, at = [], 0
-    for p in model.parameters():
+    for p in parameter_views(model)[0]:
         spans.append(slice(at, at + p.size))
         at += p.size
     return spans
@@ -49,9 +50,30 @@ def small_model(seed=0, d_in=4, hidden=(6,), d_emb=3):
 
 class TestEncoder:
     def test_identity_network(self):
-        enc = Encoder([np.eye(3)], [np.zeros((1, 3))])
+        model = Model([np.eye(3)], [np.zeros((1, 3))])
         x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(enc.forward(x), x)
+        np.testing.assert_array_equal(model.embed(x), x)
+
+    @pytest.mark.parametrize("weights,biases,error", [
+        # a second weight with no bias would be dropped without a word
+        ([(4, 3), (3, 3)], [(1, 3)], "2 weights need as many biases, got 1"),
+        ([(4, 3)], [(1, 3), (1, 3)], "1 weights need as many biases, got 2"),
+        ([], [], "0 weights need as many biases, got 0"),
+        ([(4, 3)], [(1, 4)], "bias (1, 4) vs weight (4, 3)"),
+        ([(4, 3), (2, 5)], [(1, 3), (1, 5)],
+         "layer sizes do not chain: (4, 3) -> (2, 5)"),
+    ])
+    def test_layers_must_pair_and_chain(self, weights, biases, error):
+        with pytest.raises(ShapeMismatchError) as exc:
+            Model([np.ones(shape) for shape in weights],
+                  [np.zeros(shape) for shape in biases])
+        assert str(exc.value) == error
+
+    def test_input_width_checked(self):
+        model = small_model()
+        assert model.as_input([1.0, 2.0, 3.0, 4.0]).shape == (1, 4)
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 5\)"):
+            model.embed(np.zeros((2, 5)))
 
     def test_output_shape(self):
         model = small_model()
@@ -64,24 +86,24 @@ class TestEncoder:
         rng = np.random.default_rng(1)
         model.add_head(1, 2, rng)
         model.add_head(2, 3, rng)
-        enc = model.encoder
-        expected = [enc.weights[0], enc.biases[0], enc.weights[1],
-                    enc.biases[1], enc.weights[2], enc.biases[2]]
-        params = model.parameters()
+        expected = model.encoder_views()[0]
+        params = parameter_views(model)[0]
         assert all(a is b for a, b in zip(params, expected))
-        assert [p.shape for p in params[len(expected):]] == [
+        assert [p.shape for p in params] == [
+            (4, 6), (1, 6), (6, 5), (1, 5), (5, 3), (1, 3),
             (3, 2), (1, 2), (3, 3), (1, 3)]
 
     def test_param_count_constant(self):
         model = small_model()
-        before = sum(p.size for p in model.parameters())
+        before = model.buffer.size
         model.embed(np.zeros((2, 4)))
-        assert sum(p.size for p in model.parameters()) == before
+        assert model.buffer.size == before
 
     def test_init_bounds_and_determinism(self):
-        a = Encoder.initialize((4, 8, 3), np.random.default_rng(5))
-        b = Encoder.initialize((4, 8, 3), np.random.default_rng(5))
-        for wa, wb in zip(a.weights, b.weights):
+        a, b = (Model.create(4, np.random.default_rng(5), hidden=(8,),
+                             embed_dim=3) for _ in range(2))
+        for wa, wb in zip(a.encoder_views()[0][0::2],
+                          b.encoder_views()[0][0::2], strict=True):
             np.testing.assert_array_equal(wa, wb)
             bound = np.sqrt(6.0 / (wa.shape[0] + wa.shape[1]))
             assert np.abs(wa).max() <= bound
@@ -174,15 +196,14 @@ class TestParameterBuffer:
     @staticmethod
     def offsets(model):
         base = model.buffer.ctypes.data
-        return [p.ctypes.data - base for p in model.parameters()]
+        return [p.ctypes.data - base for p in parameter_views(model)[0]]
 
     def test_parameters_are_views_of_one_buffer_in_leaf_order(self):
         model = small_model(hidden=(6, 5))
         rng = np.random.default_rng(1)
         model.add_head(1, 2, rng)
         model.add_head(2, 3, rng)
-        params = model.parameters()
-        assert model.parameters() is params
+        params = parameter_views(model)[0]
         assert all(p.base is model.buffer and p.flags.c_contiguous
                    for p in params)
         sizes = [p.size for p in params]
@@ -196,13 +217,13 @@ class TestParameterBuffer:
         model = small_model()
         rng = np.random.default_rng(2)
         model.add_head(1, 3, rng)
-        model.encoder.weights[0] += 0.25  # trained values, not the init's
-        before = [p.tobytes() for p in model.parameters()]
+        model.encoder_views()[0][0] += 0.25  # trained values, not the init's
+        before = [p.tobytes() for p in parameter_views(model)[0]]
         model.add_head(2, 1, rng)
-        after = model.parameters()
+        after = parameter_views(model)[0]
         assert len(after) == len(before) + 2
         assert [p.tobytes() for p in after[:len(before)]] == before
-        assert after[0] is model.encoder.weights[0]
+        assert after[0].base is model.buffer
         assert [p.shape for p in after[-2:]] == [(3, 1), (1, 1)]
 
     def test_encoder_views_alias_buffer_and_grad(self):
@@ -214,12 +235,8 @@ class TestParameterBuffer:
             if task_id is not None:
                 model.add_head(task_id, task_id + 1, rng)
             params, grads = model.encoder_views()
-            k = 2 * len(model.encoder.weights)
-            for views, want in ((params, model.parameters()[:k]),
-                                (grads, model.gradients()[:k]),
-                                (params[0::2], model.encoder.weights),
-                                (params[1::2], model.encoder.biases)):
-                assert list(map(id, views)) == list(map(id, want))
+            assert [p.shape for p in params] == [(4, 6), (1, 6), (6, 5),
+                                                 (1, 5), (5, 3), (1, 3)]
             at = 0
             for p, g in zip(params, grads, strict=True):
                 assert p.base is model.buffer and g.base is model.grad
@@ -236,9 +253,9 @@ class TestParameterBuffer:
         for t in range(3):
             model.add_head(t, 1 + t % 3, np.random.default_rng(t))
         offsets = self.offsets(model)
-        encoder_values = sum(p.size for p in model.encoder.parameters())
-        assert encoder_values % 2 == 0
-        assert offsets[len(model.encoder.parameters()) + 2] % 16 == 8
+        encoder = model.encoder_views()[0]
+        assert sum(p.size for p in encoder) % 2 == 0
+        assert offsets[len(encoder) + 2] % 16 == 8
 
 
 class TestPredict:
@@ -279,32 +296,37 @@ class TestPredict:
         np.testing.assert_array_equal(model.predict(x), brute)
 
 
+def forward(snapshot, x):
+    """The encoder pass with a snapshot's parameters, as training runs it."""
+    return _encoder_forward(snapshot, {"x": x})
+
+
 class TestSnapshot:
     def test_isolated_from_sgd(self):
         model = small_model()
         model.add_head(1, 3, np.random.default_rng(0))
         snap = model.snapshot()
         x = np.random.default_rng(1).standard_normal((8, 4))
-        before = snap.forward(x).copy()
+        before = forward(snap, x).copy()
         self._sgd_step(model, x)
-        assert snap.forward(x).tobytes() == before.tobytes()
+        assert forward(snap, x).tobytes() == before.tobytes()
         assert model.embed(x).tobytes() != before.tobytes()
 
     def test_snapshot_equals_model_at_creation(self):
         model = small_model()
         snap = model.snapshot()
         x = np.random.default_rng(2).standard_normal((5, 4))
-        assert snap.forward(x).tobytes() == model.embed(x).tobytes()
+        assert forward(snap, x).tobytes() == model.embed(x).tobytes()
 
     def test_stable_across_many_updates(self):
         model = small_model()
         model.add_head(1, 3, np.random.default_rng(0))
         x = np.random.default_rng(3).standard_normal((6, 4))
         snap = model.snapshot()
-        recorded = snap.forward(x).copy()
+        recorded = forward(snap, x).copy()
         for _ in range(100):
             self._sgd_step(model, x)
-        assert snap.forward(x).tobytes() == recorded.tobytes()
+        assert forward(snap, x).tobytes() == recorded.tobytes()
 
     @staticmethod
     def _sgd_step(model, x, lr=0.1):
@@ -331,8 +353,8 @@ class TestFusedOps:
         rng = np.random.default_rng([41, m, len(hidden)])
         model = Model.create(12, rng, hidden=hidden, embed_dim=32)
         model.add_head(0, 3, np.random.default_rng(0))
-        enc = model.encoder
-        for b in enc.biases:
+        encoder = model.encoder_views()[0]
+        for b in encoder[1::2]:
             b += 0.1 * rng.standard_normal(b.shape)
         x = rng.standard_normal((m, 12))
         adjoint = rng.standard_normal((m, 32))
@@ -340,11 +362,11 @@ class TestFusedOps:
         leaf = tape.leaf(model.buffer)
         node = model.build_embed(tape, leaf, x)
         (row,) = backward(tape, adjoint_loss(tape, node, adjoint)).values()
-        value, expected = encoder_chain_reference(x, enc.weights, enc.biases,
-                                                  adjoint)
+        value, expected = encoder_chain_reference(x, encoder[0::2],
+                                                  encoder[1::2], adjoint)
         assert np.array_equal(tape.value(node), value)
         assert np.array_equal(tape.value(node), model.embed(x))
-        params, spans = model.parameters(), stretches(model)
+        params, spans = parameter_views(model)[0], stretches(model)
         assert row.shape == (1, model.buffer.size)
         for p, span, want in zip(params, spans, expected):
             assert np.array_equal(row[0, span].reshape(p.shape), want)
@@ -359,7 +381,8 @@ class TestFusedOps:
         model = Model.create(12, rng, hidden=(64,), embed_dim=32)
         for t in range(heads):
             model.add_head(t, 1 + t % 3, rng)
-            model.parameters()[-1][:] = rng.standard_normal((1, 1 + t % 3))
+            parameter_views(model)[0][-1][:] = rng.standard_normal(
+                (1, 1 + t % 3))
         f = rng.standard_normal((m, 32))
         classes = sum(1 + t % 3 for t in range(heads))
         adjoint = rng.standard_normal((m, classes))
@@ -374,8 +397,8 @@ class TestFusedOps:
         assert np.array_equal(tape.value(node), model.logits_all_heads(f))
         assert np.array_equal(grads[f_leaf], d_f)
         row = grads[leaf]
-        k = 2 * len(model.encoder.weights)
-        params, spans = model.parameters(), stretches(model)
+        k = len(model.encoder_views()[0])
+        params, spans = parameter_views(model)[0], stretches(model)
         assert not row[0, :spans[k].start].any()
         for p, span, want in zip(params[k:], spans[k:], expected,
                                  strict=True):
@@ -434,7 +457,7 @@ class TestSharedRows:
     def test_row_subsets_match_their_own_pass(self, n, hidden):
         rng = np.random.default_rng([53, n, len(hidden)])
         model = Model.create(16, rng, hidden=hidden, embed_dim=32)
-        for b in model.encoder.biases:
+        for b in model.encoder_views()[0][1::2]:
             b += 0.1 * rng.standard_normal(b.shape)
         x = rng.standard_normal((n, 16))
         value, hidden_acts = self.pass_over(model, x)
@@ -461,7 +484,7 @@ class TestSharedRows:
         model = Model.create(16, rng)
         x = rng.standard_normal((n, 16))
         adjoint = rng.standard_normal((n - start, 32))
-        params = model.encoder.parameters()
+        params = model.encoder_views()[0]
         full = {"x": x}
         f = _encoder_forward(params, full)
         value, rows = encoder_rows(params, full, f, start)
@@ -485,7 +508,7 @@ class TestSharedRows:
         rng = np.random.default_rng([61, n])
         model = Model.create(16, rng)
         x = rng.standard_normal((n, 16))
-        params = model.encoder.parameters()
+        params = model.encoder_views()[0]
         full = {"x": x}
         f = _encoder_forward(params, full)
         value, rows = encoder_rows(params, full, f, n - 1)
@@ -507,7 +530,7 @@ class TestStackedHeads:
         model = Model.create(12, rng, hidden=(16,), embed_dim=32)
         for t, width in enumerate(widths):
             model.add_head(t, width, rng)
-            model.parameters()[-1][:] = rng.standard_normal((1, width))
+            parameter_views(model)[0][-1][:] = rng.standard_normal((1, width))
         blocks, block_grads = model.head_blocks()
         assert len(blocks) == 1 + sum(a != b for a, b in zip(widths,
                                                               widths[1:]))
@@ -515,8 +538,7 @@ class TestStackedHeads:
         g = rng.standard_normal((n, sum(widths)))
         logits = _heads_forward(f, blocks)
         d_f = _heads_grad(f, blocks, g, block_grads)
-        k = 2 * len(model.encoder.weights)
-        grads = model.gradients()[k:]
+        grads = parameter_views(model)[1][len(model.encoder_views()[1]):]
         hi, want_d_f = g.shape[1], None
         for (w, b), (gw, gb) in zip(reversed(heads_of(model)),
                                     reversed(list(zip(grads[0::2],
@@ -550,6 +572,8 @@ class TestStackedHeads:
         self.check(widths, n, 0)
 
     def test_blocks_are_views_of_the_buffer(self):
+        # each head's slices of its block sit at the head's stretch of the
+        # buffer and of the gradient, with the 2-D layout's strides
         model = Model.create(12, np.random.default_rng(3), hidden=(16,),
                              embed_dim=8)
         for t, width in enumerate([2, 2, 2, 1, 3, 3]):
@@ -557,15 +581,19 @@ class TestStackedHeads:
         blocks, block_grads = model.head_blocks()
         assert [w.shape for w, _ in blocks] == [(3, 8, 2), (1, 8, 1),
                                                 (2, 8, 3)]
-        k = 2 * len(model.encoder.weights)
-        heads = iter(heads_of(model))
-        grads = iter(zip(model.gradients()[k::2], model.gradients()[k + 1::2]))
+        at = sum(p.size for p in model.encoder_views()[0])
         for (w, b), (gw, gb) in zip(blocks, block_grads, strict=True):
             assert w.base is model.buffer and gw.base is model.grad
+            d, width = w.shape[1:]
             for t in range(len(w)):
-                (hw, hb), (hgw, hgb) = next(heads), next(grads)
-                for block, head in ((w[t], hw), (b[t], hb), (gw[t], hgw),
-                                    (gb[t], hgb)):
-                    assert block.ctypes.data == head.ctypes.data
-                    assert block.shape == head.shape
-                    assert block.strides == head.strides
+                mid, end = at + d * width, at + (d + 1) * width
+                for flat, views in ((model.buffer, (w[t], b[t])),
+                                    (model.grad, (gw[t], gb[t]))):
+                    head = (flat[at:mid].reshape(d, width),
+                            flat[mid:end].reshape(1, width))
+                    for block, want in zip(views, head):
+                        assert block.ctypes.data == want.ctypes.data
+                        assert block.shape == want.shape
+                        assert block.strides == want.strides
+                at = end
+        assert at == model.buffer.size

@@ -5,7 +5,7 @@ import pytest
 
 from dgcl.errors import DegenerateFeatureError, NonScalarLossError, ShapeMismatchError
 from dgcl.losses import cross_entropy_node, kisp_node
-from dgcl.model import Encoder, Model
+from dgcl.model import Model
 from dgcl.numerics import (
     Tape,
     backward,
@@ -17,13 +17,13 @@ from oracles import l2_normalize_node, matmul_loops, total_node
 
 
 def linear(w, b):
-    return Encoder([np.asarray(w, dtype=np.float64)],
-                   [np.asarray(b, dtype=np.float64)])
+    return Model([np.asarray(w, dtype=np.float64)],
+                 [np.asarray(b, dtype=np.float64)])
 
 
 def affine(x, w, b):
     """Forward value of the fused encoder op with one linear layer."""
-    model = Model(linear(w, b))
+    model = linear(w, b)
     tape = Tape()
     return tape.value(model.build_embed(tape, tape.leaf(model.buffer), x))
 
@@ -208,7 +208,7 @@ class TestCompositeGradients:
         labels = rng.integers(0, c, size=n)
         w = rng.standard_normal((d, c))
         b = rng.standard_normal((1, c))
-        model = Model(linear(w, b))
+        model = linear(w, b)
 
         def build(tape, leaf):
             logits = model.build_embed(tape, leaf, x)
@@ -225,7 +225,7 @@ class TestCompositeGradients:
         b1 = rng.standard_normal((1, 6))
         w2 = rng.standard_normal((6, 3))
         b2 = rng.standard_normal((1, 3))
-        model = Model(Encoder([w1, w2], [b1, b2]))
+        model = Model([w1, w2], [b1, b2])
 
         def build(tape, leaf):
             logits = model.build_embed(tape, leaf, x)
@@ -240,9 +240,8 @@ class TestCompositeGradients:
         x_mem = rng.standard_normal((m, d_in))
         labels = rng.integers(0, c, size=m)
         pre_norm = l2_normalize(rng.standard_normal((m, d_emb)))
-        encoder = linear(rng.standard_normal((d_in, d_emb)),
-                         rng.standard_normal((1, d_emb)))
-        model = Model(encoder)
+        model = linear(rng.standard_normal((d_in, d_emb)),
+                       rng.standard_normal((1, d_emb)))
         model.add_head(1, c, rng)
 
         def build(tape, leaf):

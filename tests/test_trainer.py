@@ -22,7 +22,7 @@ from dgcl.trainer import (
     train_step,
 )
 
-from oracles import update_chain_reference
+from oracles import parameter_views, update_chain_reference
 
 SMALL_SPEC = StreamSpec(tasks=3, classes_per_task=2, d_in=8,
                         train_per_class=30, test_per_class=20, seed=11)
@@ -33,7 +33,7 @@ def small_tasks():
 
 
 def encoder_bytes(model):
-    return b"".join(w.tobytes() for w in model.encoder.weights)
+    return b"".join(w.tobytes() for w in model.encoder_views()[0][0::2])
 
 
 def record_feeds(monkeypatch):
@@ -183,7 +183,7 @@ class TestTrainStep:
         assert grad.shape == buffer.shape
         assert not np.shares_memory(model.grad, buffer)
         assert np.array_equal(buffer, before - cfg.lr * grad)
-        for g, p in zip(model.gradients(), model.parameters(), strict=True):
+        for p, g in zip(*parameter_views(model), strict=True):
             assert g.base is model.grad and g.shape == p.shape
             assert (g.ctypes.data - model.grad.ctypes.data
                     == p.ctypes.data - buffer.ctypes.data)
@@ -259,14 +259,15 @@ class TestRunTask:
         run_task(state, cfg, tasks[0])
         end_of_task1 = encoder_bytes(state.model)
         probe = np.random.default_rng(9).standard_normal((4, SMALL_SPEC.d_in))
-        frozen = state.snapshot.forward(probe).copy()
+        frozen = _encoder_forward(state.snapshot, {"x": probe}).copy()
         state.model.add_head(2, 2, state.rng_init)
         state.memory.register_task(2)
         snap_before = state.snapshot
         run_task(state, cfg, tasks[1])
         # training task 2 used the frozen end-of-task-1 encoder throughout
         assert state.snapshot is not snap_before
-        assert snap_before.forward(probe).tobytes() == frozen.tobytes()
+        assert (_encoder_forward(snap_before, {"x": probe}).tobytes()
+                == frozen.tobytes())
         assert encoder_bytes(state.model) != end_of_task1
 
 
@@ -478,7 +479,7 @@ class TestDivergence:
         state = init_state(cfg, 8)
         state.model.add_head(1, 2, state.rng_init)
         state.memory.register_task(1)
-        state.model.parameters()[-1][0, 0] = np.inf  # the head's bias
+        parameter_views(state.model)[0][-1][0, 0] = np.inf  # the head's bias
         empty = TaskData(1, (0, 1), np.zeros((0, 8)),
                          np.array([], dtype=np.int64), np.zeros((2, 8)),
                          [0, 1])
@@ -549,24 +550,22 @@ class TestUpdateMatchesPrimitiveChain:
         state.memory.write_batch(x_mem, rng.integers(0, 1, size=m),
                                  model.embed(x_mem), 0)
         snapshot = model.snapshot()
-        for w in snapshot.weights:
+        for w in snapshot[0::2]:
             w += 0.05 * rng.standard_normal(w.shape)
         state.snapshot = snapshot
         state.task_id = heads - 1
-        layers = 2 * len(model.encoder.weights)
-        head_weights = model.parameters()[layers::2]
+        layers = len(model.encoder_views()[0])
+        head_weights = parameter_views(model)[0][layers::2]
         lo = sum(w.shape[1] for w in head_weights[:-1])
         batch_x = rng.standard_normal((n_batch, d_in))
         batch_y = lo + rng.integers(0, head_weights[-1].shape[1],
                                     size=n_batch)
         replay = state.memory.sample(m, copy.deepcopy(state.rng_sample))
         # (weight, bias) per layer, then per head: the oracle's order
-        params = model.parameters()
-        assert all(a is b for a, b in zip(
-            params, [p for wb in zip(model.encoder.weights,
-                                     model.encoder.biases) for p in wb]))
+        params = parameter_views(model)[0]
+        assert all(a is b for a, b in zip(params, model.encoder_views()[0]))
         before = [p.copy() for p in params]
-        pre = snapshot.forward(replay.x)
+        pre = _encoder_forward(snapshot, {"x": replay.x})
         if method != "rld":
             pre = l2_normalize(pre)
 
@@ -623,6 +622,6 @@ class TestSharedPasses:
         assert ([(e.update_index, e.value) for e in shared.drift.entries]
                 == [(e.update_index, e.value)
                     for e in separate.drift.entries])
-        for a, b in zip(shared.model.parameters(),
-                        separate.model.parameters(), strict=True):
+        for a, b in zip(parameter_views(shared.model)[0],
+                        parameter_views(separate.model)[0], strict=True):
             assert a.tobytes() == b.tobytes()
