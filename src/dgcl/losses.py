@@ -259,7 +259,7 @@ def _lfc_forward(vals, aux):
 
 def _lfc_grad(vals, out, aux, g):
     pre = aux["pre"]
-    return [np.full_like(pre, (g * (-1.0 / pre.shape[0]))[0, 0]) * pre]
+    return [pre * (g * (-1.0 / pre.shape[0]))[0, 0]]
 
 
 def lfc_node(tape: Tape, f_pre_norm: np.ndarray, f_cur_norm: int) -> int:
@@ -279,7 +279,7 @@ def _rld_grad(vals, out, aux, g):
     pre = aux["pre"]
     d = pre - vals[0]
     # the squared difference's two factors each send this term back
-    t = np.full_like(d, (g * (1.0 / pre.size))[0, 0]) * d
+    t = d * (g * (1.0 / pre.size))[0, 0]
     return [-(t + t)]
 
 

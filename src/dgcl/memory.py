@@ -2,18 +2,17 @@
 
 The store is one block of row-aligned arrays: inputs ``x`` (n x d), global
 labels ``y`` (n) and ``ref`` (n x e), the embedding each row had when it was
-written, plus each ``ref`` row's Euclidean norm, taken at its write. Rows
-are grouped by task, tasks in id order and rows oldest to newest within a
-task. Writes follow the ring-buffer strategy: each task keeps at most
-``capacity`` rows, so new rows for a task evict only that task's oldest
-rows. Sampling is uniform without replacement over all rows.
+written. Rows are grouped by task, tasks in id order and rows oldest to
+newest within a task. Writes follow the ring-buffer strategy: each task
+keeps at most ``capacity`` rows, so new rows for a task evict only that
+task's oldest rows. Sampling is uniform without replacement over all rows.
 
 The arrays hold at least ``capacity`` rows per registered task, and the n
 stored rows are their first n; a registration that needs more rows at
 least doubles them. A write moves, in place, only the rows after its
 task's block and the task's kept rows, then copies the new rows in; so
-``all_items`` and ``ref_norms`` are views, which a later write changes.
-``sample`` returns copies of inputs and labels.
+``all_items`` returns views, which a later write changes. ``sample``
+returns copies of inputs and labels.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError, UnknownTaskError
-from .numerics import as_matrix, row_norms
+from .numerics import as_matrix
 
 
 @dataclass(frozen=True)
@@ -43,9 +42,7 @@ class Rows(Batch):
 
 class EpisodicMemory:
     """Per-task FIFO buffers, each capped at ``capacity`` rows, stored as
-    one block of ``x_dim``-wide inputs and ``ref_dim``-wide embeddings.
-    ``ref_norms`` is ``row_norms`` of the stored embeddings, a view like
-    :meth:`all_items`."""
+    one block of ``x_dim``-wide inputs and ``ref_dim``-wide embeddings."""
 
     def __init__(self, capacity: int, x_dim: int, ref_dim: int):
         if capacity < 1:
@@ -53,17 +50,16 @@ class EpisodicMemory:
         self.capacity = capacity
         self._counts: dict[int, int] = {}
         self._len = 0
-        # x, y, ref and the norms of ref, each with capacity rows per task
+        # x, y and ref, each with capacity rows per task
         self._arrays = (np.empty((0, x_dim)), np.empty(0, dtype=np.int64),
-                        np.empty((0, ref_dim)), np.empty(0))
+                        np.empty((0, ref_dim)))
         self._publish()
 
     def _publish(self) -> None:
         """Rebuild the views of the stored rows after a change."""
         n = self._len
-        x, y, ref, norms = self._arrays
+        x, y, ref = self._arrays
         self._pool = Rows(x[:n], y[:n], ref[:n])
-        self.ref_norms = norms[:n]
 
     def register_task(self, task_id: int) -> None:
         if task_id in self._counts:
@@ -104,10 +100,8 @@ class EpisodicMemory:
         keep_old = min(held, self.capacity - take_new)
         count = keep_old + take_new
         drop = len(y) - take_new
-        ref = ref[drop:]
         n = self._len
-        for a, b in zip(self._arrays, (x[drop:], y[drop:], ref,
-                                       row_norms(ref))):
+        for a, b in zip(self._arrays, (x[drop:], y[drop:], ref[drop:])):
             if keep_old < held:
                 a[start:start + keep_old] = a[end - keep_old:end]
             if count != held:
@@ -132,9 +126,7 @@ class EpisodicMemory:
     def all_items(self) -> Rows:
         """Every row: tasks in id order, oldest to newest within a task.
         The arrays are views of the store: read them, do not write them,
-        and use them before the next write, which moves rows under them.
-        :attr:`ref_norms` holds ``row_norms`` of their ``ref``, row for
-        row."""
+        and use them before the next write, which moves rows under them."""
         return self._pool
 
     def __len__(self) -> int:

@@ -96,21 +96,12 @@ def la(matrix: AccuracyMatrix) -> float:
     return sum(matrix.value(i, i) for i in range(1, matrix.T + 1)) / matrix.T
 
 
-def embedding_drift(reference, current, reference_norms=None) -> float:
-    """Mean over paired rows of (1 - cosine similarity).
-
-    ``reference_norms``, when given, must be ``row_norms(reference)``: the
-    memory keeps its rows' norms from their writes, so a probe need not
-    compute them again. The result is the same bits either way."""
+def embedding_drift(reference, current) -> float:
+    """Mean over paired rows of (1 - cosine similarity)."""
     ref, cur = as_matrix(reference), as_matrix(current)
     if ref.shape != cur.shape:
         raise ValueError(f"shapes differ: {ref.shape} vs {cur.shape}")
-    if reference_norms is None:
-        ref_n = row_norms(ref)
-    elif reference_norms.shape == (len(ref),):
-        ref_n = reference_norms
-    else:
-        raise ValueError(f"{reference_norms.shape} norms for {len(ref)} rows")
+    ref_n = row_norms(ref)
     cur_n = row_norms(cur)
     if not (ref_n.all() and cur_n.all()):
         raise DegenerateFeatureError("zero-norm row in drift input")

@@ -8,9 +8,9 @@ vs. live encoder), and do one plain SGD step. After its repeats the batch
 is written to memory in one call, inputs and labels together with their
 embeddings at that moment, so an example is never replayed against itself
 inside its own step. The drift probe compares those stored embeddings with
-one forward pass over the whole memory. The encoder snapshot, the tuple of
-encoder parameters ``Model.snapshot`` copies, refreshes exactly once per
-task boundary.
+one forward pass over the whole memory. For a regularized method, the
+encoder snapshot, the tuple of encoder parameters ``Model.snapshot``
+copies, refreshes exactly once per task boundary; no other method reads it.
 
 Each piece of an update is computed once. The regularizer's live embeddings
 are the replay rows of the cross-entropy's encoder pass, with their own
@@ -34,8 +34,7 @@ update computes no layout. ``dgcl gradcheck`` checks the same function.
 The SGD step writes the buffer in place after the gradient: ``lr * g`` then
 the subtraction, the per-array step's two roundings. Each repeat's
 intermediates, such as KISP's m x m arrays, are freed when ``update``
-returns. The drift probe takes the stored embeddings' norms from the
-memory, which computes them at each row's write.
+returns.
 
 ``run_stream`` first asks glibc to keep freed heap in the process: KISP's
 m x m temporaries (720 KB each at m=300) are otherwise unmapped on free and
@@ -139,9 +138,8 @@ def _buffer_drift(state: TrainerState, batch_x=None
     if (batch_x is not None and n >= MIN_SHARED_ROWS
             and len(batch_x) >= MIN_SHARED_ROWS):
         f = state.model.embed(np.concatenate([pool.x, batch_x]))
-        return embedding_drift(pool.ref, f[:n], state.memory.ref_norms), f[n:]
-    return (embedding_drift(pool.ref, state.model.embed(pool.x),
-                            state.memory.ref_norms), None)
+        return embedding_drift(pool.ref, f[:n]), f[n:]
+    return embedding_drift(pool.ref, state.model.embed(pool.x)), None
 
 
 def _require_finite(update_index: int, task_id: int, **values) -> None:
@@ -237,7 +235,8 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
 
 def run_task(state: TrainerState, config: TrainerConfig,
              task: TaskData) -> TrainerState:
-    """Single pass over one task's stream; snapshot refresh at the end."""
+    """Single pass over one task's stream; for a regularized method, the
+    snapshot refresh at the end."""
     if task.task_id not in state.model.task_ids:
         raise UnknownTaskError(f"head for task {task.task_id} must be "
                                "registered before running the task")
@@ -250,7 +249,8 @@ def run_task(state: TrainerState, config: TrainerConfig,
     # once per task, not per update: a full scan of every parameter
     if not np.isfinite(state.model.buffer).all():
         raise DivergenceError(state.update_index, state.task_id, "parameters")
-    state.snapshot = state.model.snapshot()
+    if config.method in REGULARIZED:
+        state.snapshot = state.model.snapshot()
     return state
 
 

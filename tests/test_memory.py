@@ -5,7 +5,6 @@ import pytest
 
 from dgcl.errors import ShapeMismatchError, UnknownTaskError
 from dgcl.memory import EpisodicMemory
-from dgcl.numerics import row_norms
 
 
 def memory(capacity):
@@ -110,28 +109,11 @@ class TestWrites:
             model[t].extend(batch)
             assert tags(mem.all_items()) == [v for t in sorted(model)
                                              for v in model[t]]
-            assert (mem.ref_norms.tobytes()
-                    == row_norms(mem.all_items().ref).tobytes())
-
-    def test_norms_are_each_rows_own_at_embedding_width(self):
-        # 32-wide rows written in batches of every size, with evictions:
-        # a row's norm from its write equals the pool's row_norms bit for bit
-        mem = EpisodicMemory(7, x_dim=1, ref_dim=32)
-        rng = np.random.default_rng(6)
-        for t in (2, 0, 1):
-            mem.register_task(t)
-        for step in range(40):
-            n = int(rng.integers(1, 10))
-            ref = rng.standard_normal((n, 32)) * 10.0 ** (step % 7 - 3)
-            mem.write_batch(np.zeros((n, 1)), np.zeros(n), ref,
-                            int(rng.integers(0, 3)))
-            assert (mem.ref_norms.tobytes()
-                    == row_norms(mem.all_items().ref).tobytes())
 
     def test_ten_tasks_grow_the_store_geometrically(self):
         # tasks registered one at a time, as a stream does: the pool keeps
-        # every kept row's bytes in order, and each row's norm from its
-        # write, while the store reallocates O(log T) times
+        # every kept row's bytes in order, while the store reallocates
+        # O(log T) times
         mem = EpisodicMemory(6, x_dim=3, ref_dim=32)
         rng = np.random.default_rng(8)
         kept = {}
@@ -146,17 +128,14 @@ class TestWrites:
                 x = rng.standard_normal((n, 3))
                 y = rng.integers(0, 100, size=n)
                 ref = rng.standard_normal((n, 32))
-                norms = row_norms(ref)
                 mem.write_batch(x, y, ref, t)
-                kept[t] = (kept[t] + [(x[i], y[i], ref[i], norms[i])
+                kept[t] = (kept[t] + [(x[i], y[i], ref[i])
                                       for i in range(n)])[-6:]
-                x, y, ref, norms = zip(*(r for k in sorted(kept)
-                                         for r in kept[k]))
+                x, y, ref = zip(*(r for k in sorted(kept) for r in kept[k]))
                 pool = mem.all_items()
                 assert pool.x.tobytes() == np.array(x).tobytes()
                 assert pool.y.tolist() == list(y)
                 assert pool.ref.tobytes() == np.array(ref).tobytes()
-                assert mem.ref_norms.tobytes() == np.array(norms).tobytes()
         # capacity for 1, 2, 4, 8 and 16 tasks after the empty store
         assert len(stores) - 1 == 5 <= 2 + math.log2(10)
         assert len(stores[-1]) == 16 * 6

@@ -209,20 +209,30 @@ class TestReductionIdentity:
                 == [e.value for e in kisp0.drift.entries])
 
 
+def run_empty_task(method):
+    """A state after ``run_task`` on a task with no training rows, and the
+    encoder's bytes from before it."""
+    cfg = TrainerConfig(method=method, seed=0)
+    state = init_state(cfg, 8)
+    state.model.add_head(1, 2, state.rng_init)
+    state.memory.register_task(1)
+    before = encoder_bytes(state.model)
+    empty = TaskData(1, (0, 1), np.zeros((0, 8)),
+                     np.array([], dtype=np.int64), np.zeros((2, 8)), [0, 1])
+    assert state.snapshot is None
+    run_task(state, cfg, empty)
+    assert encoder_bytes(state.model) == before
+    return state, before
+
+
 class TestRunTask:
     def test_empty_stream_only_refreshes_snapshot(self):
-        cfg = TrainerConfig(method="er", seed=0)
-        state = init_state(cfg, 8)
-        state.model.add_head(1, 2, state.rng_init)
-        state.memory.register_task(1)
-        before = encoder_bytes(state.model)
-        empty = TaskData(1, (0, 1), np.zeros((0, 8)),
-                         np.array([], dtype=np.int64), np.zeros((2, 8)),
-                         [0, 1])
+        state, before = run_empty_task("kisp")
+        assert b"".join(w.tobytes() for w in state.snapshot[0::2]) == before
+
+    def test_empty_stream_takes_no_snapshot_without_a_regularizer(self):
+        state, _ = run_empty_task("er")
         assert state.snapshot is None
-        run_task(state, cfg, empty)
-        assert encoder_bytes(state.model) == before
-        assert state.snapshot is not None
 
     def test_batching_arithmetic_and_consumption(self, monkeypatch):
         fed = record_feeds(monkeypatch)
@@ -272,6 +282,23 @@ class TestRunTask:
 
 
 class TestRunStream:
+    @pytest.mark.parametrize("method,copies", [
+        ("finetune", 0), ("er", 0), ("lfc", 5), ("rld", 5), ("kisp", 5)])
+    def test_snapshot_only_for_a_regularizer(self, monkeypatch, method,
+                                             copies):
+        calls = []
+        real = Model.snapshot
+
+        def counting(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(Model, "snapshot", counting)
+        spec = StreamSpec(tasks=5, classes_per_task=2, d_in=8,
+                          train_per_class=10, test_per_class=5, seed=4)
+        run_stream(TrainerConfig(method=method, seed=0), synth_stream(spec))
+        assert len(calls) == copies
+
     def test_single_task_matrix(self):
         tasks = synth_stream(StreamSpec(tasks=1, classes_per_task=2, d_in=8,
                                         train_per_class=30, test_per_class=20,
@@ -455,6 +482,31 @@ class TestMemoryInteraction:
         assert len(state.memory) == 7 * 10
         rows = state.memory.all_items()
         assert len(rows.x) == len(rows.y) == len(rows.ref) == 70
+
+    def test_probe_matches_contiguous_copies_after_regrowth(self):
+        # 7-row tasks registered one at a time regrow the store, and 4-row
+        # batches evict; the probe reads the pool's views in place
+        cfg = TrainerConfig(method="kisp", seed=3, batch_size=4,
+                            memory_size=7)
+        state = init_state(cfg, SMALL_SPEC.d_in)
+        rows = []
+        for task in small_tasks():
+            state.model.add_head(task.task_id, 2, state.rng_init)
+            state.memory.register_task(task.task_id)
+            rows.append(len(state.memory._arrays[2]))
+            state.task_id = task.task_id
+            for start in range(0, task.n_train, cfg.batch_size):
+                stop = start + cfg.batch_size
+                bx = task.train_x[start:stop]
+                train_step(state, cfg, bx, task.train_y[start:stop])
+                pool = state.memory.all_items()
+                expected = embedding_drift(
+                    np.array(pool.ref), state.model.embed(np.array(pool.x)))
+                assert trainer._buffer_drift(state)[0] == expected
+                assert trainer._buffer_drift(state, bx)[0] == expected
+            state.snapshot = state.model.snapshot()
+        assert rows == [7, 14, 28]
+        assert len(state.memory) == 3 * 7
 
 
 class TestDivergence:
