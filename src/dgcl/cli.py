@@ -7,10 +7,13 @@ Subcommands::
     dgcl drift <config>      paired lambda=0 vs first lambda>0 drift report
 
 ``run`` writes ``run-<config hash>/`` under ``output_dir``: three report
-files per cell and the aggregate ``summary.json``. ``drift`` runs the
-two-cell grid of KISP at lambda=0 and at the first lambda>0 (first M and
-seed) the same way, into the directory a ``run`` of those two cells writes,
-and adds ``drift_paired.csv``: their drift CSVs joined column by column.
+files per cell and the aggregate ``summary.json``. The grid follows each
+method's ``losses.METHODS`` entry: lambda varies only for a method with a
+regularizer, and a method that keeps no memory runs at the first M only.
+``drift`` runs the two-cell grid of KISP at lambda=0 and at the first
+lambda>0 (first M and seed) the same way, into the directory a ``run`` of
+those two cells writes, and adds ``drift_paired.csv``: their drift CSVs
+joined column by column.
 
 Both exit 0 on full success, 1 if any grid cell failed (outputs from
 completed cells are preserved) or an output could not be written, and 2 on
@@ -29,12 +32,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import gradcheck, metrics
+from . import gradcheck, losses, metrics
 from .config import (RunConfig, build_tasks, config_hash, lambda_label,
                      parse_config_file)
 from .datasets import TaskData
 from .errors import ConfigError, DgclError
-from .trainer import REGULARIZED, run_stream
+from .trainer import run_stream
 
 
 @dataclass(frozen=True)
@@ -52,12 +55,12 @@ class Cell:
 
 def _grid(cfg: RunConfig) -> list[Cell]:
     """The full grid, method-major: the order failures are reported in.
-    lambda only varies for regularized methods, and finetune ignores the
-    memory sweep (it never writes memory)."""
+    Each method's axes follow its ``losses.METHODS`` entry."""
     cells = []
     for method in cfg.methods:
-        lams = cfg.lams if method in REGULARIZED else [0.0]
-        memories = cfg.memories if method != "finetune" else [cfg.memories[0]]
+        replays, reg = losses.METHODS[method]
+        lams = cfg.lams if reg else [0.0]
+        memories = cfg.memories if replays else cfg.memories[:1]
         for lam in lams:
             for memory in memories:
                 for seed in cfg.seeds:
@@ -219,8 +222,7 @@ def cmd_gradcheck(seed: int = 0, instances: int = 100) -> int:
     print(f"gradcheck seed={seed} instances={instances} "
           f"tolerance={gradcheck.TOLERANCE:g}")
     failed = []
-    for name in gradcheck.LOSS_NAMES:
-        err = errors[name]
+    for name, err in errors.items():
         status = "ok" if err < gradcheck.TOLERANCE else "FAIL"
         print(f"  {name:<6} max_rel_err={err:.3e}  {status}")
         if err >= gradcheck.TOLERANCE:

@@ -135,12 +135,20 @@ def split_by_class(x, y, classes_per_task: int, *, test_x, test_y,
     The sorted distinct train labels become class ids 0..K-1, in train and
     test rows alike. Within-task train order is shuffled by ``seed``; test
     examples are split with the same class blocks, unshuffled, and test rows
-    of a label the train rows lack are dropped.
+    of a label the train rows lack are dropped. No train rows, rows without
+    features, or train and test rows of different widths are ConfigErrors.
     """
     x = as_matrix(x)
     y = np.asarray(y, dtype=np.int64).reshape(-1)
     test_x = as_matrix(test_x)
     test_y = np.asarray(test_y, dtype=np.int64).reshape(-1)
+    if not y.size:
+        raise ConfigError("the train stream has no rows")
+    if not x.shape[1]:
+        raise ConfigError("the stream's rows have no features")
+    if test_x.shape[1] != x.shape[1]:
+        raise ConfigError(f"train rows have {x.shape[1]} features, test rows "
+                          f"{test_x.shape[1]}")
     labels = np.unique(y)
     if len(labels) % classes_per_task != 0:
         raise ConfigError(

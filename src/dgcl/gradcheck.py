@@ -4,21 +4,21 @@ Each loss gets a population of small random instances (feature counts up to
 6, embedding widths up to 8); its analytic gradient must match central
 differences coordinate-wise. No instance builds a tape: each runs the
 functions training runs. The ``ce`` instance calls cross-entropy's forward
-and gradient functions on random logits. The ``kisp``, ``lfc`` and ``rld``
-instances call ``losses.regularizer`` on random raw snapshot and live rows,
-so the normalization is checked with the loss. The ``total`` instance is a
-training update as ``trainer.update`` runs it, for a method drawn from er,
-lfc, rld and kisp: the encoder pass (one rectified hidden layer) and head
-block (two or three heads) into cross-entropy, plus the weighted
-regularizer on the replay rows of the same encoder pass, or of their own
-pass for a 1-row replay, against a second random model's snapshot. Its
-differences are taken on the model's parameter buffer itself, so they
-check the flat gradient the SGD step uses, with the relu mask and both
-branches' shared parameters.
+and gradient functions on random logits. Each regularizer in
+``losses.METHODS`` has an instance that calls ``losses.regularizer`` on
+random raw snapshot and live rows, so the normalization is checked with the
+loss. The ``total`` instance is a training update as ``trainer.update``
+runs it, for a method drawn from er, lfc, rld and kisp: the encoder pass
+(one rectified hidden layer) and head block (two or three heads) into
+cross-entropy, plus the weighted regularizer on the replay rows of the same
+encoder pass, or of their own pass for a 1-row replay, against a second
+random model's snapshot. Its differences are taken on the model's parameter
+buffer itself, so they check the flat gradient the SGD step uses, with the
+relu mask and both branches' shared parameters.
 """
 from __future__ import annotations
 
-import functools
+from functools import partial
 
 import numpy as np
 
@@ -26,9 +26,10 @@ from . import losses
 from .memory import Batch
 from .model import Model
 from .numerics import finite_diff_check
-from .trainer import _ONE, METHODS, TrainerConfig, update
+from .trainer import _ONE, TrainerConfig, update
 
 TOLERANCE = 1e-4
+# the first lines in seed order; other regularizers follow (run_gradcheck)
 LOSS_NAMES = ("ce", "kisp", "lfc", "rld", "total")
 
 
@@ -70,8 +71,8 @@ def _total_instance(rng):
     sizes = [int(rng.integers(2, 6)) for _ in range(3)]  # d_in, hidden, d_emb
     n = int(rng.integers(1, 5))
     m = int(rng.integers(1, 7))
-    # every method with replay; m = 1 takes the replay's own encoder pass
-    config = TrainerConfig(method=str(rng.choice(METHODS[1:])),
+    # fixed methods, so no seed moves; m = 1 takes the replay's own pass
+    config = TrainerConfig(str(rng.choice(("er", "lfc", "rld", "kisp"))),
                            lam=float(rng.choice([0.1, 1.0, 10.0])))
     x_cur = rng.standard_normal((n, sizes[0]))
     x_mem = rng.standard_normal((m, sizes[0]))
@@ -93,16 +94,15 @@ def _total_instance(rng):
     return fn, [model.buffer]
 
 
-_BUILDERS = {"ce": _ce_instance, "total": _total_instance,
-             **{method: functools.partial(_regularizer_instance, method)
-                for method in losses.REGULARIZERS}}
+_BUILDERS = {"ce": _ce_instance, "total": _total_instance}
 
 
 def run_gradcheck(seed: int = 0, instances: int = 100) -> dict[str, float]:
     """Max relative finite-difference error per loss over seeded instances."""
+    regs = [method for method, (_, reg) in losses.METHODS.items() if reg]
     worst = {}
-    for li, name in enumerate(LOSS_NAMES):
-        builder = _BUILDERS[name]
+    for li, name in enumerate(dict.fromkeys(LOSS_NAMES + tuple(regs))):
+        builder = _BUILDERS.get(name) or partial(_regularizer_instance, name)
         err = 0.0
         for i in range(instances):
             rng = np.random.default_rng([seed, li, i])

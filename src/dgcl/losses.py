@@ -14,8 +14,11 @@ Each loss is a forward function and a gradient function with the tape's
 ``fwd(vals, aux)`` / ``grad(vals, out, aux, g)`` signatures. A
 regularizer's ``aux`` holds the snapshot embeddings as ``pre``, data that
 is never differentiated, and the temperature as ``tau``, which only KISP
-reads. ``REGULARIZERS`` gives each method's forward, gradient and whether
-it acts on L2-normalized rows (LFC, KISP) or raw ones (RLD);
+reads. ``METHODS`` is the one table of training methods: whether each
+replays from memory (all but finetune), and its regularizer's forward,
+gradient and whether it acts on L2-normalized rows (LFC, KISP) or raw ones
+(RLD), or None (finetune, ER). Its readers keep no copy, so a patched entry
+takes effect everywhere;
 ``regularizer``, the one call ``trainer.update`` and ``dgcl gradcheck``
 make, reads it per call. The ``*_node`` functions record the same functions
 as tape ops, for the op tests and the benchmark. Cross-entropy and KISP
@@ -294,10 +297,13 @@ def rld_node(tape: Tape, f_pre: np.ndarray, f_cur: int) -> int:
 # one call per regularizer, and the total
 # ---------------------------------------------------------------------------
 
-# method -> (forward, gradient, whether it acts on L2-normalized rows)
-REGULARIZERS = {"lfc": (_lfc_forward, _lfc_grad, True),
-                "rld": (_rld_forward, _rld_grad, False),
-                "kisp": (_kisp_forward, _kisp_grad, True)}
+# method -> (whether it replays from memory, its regularizer: forward,
+# gradient and whether it acts on L2-normalized rows, or None)
+METHODS = {"finetune": (False, None),
+           "er": (True, None),
+           "lfc": (True, (_lfc_forward, _lfc_grad, True)),
+           "rld": (True, (_rld_forward, _rld_grad, False)),
+           "kisp": (True, (_kisp_forward, _kisp_grad, True))}
 
 
 def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
@@ -305,13 +311,13 @@ def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
     """The regularizer ``method`` of the live embeddings ``f_cur`` against
     the snapshot embeddings ``f_pre``, both raw rows of equal shape: the
     1 x 1 value, and a function taking the value's adjoint to the gradient
-    for ``f_cur``. Rows are normalized where ``REGULARIZERS`` says, the
+    for ``f_cur``. Rows are normalized where ``METHODS`` says, the
     snapshot's first, so a zero-norm snapshot row raises before a zero-norm
     live row; the gradient then runs back through the normalization."""
     if f_pre.shape != f_cur.shape:
         raise ShapeMismatchError(
             f"paired embeddings differ: {f_pre.shape} vs {f_cur.shape}")
-    fwd, grad, unit = REGULARIZERS[method]
+    fwd, grad, unit = METHODS[method][1]
     pre, cur = f_pre, f_cur
     if unit:
         pre, cur = l2_normalize(f_pre), l2_normalize(f_cur)

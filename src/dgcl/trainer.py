@@ -11,6 +11,8 @@ inside its own step. The drift probe compares those stored embeddings with
 one forward pass over the whole memory. For a regularized method, the
 encoder snapshot, the tuple of encoder parameters ``Model.snapshot``
 copies, refreshes exactly once per task boundary; no other method reads it.
+Whether a method replays and which regularizer it adds are read from
+``losses.METHODS`` on each use; this module keeps no list of methods.
 
 Each piece of an update is computed once. The regularizer's live embeddings
 are the replay rows of the cross-entropy's encoder pass, with their own
@@ -60,9 +62,6 @@ from .model import (MIN_SHARED_ROWS, Model, _encoder_forward, _encoder_grad,
 # backward is bound here only so the benchmark's tracer can wrap it
 from .numerics import backward  # noqa: F401
 
-METHODS = ("finetune", "er", "lfc", "rld", "kisp")
-REGULARIZED = tuple(losses.REGULARIZERS)
-
 # the cross-entropy's adjoint: d(loss)/d(loss)
 _ONE = np.ones((1, 1))
 _ONE.setflags(write=False)
@@ -80,8 +79,9 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method {self.method!r} not one of {METHODS}")
+        if self.method not in losses.METHODS:
+            raise ValueError(f"method {self.method!r} not one of "
+                             f"{tuple(losses.METHODS)}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.iterations not in (1, 2, 3):
@@ -99,7 +99,7 @@ class TrainerConfig:
 
     @property
     def uses_memory(self) -> bool:
-        return self.method != "finetune"
+        return losses.METHODS[self.method][0]
 
 
 @dataclass
@@ -173,7 +173,7 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     ce_aux = losses.ce_aux(logits, y_all)
     ce = losses._ce_forward([logits], ce_aux)
     reg = None
-    if config.method in REGULARIZED and snapshot is not None and replay:
+    if losses.METHODS[config.method][1] and snapshot is not None and replay:
         f_pre = _encoder_forward(snapshot, {"x": replay.x})
         f_cur, rows = encoder_rows(params, shared, f, len(batch_x))
         reg, reg_grad = losses.regularizer(config.method, f_pre, f_cur,
@@ -249,7 +249,7 @@ def run_task(state: TrainerState, config: TrainerConfig,
     # once per task, not per update: a full scan of every parameter
     if not np.isfinite(state.model.buffer).all():
         raise DivergenceError(state.update_index, state.task_id, "parameters")
-    if config.method in REGULARIZED:
+    if losses.METHODS[config.method][1]:
         state.snapshot = state.model.snapshot()
     return state
 

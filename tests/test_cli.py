@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from dgcl import cli, trainer
+from dgcl import cli, gradcheck, losses, trainer
 from dgcl.cli import main
-from dgcl.config import parse_config_file
+from dgcl.config import parse_config, parse_config_file
 from dgcl.datasets import save_tensor_file
 
 GRID = """\
@@ -349,6 +349,100 @@ def test_indivisible_file_stream_is_one_config_error_per_cell(
         f"cell {method}_lam0_M20_seed{seed} failed: ConfigError: 5 classes "
         "not divisible by 2 per task"
         for method in ("finetune", "er") for seed in (0, 1)]
+
+
+@pytest.mark.parametrize("train, test, message", [
+    ((0, 4), (10, 4), "the train stream has no rows"),
+    ((10, 0), (10, 0), "the stream's rows have no features"),
+    ((10, 4), (10, 3), "train rows have 4 features, test rows 3")],
+    ids=["no-rows", "no-features", "widths"])
+def test_degenerate_file_stream_is_one_config_error_per_cell(
+        tmp_path, monkeypatch, capsys, train, test, message):
+    rng = np.random.default_rng(4)
+    paths = {}
+    for name, (rows, width) in (("train", train), ("test", test)):
+        paths[name] = tmp_path / f"{name}.dgds"
+        save_tensor_file(paths[name], rng.standard_normal((rows, width)),
+                         np.arange(rows) % 2, class_count=2)
+    config = _file_config(tmp_path / "file.cfg", paths["train"],
+                          paths["test"], tmp_path / "out",
+                          methods="finetune,er")
+    config.write_text(config.read_text().replace("seeds = 0", "seeds = 0,1"))
+    steps = []
+    monkeypatch.setattr(trainer, "train_step",
+                        lambda *args: steps.append(args))
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    assert main(["run", str(config)]) == 1
+    # one line per cell, no traceback, and no cell trained
+    assert capsys.readouterr().err.splitlines() == [
+        f"cell {method}_lam0_M20_seed{seed} failed: ConfigError: {message}"
+        for method in ("finetune", "er") for seed in (0, 1)]
+    assert steps == []
+
+
+def test_grid_axes_follow_each_method():
+    cfg = parse_config("trainer.methods = finetune,er,lfc,rld,kisp\n"
+                       "trainer.lambda = 0,1\ntrainer.memory = 5,10\n"
+                       "seeds = 0,1\n")
+    # lambda varies only with a regularizer; finetune keeps no memory, so
+    # it runs at the first M only
+    names = []
+    for seed in (0, 1):
+        names += [f"finetune_lam0_M5_seed{seed}", f"er_lam0_M5_seed{seed}",
+                  f"er_lam0_M10_seed{seed}"]
+        names += [f"{method}_lam{lam}_M{memory}_seed{seed}"
+                  for method in ("lfc", "rld", "kisp") for lam in (0, 1)
+                  for memory in (5, 10)]
+    assert [cell.name for cell in cli.expand_cells(cfg)] == names
+
+
+def test_one_table_entry_adds_a_method(tmp_path, monkeypatch):
+    # a regularizer added to losses.METHODS and nowhere else: a squared
+    # distance to the snapshot over unit rows
+    calls = []
+
+    def forward(vals, aux):
+        calls.append("forward")
+        d = vals[0] - aux["pre"]
+        return np.array([[0.5 * (d * d).sum()]])
+
+    def grad(vals, out, aux, g):
+        calls.append("gradient")
+        return [(vals[0] - aux["pre"]) * g[0, 0]]
+
+    before = gradcheck.run_gradcheck(instances=5)
+    monkeypatch.setitem(losses.METHODS, "pull", (True, (forward, grad, True)))
+    after = gradcheck.run_gradcheck(instances=5)
+    # its own line after the others, whose values do not move
+    assert list(after) == [*before, "pull"]
+    assert {name: after[name] for name in before} == before
+    assert after["pull"] < gradcheck.TOLERANCE
+    calls.clear()
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    config = _grid_config(tmp_path, "pull", "er,pull", lams="0,1", seeds="0")
+    assert [cell.name for cell in cli.expand_cells(
+        parse_config_file(config))] == [
+        "er_lam0_M20_seed0", "pull_lam0_M20_seed0", "pull_lam1_M20_seed0"]
+    assert main(["run", str(config)]) == 0
+    assert len(_run_files(tmp_path, "pull")) == 3 * 3 + 1
+    # lambda = 0 evaluates the value only; lambda = 1 also the gradient
+    assert 0 < calls.count("gradient") < calls.count("forward")
+
+
+GRADCHECK_OUT = """\
+gradcheck seed=0 instances=100 tolerance=0.0001
+  ce     max_rel_err=7.473e-11  ok
+  kisp   max_rel_err=3.629e-08  ok
+  lfc    max_rel_err=1.461e-09  ok
+  rld    max_rel_err=4.790e-11  ok
+  total  max_rel_err=1.046e-08  ok
+PASS
+"""
+
+
+def test_gradcheck_output_is_pinned(capsys):
+    assert main(["gradcheck"]) == 0
+    assert capsys.readouterr().out == GRADCHECK_OUT
 
 
 def test_gradcheck_passes(capsys):
