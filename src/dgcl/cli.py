@@ -17,10 +17,10 @@ joined column by column.
 
 Both exit 0 on full success, 1 if any grid cell failed (outputs from
 completed cells are preserved) or an output could not be written, and 2 on
-configuration errors, which create nothing: among them a stream file that
-does not exist (a corrupt one fails each cell). Set the ``DGCL_THREADS``
-environment variable to a positive integer to run grid cells in that many
-worker processes; output files are identical either way.
+configuration errors, which create nothing: among them any fault of the
+stream, which building the first cell's stream finds first. Set the
+``DGCL_THREADS`` environment variable to a positive integer to run grid
+cells in that many worker processes; output files are identical either way.
 """
 from __future__ import annotations
 
@@ -168,39 +168,35 @@ def _unwritable(path, exc: OSError) -> int:
 def _run_grid(cfg: RunConfig) -> int:
     """``dgcl run``: every cell of ``cfg`` into :func:`_cell_dir`, then the
     aggregate ``summary.json``. Returns the exit status; a bad
-    ``DGCL_THREADS`` or a missing stream file raises ConfigError before
-    anything is created."""
+    ``DGCL_THREADS`` or a fault in the first cell's stream, built first,
+    raises ConfigError before anything is created."""
     cells = expand_cells(cfg)
     workers = _worker_count(len(cells))
-    if cfg.stream_kind == "file":
-        for path in (cfg.train_path, cfg.test_path):
-            if not Path(path).is_file():
-                raise ConfigError(f"no stream file at {path}")
+    try:  # one seed's build finds every fault: see build_tasks
+        _stream(cfg, cells[0].seed)
+    except (DgclError, OSError) as e:
+        raise ConfigError(str(e)) from None
     outdir = _cell_dir(cfg)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         return _unwritable(outdir, e)
-    summaries: dict[Cell, dict] = {}
-    errors: dict[Cell, Exception] = {}
+    outcomes: dict[Cell, dict | Exception] = {}  # a summary or the error
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {cell: pool.submit(execute_cell, cfg, cell, str(outdir))
                        for cell in cells}
         for cell, fut in futures.items():
-            exc = fut.exception()
-            if exc is None:
-                summaries[cell] = fut.result()
-            else:
-                errors[cell] = exc
+            outcomes[cell] = fut.exception() or fut.result()
     else:
         for cell in cells:
             try:
-                summaries[cell] = execute_cell(cfg, cell, str(outdir))
+                outcomes[cell] = execute_cell(cfg, cell, str(outdir))
             except Exception as e:  # one failed cell must not stop the grid
-                errors[cell] = e
-        _STREAM.clear()  # a later run in this process builds its own
-    failures = [(cell, errors[cell]) for cell in _grid(cfg) if cell in errors]
+                outcomes[cell] = e
+    _STREAM.clear()  # a later run in this process builds its own
+    summaries = {c: s for c, s in outcomes.items() if isinstance(s, dict)}
+    failures = [(c, outcomes[c]) for c in _grid(cfg) if c not in summaries]
     for cell, exc in failures:
         print(f"cell {cell.name} failed: {_failure_line(exc)}", file=sys.stderr)
         if not isinstance(exc, _RUN_FAULTS):

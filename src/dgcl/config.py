@@ -12,13 +12,13 @@ Example::
     output_dir = out
 
 Lists are comma-separated. Lines starting with ``#`` are comments.
-``KEYS`` is the list of keys: each maps to the ``RunConfig`` field it sets
-and the parser that reads it, and both ``parse_config`` and
-``canonical_text`` iterate it. Unknown keys are rejected so typos fail
-loudly at parse time, and so are non-finite numbers and the keys the stream
-kind does not read. Bounds live in the section dataclasses, ``StreamSpec``
-and ``TrainerConfig``; their errors become ``ConfigError("stream: ...")``
-and ``ConfigError("trainer: ...")``.
+``KEYS`` is the list of keys: each maps to the ``RunConfig`` field it sets,
+its parser and the one stream kind that reads it (None: every kind), and
+``parse_config`` and ``canonical_text`` iterate it. Unknown keys are
+rejected so typos fail loudly at parse time, and so are non-finite numbers
+and the keys the stream kind does not read. Bounds live in the section
+dataclasses, ``StreamSpec`` and ``TrainerConfig``; their errors become
+``ConfigError("stream: ...")`` and ``ConfigError("trainer: ...")``.
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ def _parse_float(key, raw):
         value = math.nan
     if not math.isfinite(value):
         raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
-    return value
+    return value or 0.0  # -0 is 0, under one cell name and hash
 
 
 def lambda_label(lam: float) -> str:
@@ -112,34 +112,30 @@ def _list_of(conv, label=None):
     return parse
 
 
-# the keys one stream kind alone reads: set for the other kind, a key would
-# change the config hash and nothing that runs
-SYNTH_KEYS = ("stream.tasks", "stream.d_in", "stream.train_per_class",
-              "stream.test_per_class", "stream.separation", "stream.noise")
-FILE_KEYS = ("stream.train_path", "stream.test_path")
-
-# key -> (RunConfig attribute path, parser)
+# key -> (RunConfig attribute path, parser, the one stream kind that reads
+# it or None); set for another kind, a key would change the config hash and
+# nothing that runs
 KEYS = {
-    "stream.kind": ("stream_kind", _parse_str),
-    "stream.tasks": ("stream.tasks", _parse_int),
-    "stream.classes_per_task": ("stream.classes_per_task", _parse_int),
-    "stream.d_in": ("stream.d_in", _parse_int),
-    "stream.train_per_class": ("stream.train_per_class", _parse_int),
-    "stream.test_per_class": ("stream.test_per_class", _parse_int),
-    "stream.separation": ("stream.separation", _parse_float),
-    "stream.noise": ("stream.noise", _parse_float),
-    "stream.seed": ("stream.seed", _parse_int),
-    "stream.train_path": ("train_path", _parse_str),
-    "stream.test_path": ("test_path", _parse_str),
-    "trainer.methods": ("methods", _list_of(_parse_str)),
-    "trainer.lambda": ("lams", _list_of(_parse_float, lambda_label)),
-    "trainer.memory": ("memories", _list_of(_parse_int)),
-    "trainer.tau": ("trainer.tau", _parse_float),
-    "trainer.lr": ("trainer.lr", _parse_float),
-    "trainer.batch_size": ("trainer.batch_size", _parse_int),
-    "trainer.iterations": ("trainer.iterations", _parse_int),
-    "seeds": ("seeds", _list_of(_parse_int)),
-    "output_dir": ("output_dir", _parse_str),
+    "stream.kind": ("stream_kind", _parse_str, None),
+    "stream.tasks": ("stream.tasks", _parse_int, "synth"),
+    "stream.classes_per_task": ("stream.classes_per_task", _parse_int, None),
+    "stream.d_in": ("stream.d_in", _parse_int, "synth"),
+    "stream.train_per_class": ("stream.train_per_class", _parse_int, "synth"),
+    "stream.test_per_class": ("stream.test_per_class", _parse_int, "synth"),
+    "stream.separation": ("stream.separation", _parse_float, "synth"),
+    "stream.noise": ("stream.noise", _parse_float, "synth"),
+    "stream.seed": ("stream.seed", _parse_int, None),
+    "stream.train_path": ("train_path", _parse_str, "file"),
+    "stream.test_path": ("test_path", _parse_str, "file"),
+    "trainer.methods": ("methods", _list_of(_parse_str), None),
+    "trainer.lambda": ("lams", _list_of(_parse_float, lambda_label), None),
+    "trainer.memory": ("memories", _list_of(_parse_int), None),
+    "trainer.tau": ("trainer.tau", _parse_float, None),
+    "trainer.lr": ("trainer.lr", _parse_float, None),
+    "trainer.batch_size": ("trainer.batch_size", _parse_int, None),
+    "trainer.iterations": ("trainer.iterations", _parse_int, None),
+    "seeds": ("seeds", _list_of(_parse_int), None),
+    "output_dir": ("output_dir", _parse_str, None),
 }
 
 
@@ -171,7 +167,7 @@ def parse_config(text: str) -> RunConfig:
     for key, raw in pairs.items():
         if key not in KEYS:
             raise ConfigError(f"unknown key {key!r}")
-        path, parse = KEYS[key]
+        path, parse, _ = KEYS[key]
         section, _, name = path.rpartition(".")
         fields[section][name] = parse(key, raw)
     cfg = RunConfig(stream=_checked("stream", StreamSpec, **fields["stream"]),
@@ -182,8 +178,8 @@ def parse_config(text: str) -> RunConfig:
     if cfg.stream_kind not in ("synth", "file"):
         raise ConfigError(f"stream.kind must be synth or file, "
                           f"got {cfg.stream_kind!r}")
-    for key in FILE_KEYS if cfg.stream_kind == "synth" else SYNTH_KEYS:
-        if key in pairs:
+    for key in pairs:
+        if KEYS[key][2] not in (None, cfg.stream_kind):
             raise ConfigError(f"{key}: {cfg.stream_kind} streams ignore it")
     if cfg.stream_kind == "file" and not (cfg.train_path and cfg.test_path):
         raise ConfigError("file streams need stream.train_path and "
@@ -201,7 +197,7 @@ def parse_config_file(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     return parse_config(text)
 
@@ -218,7 +214,7 @@ def canonical_text(cfg: RunConfig) -> str:
     """Normalized key=value rendering used for the output-path hash; the
     output directory is left out, so moving a grid keeps its hash."""
     return "\n".join(f"{key}={_render(attrgetter(path)(cfg))}"
-                     for key, (path, _) in sorted(KEYS.items())
+                     for key, (path, *_) in sorted(KEYS.items())
                      if key != "output_dir")
 
 
@@ -230,12 +226,17 @@ def build_tasks(cfg: RunConfig, run_seed: int):
     """Materialize the task list for one grid cell.
 
     The effective stream seed folds in the run seed, so repeats draw fresh
-    data while methods sharing a seed stay exactly paired.
+    data while methods sharing a seed stay exactly paired. A stream kind's
+    faults must not depend on the seed: ``dgcl`` builds one seed's stream
+    to find them before it writes anything.
     """
     effective_seed = cfg.stream.seed + run_seed
     if cfg.stream_kind == "synth":
         return synth_stream(replace(cfg.stream, seed=effective_seed))
-    train_x, train_y, _ = load_tensor_file(cfg.train_path)
-    test_x, test_y, _ = load_tensor_file(cfg.test_path)
+    try:
+        (train_x, train_y, _), (test_x, test_y, _) = (
+            load_tensor_file(path) for path in (cfg.train_path, cfg.test_path))
+    except FileNotFoundError as e:
+        raise ConfigError(f"no stream file at {e.filename}") from None
     return split_by_class(train_x, train_y, cfg.stream.classes_per_task,
                           test_x=test_x, test_y=test_y, seed=effective_seed)

@@ -13,6 +13,7 @@ with them, so native 1-based or gapped labels train as 0..K-1 would.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -204,18 +205,17 @@ def load_tensor_file(path) -> tuple[np.ndarray, np.ndarray, int]:
             raise VersionMismatchError(
                 f"tensor file version {version}, reader supports {TENSOR_VERSION}"
             )
-        payload = f.read(n * d * 8)
-        if len(payload) != n * d * 8:
-            raise TruncatedFileError(
-                f"payload truncated: wanted {n * d * 8} bytes, got {len(payload)}"
-            )
-        labels_raw = f.read(n * 4)
-        if len(labels_raw) != n * 4:
-            raise TruncatedFileError(
-                f"label block truncated: wanted {n * 4} bytes, got {len(labels_raw)}"
-            )
-        x = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(n, d)
-        y = np.frombuffer(labels_raw, dtype="<u4").astype(np.int64)
+        # the header's sizes are checked against the bytes left before any
+        # read, so a huge claim is a truncation, not a huge read buffer
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        for block, size in (("payload", n * d * 8), ("label block", n * 4)):
+            if size > left:
+                raise TruncatedFileError(
+                    f"{block} truncated: wanted {size} bytes, got {left}")
+            left -= size
+        x = np.frombuffer(f.read(n * d * 8),
+                          dtype="<f8").astype(np.float64).reshape(n, d)
+        y = np.frombuffer(f.read(n * 4), dtype="<u4").astype(np.int64)
         if n and y.max() >= class_count:
             raise LabelRangeError(
                 f"label {y.max()} outside declared range [0, {class_count})"

@@ -89,7 +89,9 @@ class KispBatch:
 
 @dataclass
 class LossBreakdown:
-    """One training step's loss components; total = ce + lam * kisp."""
+    """One training step's loss components; total = ce + lam * kisp, where
+    ``kisp`` holds the method's regularizer value: LFC's, RLD's or KISP's,
+    and 0 for finetune and ER or with nothing to replay."""
     ce: float
     kisp: float
     total: float
@@ -334,7 +336,9 @@ def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
 
 
 def total_loss(ce: float, kisp: float, lam: float) -> float:
-    """ce + lam * kisp; lam = 0 is the replay-only ablation."""
+    """ce + lam * kisp, with ``kisp`` the method's regularizer value (LFC,
+    RLD or KISP; 0 for finetune and ER); lam = 0 is the replay-only
+    ablation."""
     if lam < 0:
         raise ValueError("loss weight lam must be >= 0")
     return ce + lam * kisp

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -125,11 +126,12 @@ def test_each_seed_stream_is_built_once(tmp_path, monkeypatch):
     assert ran == [(m, s) for s in (1, 0) for m in ("finetune", "er", "kisp")]
     assert writable == [False] * 6  # every cell reads the shared arrays
     assert cli._STREAM == {}  # nothing is held after the run
-    # a fresh build per cell writes the same files
+    # a fresh build per cell, after the one that checks the stream, writes
+    # the same files
     monkeypatch.setattr(cli, "_stream", build)
     assert main(["run", str(_grid_config(tmp_path, "each", "finetune,er,kisp",
                                          seeds="1,0"))]) == 0
-    assert built == [1, 0] + [1] * 3 + [0] * 3
+    assert built == [1, 0] + [1] + [1] * 3 + [0] * 3
     assert _run_files(tmp_path, "each") == _run_files(tmp_path, "once")
 
 
@@ -249,33 +251,6 @@ def test_drift_needs_a_nonzero_lambda(tmp_path, capsys):
     assert not (tmp_path / "zero").exists()
 
 
-def test_test_file_missing_a_task_fails_each_cell_before_training(
-        tmp_path, monkeypatch, capsys):
-    rng = np.random.default_rng(0)
-    train, test = tmp_path / "train.dgds", tmp_path / "test.dgds"
-    save_tensor_file(train, rng.standard_normal((60, 4)),
-                     np.repeat(np.arange(6), 10), class_count=6)
-    # classes 3, 4 and 5 have no test rows: task 3 (classes 4, 5) has none
-    save_tensor_file(test, rng.standard_normal((15, 4)),
-                     np.repeat(np.arange(3), 5), class_count=6)
-    config = tmp_path / "file.cfg"
-    config.write_text(f"stream.kind = file\nstream.train_path = {train}\n"
-                      f"stream.test_path = {test}\n"
-                      "stream.classes_per_task = 2\n"
-                      "trainer.methods = finetune,er\nseeds = 0,1\n"
-                      f"output_dir = {tmp_path / 'out'}\n")
-    steps = []
-    monkeypatch.setattr(trainer, "train_step",
-                        lambda *args: steps.append(args))
-    monkeypatch.delenv("DGCL_THREADS", raising=False)
-    assert main(["run", str(config)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"cell {method}_lam0_M20_seed{seed} failed: LabelRangeError: test "
-        "data has no examples of task 3's classes [4, 5]"
-        for method in ("finetune", "er") for seed in (0, 1)]
-    assert steps == []
-
-
 def _file_config(path, train, test, out, methods="kisp"):
     path.write_text(f"stream.kind = file\nstream.train_path = {train}\n"
                     f"stream.test_path = {test}\n"
@@ -329,55 +304,79 @@ def test_native_file_labels_run_as_0_to_k(tmp_path, monkeypatch, labels):
     assert outputs[1] == outputs[0]
 
 
-def test_indivisible_file_stream_is_one_config_error_per_cell(
-        tmp_path, monkeypatch, capsys):
-    rng = np.random.default_rng(1)
-    train, test = tmp_path / "train.dgds", tmp_path / "test.dgds"
-    for path in (train, test):
-        save_tensor_file(path, rng.standard_normal((50, 4)),
-                         np.repeat(np.arange(5), 10), class_count=5)
-    config = tmp_path / "file.cfg"
-    config.write_text(f"stream.kind = file\nstream.train_path = {train}\n"
-                      f"stream.test_path = {test}\n"
-                      "stream.classes_per_task = 2\n"
-                      "trainer.methods = finetune,er\nseeds = 0,1\n"
-                      f"output_dir = {tmp_path / 'out'}\n")
-    monkeypatch.delenv("DGCL_THREADS", raising=False)
-    assert main(["run", str(config)]) == 1
-    # one line per cell and no traceback
-    assert capsys.readouterr().err.splitlines() == [
-        f"cell {method}_lam0_M20_seed{seed} failed: ConfigError: 5 classes "
-        "not divisible by 2 per task"
-        for method in ("finetune", "er") for seed in (0, 1)]
+def _header(n, d):
+    """A tensor file's magic and header, claiming n rows of width d."""
+    return b"DGDS" + struct.pack("<IIII", 1, n, d, 6)
 
 
-@pytest.mark.parametrize("train, test, message", [
-    ((0, 4), (10, 4), "the train stream has no rows"),
-    ((10, 0), (10, 0), "the stream's rows have no features"),
-    ((10, 4), (10, 3), "train rows have 4 features, test rows 3")],
-    ids=["no-rows", "no-features", "widths"])
-def test_degenerate_file_stream_is_one_config_error_per_cell(
-        tmp_path, monkeypatch, capsys, train, test, message):
-    rng = np.random.default_rng(4)
-    paths = {}
-    for name, (rows, width) in (("train", train), ("test", test)):
-        paths[name] = tmp_path / f"{name}.dgds"
-        save_tensor_file(paths[name], rng.standard_normal((rows, width)),
-                         np.arange(rows) % 2, class_count=2)
+# case -> (train file, test file, the config error): a file is raw bytes,
+# (rows, width, classes) of a tensor file with labels 0..classes-1 in turn,
+# or None for no file
+BAD_STREAMS = {
+    "missing": (None, (8, 4, 2), "no stream file at {train}"),
+    "bad-magic": (b"WHAT" + bytes(20), (8, 4, 2),
+                  "bad magic b'WHAT', expected b'DGDS'"),
+    "truncated": (_header(8, 4) + bytes(248), (8, 4, 2),
+                  "payload truncated: wanted 256 bytes, got 248"),
+    # read buffers of these claimed sizes raised OverflowError and
+    # MemoryError
+    "index-overflow": (_header(2**32 - 1, 2**32 - 1), (8, 4, 2),
+                       f"payload truncated: wanted {(2**32 - 1)**2 * 8} "
+                       "bytes, got 0"),
+    "32GiB": (_header(2**20, 2**12), (8, 4, 2),
+              "payload truncated: wanted 34359738368 bytes, got 0"),
+    "indivisible": ((50, 4, 5), (50, 4, 5),
+                    "5 classes not divisible by 2 per task"),
+    "no-rows": ((0, 4, 2), (10, 4, 2), "the train stream has no rows"),
+    "no-features": ((10, 0, 2), (10, 0, 2),
+                    "the stream's rows have no features"),
+    "widths": ((10, 4, 2), (10, 3, 2),
+               "train rows have 4 features, test rows 3"),
+    # classes 3, 4 and 5 have no test rows: task 3 (classes 4, 5) has none
+    "no-test-rows": ((60, 4, 6), (15, 4, 3),
+                     "test data has no examples of task 3's classes [4, 5]"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["run", "drift"])
+@pytest.mark.parametrize("case", BAD_STREAMS)
+def test_bad_file_stream_is_one_config_error(tmp_path, monkeypatch, capsys,
+                                             case, command, threads):
+    paths = {name: tmp_path / f"{name}.dgds" for name in ("train", "test")}
+    *files, message = BAD_STREAMS[case]
+    for path, spec in zip(paths.values(), files):
+        if isinstance(spec, bytes):
+            path.write_bytes(spec)
+        elif spec is not None:
+            rows, width, classes = spec
+            rng = np.random.default_rng(rows)
+            save_tensor_file(path, rng.standard_normal((rows, width)),
+                             np.arange(rows) % classes, class_count=6)
     config = _file_config(tmp_path / "file.cfg", paths["train"],
                           paths["test"], tmp_path / "out",
-                          methods="finetune,er")
+                          methods="finetune,er,kisp")
     config.write_text(config.read_text().replace("seeds = 0", "seeds = 0,1"))
     steps = []
     monkeypatch.setattr(trainer, "train_step",
                         lambda *args: steps.append(args))
-    monkeypatch.delenv("DGCL_THREADS", raising=False)
-    assert main(["run", str(config)]) == 1
-    # one line per cell, no traceback, and no cell trained
-    assert capsys.readouterr().err.splitlines() == [
-        f"cell {method}_lam0_M20_seed{seed} failed: ConfigError: {message}"
-        for method in ("finetune", "er") for seed in (0, 1)]
+    monkeypatch.setenv("DGCL_THREADS", threads)
+    assert main([command, str(config)]) == 2
+    # one line for the whole grid, found before anything is created
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: {message.format(train=paths['train'])}\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
     assert steps == []
+    assert cli._STREAM == {}
+
+
+def test_pooled_grid_holds_no_stream(tmp_path, monkeypatch):
+    monkeypatch.setenv("DGCL_THREADS", "2")
+    assert main(["run", str(_grid_config(tmp_path, "pool", "er"))]) == 0
+    assert len(_run_files(tmp_path, "pool")) == 2 * 3 + 1
+    assert cli._STREAM == {}
 
 
 def test_grid_axes_follow_each_method():

@@ -1,6 +1,6 @@
 import pytest
 
-from dgcl.cli import main
+from dgcl.cli import expand_cells, main
 from dgcl.config import config_hash, parse_config
 from dgcl.errors import ConfigError
 
@@ -51,6 +51,30 @@ def test_repeated_cells_exit_2_before_running(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "config error: trainer.methods: 'er' repeats an earlier value"]
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_zero_lambda_is_zero():
+    # -0 parsed as -0.0 named its cells lam-0 and hashed apart from 0
+    zero, negative = (parse_config(grid(lams=lams))
+                      for lams in ("0,1", "-0,1"))
+    assert str(negative.lams[0]) == "0.0"
+    assert config_hash(negative) == config_hash(zero)
+    assert ([cell.name for cell in expand_cells(negative)]
+            == [cell.name for cell in expand_cells(zero)])
+    assert (config_hash(parse_config("trainer.lambda = -0\n"))
+            == config_hash(parse_config("trainer.lambda = 0\n"))
+            == "623a7328d56c")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the default output_dir is relative
+    config = tmp_path / "latin.cfg"
+    config.write_bytes(b"seeds = 0\n\xff\xfe\n")
+    assert main(["run", str(config)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()  # no traceback
+    assert line.startswith(f"config error: cannot read config {config}: "
+                           "'utf-8' codec can't decode byte 0xff")
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def with_key(text, key, value):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,26 @@ class TestTensorFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 10])
         with pytest.raises(TruncatedFileError):
+            load_tensor_file(path)
+
+    @pytest.mark.parametrize("n, d", [(2**32 - 1, 2**32 - 1),
+                                      (2**20, 2**12)],
+                             ids=["index-overflow", "32GiB"])
+    def test_header_claim_beyond_the_file_is_truncation(self, tmp_path, n, d):
+        # checked against the file's size before any read: read buffers of
+        # the claimed sizes raised OverflowError and MemoryError
+        path = tmp_path / "claim.dgds"
+        path.write_bytes(b"DGDS" + struct.pack("<IIII", 1, n, d, 2))
+        with pytest.raises(TruncatedFileError, match=(
+                f"^payload truncated: wanted {n * d * 8} bytes, got 0$")):
+            load_tensor_file(path)
+
+    def test_truncated_label_block(self, tmp_path):
+        path = tmp_path / "labels.dgds"
+        save_tensor_file(path, np.ones((4, 3)), np.zeros(4, dtype=np.int64), 1)
+        path.write_bytes(path.read_bytes()[:-6])
+        with pytest.raises(TruncatedFileError, match=(
+                "^label block truncated: wanted 16 bytes, got 10$")):
             load_tensor_file(path)
 
     def test_bad_magic(self, tmp_path):
