@@ -219,9 +219,10 @@ def cmd_gradcheck(seed: int = 0, instances: int = 100) -> int:
           f"tolerance={gradcheck.TOLERANCE:g}")
     failed = []
     for name, err in errors.items():
-        status = "ok" if err < gradcheck.TOLERANCE else "FAIL"
-        print(f"  {name:<6} max_rel_err={err:.3e}  {status}")
-        if err >= gradcheck.TOLERANCE:
+        # not "err >= TOLERANCE": a NaN error fails
+        ok = err < gradcheck.TOLERANCE
+        print(f"  {name:<6} max_rel_err={err:.3e}  {'ok' if ok else 'FAIL'}")
+        if not ok:
             failed.append(name)
     if failed:
         print(f"FAIL: {', '.join(failed)} exceeded {gradcheck.TOLERANCE:g}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from .datasets import StreamSpec, load_tensor_file, split_by_class, synth_stream
-from .errors import ConfigError
+from .errors import ConfigError, FileFormatError, LabelRangeError
 from .trainer import TrainerConfig
 
 
@@ -233,10 +233,15 @@ def build_tasks(cfg: RunConfig, run_seed: int):
     effective_seed = cfg.stream.seed + run_seed
     if cfg.stream_kind == "synth":
         return synth_stream(replace(cfg.stream, seed=effective_seed))
-    try:
-        (train_x, train_y, _), (test_x, test_y, _) = (
-            load_tensor_file(path) for path in (cfg.train_path, cfg.test_path))
-    except FileNotFoundError as e:
-        raise ConfigError(f"no stream file at {e.filename}") from None
+    loaded = []
+    for path in (cfg.train_path, cfg.test_path):
+        try:
+            loaded.append(load_tensor_file(path))
+        except FileNotFoundError as e:
+            raise ConfigError(f"no stream file at {e.filename}") from None
+        except (FileFormatError, LabelRangeError) as e:
+            # the message names the fault, not which of the two files
+            raise type(e)(f"{path}: {e}") from None
+    (train_x, train_y, _), (test_x, test_y, _) = loaded
     return split_by_class(train_x, train_y, cfg.stream.classes_per_task,
                           test_x=test_x, test_y=test_y, seed=effective_seed)

@@ -25,7 +25,7 @@ import numpy as np
 from . import losses
 from .memory import Batch
 from .model import Model
-from .numerics import finite_diff_check
+from .numerics import finite_diff_check, worst_error
 from .trainer import _ONE, TrainerConfig, update
 
 TOLERANCE = 1e-4
@@ -98,15 +98,13 @@ _BUILDERS = {"ce": _ce_instance, "total": _total_instance}
 
 
 def run_gradcheck(seed: int = 0, instances: int = 100) -> dict[str, float]:
-    """Max relative finite-difference error per loss over seeded instances."""
+    """Max relative finite-difference error per loss over seeded instances;
+    NaN if any instance's is."""
     regs = [method for method, (_, reg) in losses.METHODS.items() if reg]
     worst = {}
     for li, name in enumerate(dict.fromkeys(LOSS_NAMES + tuple(regs))):
         builder = _BUILDERS.get(name) or partial(_regularizer_instance, name)
-        err = 0.0
-        for i in range(instances):
-            rng = np.random.default_rng([seed, li, i])
-            fn, params = builder(rng)
-            err = max(err, finite_diff_check(fn, params))
-        worst[name] = err
+        worst[name] = worst_error(
+            [finite_diff_check(*builder(np.random.default_rng([seed, li, i])))
+             for i in range(instances)])
     return worst

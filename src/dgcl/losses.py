@@ -20,8 +20,11 @@ gradient and whether it acts on L2-normalized rows (LFC, KISP) or raw ones
 (RLD), or None (finetune, ER). Its readers keep no copy, so a patched entry
 takes effect everywhere;
 ``regularizer``, the one call ``trainer.update`` and ``dgcl gradcheck``
-make, reads it per call. The ``*_node`` functions record the same functions
-as tape ops, for the op tests and the benchmark. Cross-entropy and KISP
+make, reads it per call. For LFC and KISP it normalizes the snapshot rows
+stacked on the live rows in one ``numerics.normalize_rows`` pass, which
+owns the norms; the gradient through the normalization reuses the live
+rows' norms. The ``*_node`` functions record the same functions as tape
+ops, for the op tests and the benchmark. Cross-entropy and KISP
 keep their softmax pieces in a fresh ``aux`` dict per use, so the gradient
 reuses them: cross-entropy its shifted exponentials and their row sums,
 KISP its exponentials, column sums and leave-one-out sums. ``ce_aux`` turns
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabelRangeError, ShapeMismatchError
-from .numerics import Tape, _l2norm_grad, as_matrix, l2_normalize
+from .numerics import Tape, _l2norm_grad, as_matrix, normalize_rows
 
 # Floor for (1 - P) before the log; at small temperatures P can reach 1.0
 # in floating point and would otherwise produce -inf.
@@ -313,23 +316,29 @@ def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
     """The regularizer ``method`` of the live embeddings ``f_cur`` against
     the snapshot embeddings ``f_pre``, both raw rows of equal shape: the
     1 x 1 value, and a function taking the value's adjoint to the gradient
-    for ``f_cur``. Rows are normalized where ``METHODS`` says, the
-    snapshot's first, so a zero-norm snapshot row raises before a zero-norm
-    live row; the gradient then runs back through the normalization."""
+    for ``f_cur``. Where ``METHODS`` says, both sides are normalized in one
+    ``normalize_rows`` pass over the snapshot rows stacked on the live
+    rows, so a zero-norm snapshot row raises before a zero-norm live row
+    and each names its row within its own side; the gradient then runs
+    back through the normalization with the live rows' norms from that
+    pass."""
     if f_pre.shape != f_cur.shape:
         raise ShapeMismatchError(
             f"paired embeddings differ: {f_pre.shape} vs {f_cur.shape}")
     fwd, grad, unit = METHODS[method][1]
     pre, cur = f_pre, f_cur
     if unit:
-        pre, cur = l2_normalize(f_pre), l2_normalize(f_cur)
+        m = len(f_pre)
+        both, norms = normalize_rows(np.concatenate((f_pre, f_cur)), m)
+        pre, cur = both[:m], both[m:]
+        norm_aux = {"norms": norms[m:]}
     aux = {"pre": pre, "tau": float(tau)}
     value = fwd([cur], aux)
 
     def cur_grad(g: np.ndarray) -> np.ndarray:
         (g,) = grad([cur], value, aux, g)
         if unit:
-            (g,) = _l2norm_grad([f_cur], cur, None, g)
+            (g,) = _l2norm_grad([f_cur], cur, norm_aux, g)
         return g
 
     return value, cur_grad

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFeatureError, UndefinedMetricError
-from .numerics import as_matrix, row_norms
+from .numerics import as_matrix
 
 
 class AccuracyMatrix:
@@ -97,16 +97,27 @@ def la(matrix: AccuracyMatrix) -> float:
 
 
 def embedding_drift(reference, current) -> float:
-    """Mean over paired rows of (1 - cosine similarity)."""
+    """Mean over paired rows of (1 - cosine similarity).
+
+    The probe owns its norms. ref * ref, cur * cur and ref * cur fill one
+    (3, n, e) buffer; one row reduction gives the squared norms and the
+    dot products, one ``sqrt`` both norm rows (the bits of
+    ``numerics.row_norms``) and one check finds a zero norm on either
+    side. Each row's sum runs pairwise over its own contiguous values, so
+    it has the bits of the same sum over that row alone."""
     ref, cur = as_matrix(reference), as_matrix(current)
     if ref.shape != cur.shape:
         raise ValueError(f"shapes differ: {ref.shape} vs {cur.shape}")
-    ref_n = row_norms(ref)
-    cur_n = row_norms(cur)
-    if not (ref_n.all() and cur_n.all()):
+    prods = np.empty((3,) + ref.shape)
+    np.multiply(ref, ref, out=prods[0])
+    np.multiply(cur, cur, out=prods[1])
+    np.multiply(ref, cur, out=prods[2])
+    sums = prods.sum(axis=2)
+    norms = np.sqrt(sums[:2])
+    if not norms.all():
         raise DegenerateFeatureError("zero-norm row in drift input")
-    cos = (ref * cur).sum(axis=1)
-    cos /= ref_n * cur_n
+    cos = sums[2]
+    cos /= norms[0] * norms[1]
     np.maximum(cos, -1.0, out=cos)
     np.minimum(cos, 1.0, out=cos)
     np.subtract(1.0, cos, out=cos)

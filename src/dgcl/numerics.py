@@ -7,9 +7,17 @@ call them in a straight line, with no tape. The Wengert-style tape here
 records the same functions through ``Tape.apply``, and ``backward`` walks
 its records in reverse: only the op tests and the benchmark's kernel sweep
 and tracer use it. A tape's leaves hold the caller's arrays uncopied, so
-they must stay unwritten until ``backward`` returns. The row normalization
-here is ``l2_normalize`` and its gradient function ``_l2norm_grad``, which
-``losses.regularizer`` chains after a regularizer's own. The other ops are
+they must stay unwritten until ``backward`` returns.
+
+The row normalization is ``normalize_rows``, which owns the row norms: it
+takes them in one ``row_norms`` pass and returns them with the unit rows,
+and its gradient function ``_l2norm_grad`` reads them back instead of
+recomputing them. ``losses.regularizer`` normalizes a regularizer's
+snapshot and live rows stacked, in one such pass, and chains
+``_l2norm_grad`` after the regularizer's own gradient. Stacking keeps each
+row's bits: a row's norm is the pairwise sum over its own contiguous
+values whatever rows surround it, and the square, root and division are
+elementwise. ``l2_normalize`` is the one-block form. The other ops are
 coarse: the encoder pass, the head block and each loss. Each repeats the
 products, reductions and accumulation order of the primitive chain it
 replaced, so its gradients equal that chain's bit for bit.
@@ -42,23 +50,32 @@ def row_norms(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
     return np.sqrt((a * a).sum(axis=1, keepdims=keepdims))
 
 
-def l2_normalize(f) -> np.ndarray:
-    """Scale each row to unit Euclidean norm."""
-    f = as_matrix(f)
-    norms = row_norms(f)
+def normalize_rows(f: np.ndarray, block: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``f`` scaled to unit Euclidean norm, and their norms as
+    a column, from one ``row_norms`` pass. ``f`` may stack blocks of
+    ``block`` rows each; the zero-norm check names the first bad row by
+    its index within its block."""
+    norms = row_norms(f, keepdims=True)
     bad = np.flatnonzero(norms < EPS_NORM)
     if bad.size:
         raise DegenerateFeatureError(
-            f"row {bad[0]} has norm {norms[bad[0]]:.3e} < {EPS_NORM:g}"
-        )
-    return f / norms[:, None]
+            f"row {bad[0] % block} has norm {norms[bad[0], 0]:.3e} "
+            f"< {EPS_NORM:g}")
+    return f / norms, norms
+
+
+def l2_normalize(f) -> np.ndarray:
+    """Scale each row to unit Euclidean norm."""
+    f = as_matrix(f)
+    return normalize_rows(f, len(f))[0]
 
 
 def _l2norm_grad(vals, out, aux, g):
-    # y = x / ||x||; dx = (g - y <g, y>) / ||x|| per row
-    norms = row_norms(vals[0], keepdims=True)
+    # y = x / ||x||; dx = (g - y <g, y>) / ||x|| per row, with the norms
+    # the forward kept as aux["norms"]
     gy = (g * out).sum(axis=1, keepdims=True)
-    return [(g - out * gy) / norms]
+    return [(g - out * gy) / aux["norms"]]
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +175,10 @@ def finite_diff_check(fn: Callable, params: list[np.ndarray], h: float = 1e-5) -
 
     ``fn(params)`` must return ``(loss_value, grads)`` with one gradient
     array per parameter. Returns the max over all coordinates of
-    ``|analytic - central| / max(1, |analytic|)``.
+    ``|analytic - central| / max(1, |analytic|)``, by ``worst_error``.
     """
     _, grads = fn(params)
-    worst = 0.0
+    errors = []
     for p, g in zip(params, grads):
         for idx in range(p.size):
             at = np.unravel_index(idx, p.shape)
@@ -173,7 +190,12 @@ def finite_diff_check(fn: Callable, params: list[np.ndarray], h: float = 1e-5) -
             p[at] = orig
             central = (f_plus - f_minus) / (2.0 * h)
             analytic = g[at]
-            err = abs(analytic - central) / max(1.0, abs(analytic))
-            if err > worst:
-                worst = err
-    return worst
+            errors.append(abs(analytic - central) / max(1.0, abs(analytic)))
+    return worst_error(errors)
+
+
+def worst_error(errors) -> float:
+    """The largest of ``errors``, 0.0 for none. A NaN error is the worst:
+    every comparison with NaN is false, so ``>`` or the builtin ``max`` can
+    drop it, while ``np.max`` propagates it."""
+    return float(np.max(errors, initial=0.0))

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from dgcl.losses import cross_entropy_node
-from dgcl.numerics import Tape, _l2norm_grad, l2_normalize
+from dgcl.numerics import Tape, _l2norm_grad, normalize_rows
 
 
 def matmul_loops(a, b):
@@ -346,12 +346,15 @@ def total_node(tape, ce, reg, lam):
 
 
 def _l2norm_forward(vals, aux):
-    return l2_normalize(vals[0])
+    out, aux["norms"] = normalize_rows(vals[0], len(vals[0]))
+    return out
 
 
 def l2_normalize_node(tape, a):
-    """The tape node l2_normalize(a), differentiable."""
-    return tape.apply("l2_normalize", (a,), _l2norm_forward, _l2norm_grad)
+    """The tape node l2_normalize(a), differentiable; its forward keeps the
+    row norms the gradient reads."""
+    return tape.apply("l2_normalize", (a,), _l2norm_forward, _l2norm_grad,
+                      aux={})
 
 
 def kisp_probs(batch):

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -311,20 +312,28 @@ def _header(n, d):
 
 # case -> (train file, test file, the config error): a file is raw bytes,
 # (rows, width, classes) of a tensor file with labels 0..classes-1 in turn,
-# or None for no file
+# or None for no file; a file's format fault names that file
 BAD_STREAMS = {
     "missing": (None, (8, 4, 2), "no stream file at {train}"),
     "bad-magic": (b"WHAT" + bytes(20), (8, 4, 2),
-                  "bad magic b'WHAT', expected b'DGDS'"),
+                  "{train}: bad magic b'WHAT', expected b'DGDS'"),
+    "test-bad-magic": ((8, 4, 2), b"WHAT" + bytes(20),
+                       "{test}: bad magic b'WHAT', expected b'DGDS'"),
     "truncated": (_header(8, 4) + bytes(248), (8, 4, 2),
-                  "payload truncated: wanted 256 bytes, got 248"),
+                  "{train}: payload truncated: wanted 256 bytes, got 248"),
     # read buffers of these claimed sizes raised OverflowError and
     # MemoryError
     "index-overflow": (_header(2**32 - 1, 2**32 - 1), (8, 4, 2),
-                       f"payload truncated: wanted {(2**32 - 1)**2 * 8} "
-                       "bytes, got 0"),
+                       f"{{train}}: payload truncated: wanted "
+                       f"{(2**32 - 1)**2 * 8} bytes, got 0"),
     "32GiB": (_header(2**20, 2**12), (8, 4, 2),
-              "payload truncated: wanted 34359738368 bytes, got 0"),
+              "{train}: payload truncated: wanted 34359738368 bytes, got 0"),
+    "test-version": ((8, 4, 2), b"DGDS" + struct.pack("<IIII", 2, 8, 4, 6),
+                     "{test}: tensor file version 2, reader supports 1"),
+    # one row of width 1 whose label 9 lies past the declared 6 classes
+    "test-label-range": ((8, 4, 2), _header(1, 1) + bytes(8)
+                         + struct.pack("<I", 9),
+                         "{test}: label 9 outside declared range [0, 6)"),
     "indivisible": ((50, 4, 5), (50, 4, 5),
                     "5 classes not divisible by 2 per task"),
     "no-rows": ((0, 4, 2), (10, 4, 2), "the train stream has no rows"),
@@ -365,7 +374,7 @@ def test_bad_file_stream_is_one_config_error(tmp_path, monkeypatch, capsys,
     # one line for the whole grid, found before anything is created
     captured = capsys.readouterr()
     assert captured.err == (
-        f"config error: {message.format(train=paths['train'])}\n")
+        f"config error: {message.format_map(paths)}\n")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
     assert steps == []
@@ -442,6 +451,23 @@ PASS
 def test_gradcheck_output_is_pinned(capsys):
     assert main(["gradcheck"]) == 0
     assert capsys.readouterr().out == GRADCHECK_OUT
+
+
+def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
+    # a NaN error is the worst error: its line and the summary both fail
+    def forward(vals, aux):
+        return np.array([[(vals[0] * aux["pre"]).sum()]])
+
+    def grad(vals, out, aux, g):
+        return [np.full_like(vals[0], np.nan)]
+
+    monkeypatch.setitem(losses.METHODS, "broken",
+                        (True, (forward, grad, False)))
+    assert math.isnan(gradcheck.run_gradcheck(instances=2)["broken"])
+    assert main(["gradcheck", "--instances", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "  broken max_rel_err=nan  FAIL"
+    assert lines[-1] == "FAIL: broken exceeded 0.0001"
 
 
 def test_gradcheck_passes(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgcl import numerics
 from dgcl.errors import (
     DegenerateFeatureError,
     LabelRangeError,
@@ -27,6 +28,7 @@ from dgcl.numerics import (
     backward,
     finite_diff_check,
     l2_normalize,
+    row_norms,
 )
 
 from oracles import (
@@ -469,6 +471,22 @@ class TestSharedRegularizer:
             regularizer(method, pre, cur, 0.1)
         with pytest.raises(DegenerateFeatureError, match="^row 0 "):
             regularizer(method, np.ones((3, 4)), cur, 0.1)
+
+    @pytest.mark.parametrize("method", ["lfc", "kisp"])
+    def test_row_norms_taken_once(self, method, monkeypatch):
+        # one pass over both sides' rows; the gradient reuses its norms
+        calls = []
+
+        def counted(a, keepdims=False):
+            calls.append(a.shape)
+            return row_norms(a, keepdims)
+
+        monkeypatch.setattr(numerics, "row_norms", counted)
+        rng = np.random.default_rng(6)
+        f_pre, f_cur = rng.standard_normal((2, 5, 3))
+        _, grad = regularizer(method, f_pre, f_cur, 0.1)
+        grad(np.ones((1, 1)))
+        assert calls == [(10, 3)]
 
 
 class TestTotalLoss:

@@ -121,14 +121,21 @@ class TestEmbeddingDrift:
         with pytest.raises(DegenerateFeatureError):
             embedding_drift(np.zeros((1, 3)), np.ones((1, 3)))
 
+    @pytest.mark.parametrize("row", [0, 2])
+    def test_zero_current_row_rejected(self, row):
+        cur = np.ones((3, 4))
+        cur[row] = 0.0
+        with pytest.raises(DegenerateFeatureError):
+            embedding_drift(np.ones((3, 4)), cur)
+
     def test_matches_clip_and_mean(self):
         # the clamp and the mean repeat np.clip and np.mean bit for bit,
         # including rows whose rounded cosine leaves [-1, 1]
         rng = np.random.default_rng(5)
-        for n in (1, 3, 64, 257):
-            ref = rng.standard_normal((n, 32))
+        for n, e in ((1, 32), (3, 32), (64, 32), (257, 32), (9, 1), (40, 5)):
+            ref = rng.standard_normal((n, e))
             cur = np.where(rng.random((n, 1)) < 0.5, 3.0 * ref,
-                           rng.standard_normal((n, 32)))
+                           rng.standard_normal((n, e)))
             cur[::5] = -ref[::5]
             cos = (ref * cur).sum(axis=1) / (np.linalg.norm(ref, axis=1)
                                              * np.linalg.norm(cur, axis=1))

@@ -11,6 +11,7 @@ from dgcl.numerics import (
     backward,
     finite_diff_check,
     l2_normalize,
+    worst_error,
 )
 
 from oracles import l2_normalize_node, matmul_loops, total_node
@@ -183,6 +184,19 @@ class TestFiniteDiffCheck:
             return 4.2, [np.zeros_like(params[0])]
 
         assert finite_diff_check(fn, [np.ones((2, 3))], h=1e-5) < 1e-10
+
+    # all NaN, and a NaN coordinate before a finite error of 0.99
+    @pytest.mark.parametrize("grad", [[np.nan] * 3, [np.nan, 100.0, 1.0]])
+    def test_nan_gradient_is_the_worst_error(self, grad):
+        def fn(params):
+            return float(params[0].sum()), [np.array(grad)]
+
+        assert math.isnan(finite_diff_check(fn, [np.ones(3)]))
+
+    def test_worst_error(self):
+        assert worst_error([]) == 0.0
+        assert worst_error([1e-9, 3e-5, 2e-7]) == 3e-5
+        assert math.isnan(worst_error([1.0, math.nan, 2.0]))
 
     def test_kisp_self_check(self):
         rng = np.random.default_rng(42)
