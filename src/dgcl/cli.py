@@ -105,8 +105,7 @@ def execute_cell(cfg: RunConfig, cell: Cell, outdir: str) -> dict:
     base = Path(outdir) / cell.name
     metrics.write_accuracy_csv(result.matrix, f"{base}.matrix.csv")
     metrics.write_drift_csv(result.drift, f"{base}.drift.csv")
-    summary = metrics.run_summary(cell.method, cell.seed, cell.lam, tc.tau,
-                                  cell.memory, result.matrix)
+    summary = metrics.run_summary(tc, result.matrix)
     metrics.write_json(summary, f"{base}.summary.json")
     return summary
 
@@ -252,7 +251,7 @@ def cmd_drift(cfg: RunConfig) -> int:
     lines += [f"{b},{r.rpartition(',')[2]}" for b, r in zip(base[1:], reg[1:])]
     paired = outdir / "drift_paired.csv"
     try:
-        paired.write_text("\n".join(lines) + "\n", "utf-8", newline="\n")
+        metrics.write_lines(lines, paired)
     except OSError as e:
         return _unwritable(paired, e)
     print(f"drift report -> {paired}")

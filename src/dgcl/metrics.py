@@ -1,5 +1,6 @@
 """Evaluation metrics over the train-test accuracy matrix, plus the
-embedding-drift diagnostic and the CSV/JSON report formats.
+embedding-drift diagnostic and the CSV/JSON report formats, which
+``write_lines`` alone writes to disk.
 
 The accuracy matrix stores a[i][j] (1-based): test accuracy on task j after
 finishing task i. The four summary metrics read it as
@@ -12,12 +13,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateFeatureError, UndefinedMetricError
 from .numerics import as_matrix
+
+if TYPE_CHECKING:  # trainer imports this module
+    from .trainer import TrainerConfig
 
 
 class AccuracyMatrix:
@@ -125,23 +129,17 @@ def embedding_drift(reference, current) -> float:
     return float(cos.sum() / cos.size)
 
 
-@dataclass
-class DriftEntry:
-    update_index: int
-    task_id: int
-    value: float
-
-
 class DriftLog:
-    """Per-update mean cosine distance of buffer embeddings vs. write-time."""
+    """Per-update mean cosine distance of buffer embeddings vs. write-time:
+    :attr:`entries` holds (update_index, task_id, value) tuples."""
 
     def __init__(self):
-        self.entries: list[DriftEntry] = []
+        self.entries: list[tuple[int, int, float]] = []
 
     def append(self, update_index: int, task_id: int, value: float) -> None:
         if not -1e-12 <= value <= 2.0 + 1e-12:
             raise ValueError(f"cosine distance {value} outside [0, 2]")
-        self.entries.append(DriftEntry(update_index, task_id, float(value)))
+        self.entries.append((update_index, task_id, float(value)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -155,6 +153,13 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def write_lines(lines, path) -> None:
+    """The one writer of report files: ``lines`` to ``path`` in UTF-8, each
+    ended by LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def write_accuracy_csv(matrix: AccuracyMatrix, path) -> None:
     """Header ``task,1..T``; row i carries a[i][1..i] and blanks beyond."""
     t = matrix.T
@@ -163,27 +168,25 @@ def write_accuracy_csv(matrix: AccuracyMatrix, path) -> None:
         row = matrix.row(i)
         cells = [_fmt(v) for v in row] + [""] * (t - i)
         lines.append(f"{i}," + ",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    write_lines(lines, path)
 
 
 def write_drift_csv(log: DriftLog, path) -> None:
     lines = ["update_index,task_id,mean_cosine_distance"]
-    for e in log.entries:
-        lines.append(f"{e.update_index},{e.task_id},{_fmt(e.value)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    lines += [f"{update},{task},{_fmt(value)}"
+              for update, task, value in log.entries]
+    write_lines(lines, path)
 
 
-def run_summary(method: str, seed: int, lam: float, tau: float, memory: int,
-                matrix: AccuracyMatrix) -> dict:
-    """The per-run summary record: config coordinates plus all four metrics."""
+def run_summary(config: TrainerConfig, matrix: AccuracyMatrix) -> dict:
+    """The per-run summary record: the cell's trainer settings that name it
+    plus all four metrics."""
     return {
-        "method": method,
-        "seed": seed,
-        "lambda": lam,
-        "tau": tau,
-        "M": memory,
+        "method": config.method,
+        "seed": config.seed,
+        "lambda": config.lam,
+        "tau": config.tau,
+        "M": config.memory_size,
         "fa": fa(matrix),
         "ga": ga(matrix),
         "fm": fm(matrix) if matrix.T >= 2 else None,
@@ -192,9 +195,7 @@ def run_summary(method: str, seed: int, lam: float, tau: float, memory: int,
 
 
 def write_json(payload, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=False)
-        f.write("\n")
+    write_lines([json.dumps(payload, indent=2)], path)
 
 
 def mean_and_ci95(values: list[float]) -> tuple[float, float | None]:

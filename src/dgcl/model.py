@@ -33,9 +33,10 @@ would get alone, so the slice equals a separate pass over those rows.
 with no padding: the encoder's (W1, b1, ..., WL, bL), then each task head's
 (W, b) in task order, each C-ordered in its stretch. The model keeps only
 the encoder's parameter shapes and the heads' widths; from them
-``Model._pack`` alone builds the views, per parameter for the encoder and
-per head block for the heads, of the buffer and of ``Model.grad``, a
-gradient in the same layout that ``trainer.update`` writes. A model packs
+``Model._pack`` alone sets the views as attributes: ``params`` and
+``grads``, the encoder's per parameter, and ``blocks`` and
+``grad_blocks``, the heads' per block, of the buffer and of ``Model.grad``,
+a gradient in the same layout that ``trainer.update`` writes. A model packs
 at construction and at each ``Model.add_head``, which appends the new
 head's values to the buffer, never in an update, so a training run packs
 once per task plus once for the bare encoder; views taken before a pack
@@ -189,12 +190,12 @@ class Model:
 
     def _pack(self, flat: np.ndarray) -> None:
         """Make the 1-D ``flat`` :attr:`buffer`, allocate :attr:`grad` beside
-        it and build both's views."""
+        it and set both's views: the encoder's (W1, b1, ..., WL, bL) as
+        :attr:`params` and :attr:`grads`, the heads' (W, b) per run of
+        equal-width heads as :attr:`blocks` and :attr:`grad_blocks`."""
         self.buffer, self.grad = flat, np.empty(flat.size)
-        (params, blocks), (grads, grad_blocks) = (self._views(self.buffer),
-                                                  self._views(self.grad))
-        self._encoder_views = params, grads
-        self._blocks = blocks, grad_blocks
+        self.params, self.blocks = self._views(self.buffer)
+        self.grads, self.grad_blocks = self._views(self.grad)
 
     def _views(self, flat: np.ndarray) -> tuple[list, list]:
         """Views of the 1-D ``flat`` in :attr:`buffer`'s layout: the
@@ -215,16 +216,6 @@ class Model:
                            rows[:, d * width:].reshape(count, 1, width)))
             at += count * size
         return encoder, blocks
-
-    def encoder_views(self) -> tuple[list, list]:
-        """The encoder's (W1, b1, ..., WL, bL) views of :attr:`buffer`, then
-        of :attr:`grad`."""
-        return self._encoder_views
-
-    def head_blocks(self) -> tuple[list, list]:
-        """The heads' (W, b) block views of :attr:`buffer`, then of
-        :attr:`grad`, one pair per run of equal-width heads."""
-        return self._blocks
 
     @classmethod
     def create(cls, d_in: int, rng: np.random.Generator,
@@ -250,13 +241,12 @@ class Model:
         return x
 
     def embed(self, x) -> np.ndarray:
-        return _encoder_forward(self._encoder_views[0],
-                                {"x": self.as_input(x)})
+        return _encoder_forward(self.params, {"x": self.as_input(x)})
 
     def build_embed(self, tape: Tape, leaf: int, x) -> int:
         """The encoder op on batch ``x`` over ``leaf``, the tape's 1 x P
         view of :attr:`buffer`; returns the embedding node."""
-        params = self.encoder_views()[0]
+        params = self.params
 
         def grad(vals, out, aux, g):
             row = np.zeros((1, self.buffer.size))
@@ -270,14 +260,14 @@ class Model:
     def logits_all_heads(self, f) -> np.ndarray:
         if not self.task_ids:
             raise NoHeadsError("no classification heads registered")
-        return _heads_forward(as_matrix(f), self.head_blocks()[0])
+        return _heads_forward(as_matrix(f), self.blocks)
 
     def build_logits(self, tape: Tape, leaf: int, f_node: int) -> int:
         """The heads op on the embedding node ``f_node`` over ``leaf``, the
         tape's 1 x P view of :attr:`buffer`; returns the logits node."""
         if not self.task_ids:
             raise NoHeadsError("no classification heads registered")
-        blocks = self.head_blocks()[0]
+        blocks = self.blocks
         width, rows = tape.value(f_node).shape[1], blocks[0][0].shape[1]
         if width != rows:
             raise ShapeMismatchError(
@@ -314,4 +304,4 @@ class Model:
     def snapshot(self) -> tuple[np.ndarray, ...]:
         """A frozen copy of the encoder's (W1, b1, ..., WL, bL), for
         :func:`_encoder_forward`: later updates leave it unchanged."""
-        return tuple(p.copy() for p in self._encoder_views[0])
+        return tuple(p.copy() for p in self.params)

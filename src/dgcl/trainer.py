@@ -16,11 +16,12 @@ Whether a method replays and which regularizer it adds are read from
 
 Each piece of an update is computed once. The regularizer's live embeddings
 are the replay rows of the cross-entropy's encoder pass, with their own
-gradient. The last repeat's drift probe embeds the memory and the batch in
-one pass, and the batch's rows become the write's embeddings. Both rest on
-each row of a pass of at least ``MIN_SHARED_ROWS`` rows having the bits it
-would have alone; where a part would have a single row, it gets its own
-pass as before, so every value is the one separate passes give.
+gradient. The last repeat's drift probe is the one place the write's
+embeddings come from: it embeds the memory and the batch in one pass, and
+the batch's rows become the write's embeddings. Both rest on each row of a
+pass of at least ``MIN_SHARED_ROWS`` rows having the bits it would have
+alone; where a part would have a single row, or the memory none, the batch
+gets its own pass, so every value is the one separate passes give.
 
 ``update`` runs one update in a straight line, with no tape: the forward
 functions of the encoder, heads and losses, the finiteness checks, then
@@ -30,7 +31,7 @@ rule for each method's operands. It writes each parameter adjoint into
 ``Model.grad``, which has the parameter buffer's layout: the heads' once,
 the encoder's from the regularizer branch and then, added, from the
 cross-entropy branch. It reads the encoder's and the heads' views of the
-buffer and of the gradient as the model hands them over: a model packs at
+buffer and of the gradient from the model's attributes: a model packs at
 construction and at each ``add_head``, never inside ``train_step``, so an
 update computes no layout. ``dgcl gradcheck`` checks the same function.
 The SGD step writes the buffer in place after the gradient: ``lr * g`` then
@@ -127,19 +128,18 @@ def init_state(config: TrainerConfig, d_in: int) -> TrainerState:
 
 def _buffer_drift(state: TrainerState, batch_x=None
                   ) -> tuple[float | None, np.ndarray | None]:
-    """The memory's drift since its writes, or None for an empty memory.
-    Given ``batch_x``, the same encoder pass also embeds the batch when both
-    it and the memory have ``MIN_SHARED_ROWS``; the batch's embeddings come
-    back second, else None."""
+    """The memory's drift since its writes (None for an empty memory), then
+    the embeddings of ``batch_x`` (None without it): one encoder pass when
+    the memory and the batch each have ``MIN_SHARED_ROWS``, else a pass of
+    each's own."""
     pool = state.memory.all_items()
-    n = len(pool)
-    if not n:
-        return None, None
+    n, embed = len(pool), state.model.embed
     if (batch_x is not None and n >= MIN_SHARED_ROWS
             and len(batch_x) >= MIN_SHARED_ROWS):
-        f = state.model.embed(np.concatenate([pool.x, batch_x]))
+        f = embed(np.concatenate([pool.x, batch_x]))
         return embedding_drift(pool.ref, f[:n]), f[n:]
-    return embedding_drift(pool.ref, state.model.embed(pool.x)), None
+    drift = embedding_drift(pool.ref, embed(pool.x)) if n else None
+    return drift, None if batch_x is None else embed(batch_x)
 
 
 def _require_finite(update_index: int, task_id: int, **values) -> None:
@@ -165,8 +165,7 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
         y_all = np.concatenate([batch_y, replay.y])
     else:
         x_all, y_all = batch_x, batch_y
-    params, grads = model.encoder_views()
-    blocks, block_grads = model.head_blocks()
+    params, blocks = model.params, model.blocks
     shared = {"x": np.ascontiguousarray(model.as_input(x_all))}
     f = _encoder_forward(params, shared)
     logits = _heads_forward(f, blocks)
@@ -191,11 +190,11 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     branch = reg is not None and config.lam != 0.0
     if branch:
         g = reg_grad(np.array([[config.lam]]))
-        _encoder_grad(params, rows, g, grads)
+        _encoder_grad(params, rows, g, model.grads)
     (g,) = losses._ce_grad([logits], ce, ce_aux, _ONE)
-    g = _heads_grad(f, blocks, g, block_grads)
+    g = _heads_grad(f, blocks, g, model.grad_blocks)
     # the encoder's two adjoints in either order: a sum of two commutes
-    _encoder_grad(params, shared, g, grads, add=branch)
+    _encoder_grad(params, shared, g, model.grads, add=branch)
     return losses.LossBreakdown(ce_val, reg_val, total, config.lam)
 
 
@@ -206,7 +205,6 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
     batch_y = np.asarray(batch_y, dtype=np.int64).reshape(-1)
     if state.task_id not in state.model.task_ids:
         raise UnknownTaskError(f"no head registered for task {state.task_id}")
-    ref = None
     for it in range(config.iterations):
         replay = (state.memory.sample(config.batch_size, state.rng_sample)
                   if config.uses_memory else None)
@@ -227,8 +225,6 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
                                     drift=drift)
                 state.drift.append(state.update_index, state.task_id, drift)
     if config.uses_memory:
-        if ref is None:
-            ref = state.model.embed(batch_x)
         state.memory.write_batch(batch_x, batch_y, ref, state.task_id)
     return breakdown
 

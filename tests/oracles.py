@@ -382,9 +382,10 @@ def class_means(spec):
 def parameter_views(model):
     """Each parameter's view of ``model.buffer``, then of ``model.grad``:
     the encoder's (W1, b1, ..., WL, bL), then each head's (W, b) in task
-    order, taken from ``encoder_views()`` and ``head_blocks()``."""
+    order, taken from ``params``/``grads`` and ``blocks``/``grad_blocks``."""
     out = []
-    for encoder, blocks in zip(model.encoder_views(), model.head_blocks()):
+    for encoder, blocks in ((model.params, model.blocks),
+                            (model.grads, model.grad_blocks)):
         views = list(encoder)
         for w, b in blocks:
             for w_t, b_t in zip(w, b):

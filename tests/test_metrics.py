@@ -156,8 +156,7 @@ class TestDriftLog:
         log.append(1, 1, 0.0)
         log.append(2, 1, 0.1)
         log.append(3, 2, 0.3)
-        assert [(e.update_index, e.task_id, e.value) for e in log.entries] \
-            == [(1, 1, 0.0), (2, 1, 0.1), (3, 2, 0.3)]
+        assert log.entries == [(1, 1, 0.0), (2, 1, 0.1), (3, 2, 0.3)]
         assert len(log) == 3
 
     def test_rejects_out_of_range(self):

@@ -30,7 +30,7 @@ def adjoint_loss(tape, node, adjoint):
 
 def heads_of(model):
     """Each head's (W, b) views of the buffer, in task order."""
-    params = parameter_views(model)[0][len(model.encoder_views()[0]):]
+    params = parameter_views(model)[0][len(model.params):]
     return list(zip(params[0::2], params[1::2]))
 
 
@@ -86,7 +86,7 @@ class TestEncoder:
         rng = np.random.default_rng(1)
         model.add_head(1, 2, rng)
         model.add_head(2, 3, rng)
-        expected = model.encoder_views()[0]
+        expected = model.params
         params = parameter_views(model)[0]
         assert all(a is b for a, b in zip(params, expected))
         assert [p.shape for p in params] == [
@@ -102,8 +102,8 @@ class TestEncoder:
     def test_init_bounds_and_determinism(self):
         a, b = (Model.create(4, np.random.default_rng(5), hidden=(8,),
                              embed_dim=3) for _ in range(2))
-        for wa, wb in zip(a.encoder_views()[0][0::2],
-                          b.encoder_views()[0][0::2], strict=True):
+        for wa, wb in zip(a.params[0::2],
+                          b.params[0::2], strict=True):
             np.testing.assert_array_equal(wa, wb)
             bound = np.sqrt(6.0 / (wa.shape[0] + wa.shape[1]))
             assert np.abs(wa).max() <= bound
@@ -217,7 +217,7 @@ class TestParameterBuffer:
         model = small_model()
         rng = np.random.default_rng(2)
         model.add_head(1, 3, rng)
-        model.encoder_views()[0][0] += 0.25  # trained values, not the init's
+        model.params[0] += 0.25  # trained values, not the init's
         before = [p.tobytes() for p in parameter_views(model)[0]]
         model.add_head(2, 1, rng)
         after = parameter_views(model)[0]
@@ -234,7 +234,7 @@ class TestParameterBuffer:
         for task_id in (None, 1, 2):
             if task_id is not None:
                 model.add_head(task_id, task_id + 1, rng)
-            params, grads = model.encoder_views()
+            params, grads = model.params, model.grads
             assert [p.shape for p in params] == [(4, 6), (1, 6), (6, 5),
                                                  (1, 5), (5, 3), (1, 3)]
             at = 0
@@ -253,7 +253,7 @@ class TestParameterBuffer:
         for t in range(3):
             model.add_head(t, 1 + t % 3, np.random.default_rng(t))
         offsets = self.offsets(model)
-        encoder = model.encoder_views()[0]
+        encoder = model.params
         assert sum(p.size for p in encoder) % 2 == 0
         assert offsets[len(encoder) + 2] % 16 == 8
 
@@ -353,7 +353,7 @@ class TestFusedOps:
         rng = np.random.default_rng([41, m, len(hidden)])
         model = Model.create(12, rng, hidden=hidden, embed_dim=32)
         model.add_head(0, 3, np.random.default_rng(0))
-        encoder = model.encoder_views()[0]
+        encoder = model.params
         for b in encoder[1::2]:
             b += 0.1 * rng.standard_normal(b.shape)
         x = rng.standard_normal((m, 12))
@@ -397,7 +397,7 @@ class TestFusedOps:
         assert np.array_equal(tape.value(node), model.logits_all_heads(f))
         assert np.array_equal(grads[f_leaf], d_f)
         row = grads[leaf]
-        k = len(model.encoder_views()[0])
+        k = len(model.params)
         params, spans = parameter_views(model)[0], stretches(model)
         assert not row[0, :spans[k].start].any()
         for p, span, want in zip(params[k:], spans[k:], expected,
@@ -457,7 +457,7 @@ class TestSharedRows:
     def test_row_subsets_match_their_own_pass(self, n, hidden):
         rng = np.random.default_rng([53, n, len(hidden)])
         model = Model.create(16, rng, hidden=hidden, embed_dim=32)
-        for b in model.encoder_views()[0][1::2]:
+        for b in model.params[1::2]:
             b += 0.1 * rng.standard_normal(b.shape)
         x = rng.standard_normal((n, 16))
         value, hidden_acts = self.pass_over(model, x)
@@ -484,7 +484,7 @@ class TestSharedRows:
         model = Model.create(16, rng)
         x = rng.standard_normal((n, 16))
         adjoint = rng.standard_normal((n - start, 32))
-        params = model.encoder_views()[0]
+        params = model.params
         full = {"x": x}
         f = _encoder_forward(params, full)
         value, rows = encoder_rows(params, full, f, start)
@@ -508,7 +508,7 @@ class TestSharedRows:
         rng = np.random.default_rng([61, n])
         model = Model.create(16, rng)
         x = rng.standard_normal((n, 16))
-        params = model.encoder_views()[0]
+        params = model.params
         full = {"x": x}
         f = _encoder_forward(params, full)
         value, rows = encoder_rows(params, full, f, n - 1)
@@ -531,14 +531,14 @@ class TestStackedHeads:
         for t, width in enumerate(widths):
             model.add_head(t, width, rng)
             parameter_views(model)[0][-1][:] = rng.standard_normal((1, width))
-        blocks, block_grads = model.head_blocks()
+        blocks, block_grads = model.blocks, model.grad_blocks
         assert len(blocks) == 1 + sum(a != b for a, b in zip(widths,
                                                               widths[1:]))
         f = rng.standard_normal((n, 32))
         g = rng.standard_normal((n, sum(widths)))
         logits = _heads_forward(f, blocks)
         d_f = _heads_grad(f, blocks, g, block_grads)
-        grads = parameter_views(model)[1][len(model.encoder_views()[1]):]
+        grads = parameter_views(model)[1][len(model.grads):]
         hi, want_d_f = g.shape[1], None
         for (w, b), (gw, gb) in zip(reversed(heads_of(model)),
                                     reversed(list(zip(grads[0::2],
@@ -578,10 +578,10 @@ class TestStackedHeads:
                              embed_dim=8)
         for t, width in enumerate([2, 2, 2, 1, 3, 3]):
             model.add_head(t, width, np.random.default_rng(t))
-        blocks, block_grads = model.head_blocks()
+        blocks, block_grads = model.blocks, model.grad_blocks
         assert [w.shape for w, _ in blocks] == [(3, 8, 2), (1, 8, 1),
                                                 (2, 8, 3)]
-        at = sum(p.size for p in model.encoder_views()[0])
+        at = sum(p.size for p in model.params)
         for (w, b), (gw, gb) in zip(blocks, block_grads, strict=True):
             assert w.base is model.buffer and gw.base is model.grad
             d, width = w.shape[1:]

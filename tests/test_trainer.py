@@ -33,7 +33,7 @@ def small_tasks():
 
 
 def encoder_bytes(model):
-    return b"".join(w.tobytes() for w in model.encoder_views()[0][0::2])
+    return b"".join(w.tobytes() for w in model.params[0::2])
 
 
 def record_feeds(monkeypatch):
@@ -205,8 +205,8 @@ class TestReductionIdentity:
         kisp0 = run_stream(TrainerConfig(method="kisp", lam=0.0, seed=4), tasks)
         assert er.matrix == kisp0.matrix
         assert encoder_bytes(er.model) == encoder_bytes(kisp0.model)
-        assert ([e.value for e in er.drift.entries]
-                == [e.value for e in kisp0.drift.entries])
+        assert ([value for _, _, value in er.drift.entries]
+                == [value for _, _, value in kisp0.drift.entries])
 
 
 def run_empty_task(method):
@@ -375,9 +375,9 @@ class TestRunStream:
     def test_drift_values_in_range(self):
         result = run_stream(TrainerConfig(method="er", seed=0), small_tasks())
         assert len(result.drift) > 0
-        for e in result.drift.entries:
-            assert 0.0 <= e.value <= 2.0
-            assert e.task_id in (1, 2, 3)
+        for _, task_id, value in result.drift.entries:
+            assert 0.0 <= value <= 2.0
+            assert task_id in (1, 2, 3)
 
 
 class TestEvaluation:
@@ -606,7 +606,7 @@ class TestUpdateMatchesPrimitiveChain:
             w += 0.05 * rng.standard_normal(w.shape)
         state.snapshot = snapshot
         state.task_id = heads - 1
-        layers = len(model.encoder_views()[0])
+        layers = len(model.params)
         head_weights = parameter_views(model)[0][layers::2]
         lo = sum(w.shape[1] for w in head_weights[:-1])
         batch_x = rng.standard_normal((n_batch, d_in))
@@ -615,7 +615,7 @@ class TestUpdateMatchesPrimitiveChain:
         replay = state.memory.sample(m, copy.deepcopy(state.rng_sample))
         # (weight, bias) per layer, then per head: the oracle's order
         params = parameter_views(model)[0]
-        assert all(a is b for a, b in zip(params, model.encoder_views()[0]))
+        assert all(a is b for a, b in zip(params, model.params))
         before = [p.copy() for p in params]
         pre = _encoder_forward(snapshot, {"x": replay.x})
         if method != "rld":
@@ -646,10 +646,9 @@ class TestSharedPasses:
             return _encoder_forward(params, rows), rows
 
         def probe_alone(state, batch_x=None):
-            pool = state.memory.all_items()
-            if not pool:
-                return None, None
-            return embedding_drift(pool.ref, state.model.embed(pool.x)), None
+            pool, embed = state.memory.all_items(), state.model.embed
+            drift = embedding_drift(pool.ref, embed(pool.x)) if pool else None
+            return drift, None if batch_x is None else embed(batch_x)
 
         monkeypatch.setattr(trainer, "encoder_rows", own_pass)
         monkeypatch.setattr(trainer, "_buffer_drift", probe_alone)
@@ -671,9 +670,7 @@ class TestSharedPasses:
         separate = run_stream(cfg, tasks)
         assert shared.matrix == separate.matrix
         assert len(shared.drift) > 0
-        assert ([(e.update_index, e.value) for e in shared.drift.entries]
-                == [(e.update_index, e.value)
-                    for e in separate.drift.entries])
+        assert shared.drift.entries == separate.drift.entries
         for a, b in zip(parameter_views(shared.model)[0],
                         parameter_views(separate.model)[0], strict=True):
             assert a.tobytes() == b.tobytes()
