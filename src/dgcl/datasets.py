@@ -13,6 +13,7 @@ with them, so native 1-based or gapped labels train as 0..K-1 would.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -55,6 +56,10 @@ class StreamSpec:
         for name in ("d_in", "train_per_class", "test_per_class"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("separation", "noise"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.separation <= 0:
             raise ValueError("separation must be > 0")
         if self.noise <= 0:
@@ -84,7 +89,11 @@ class TaskData:
                 f"classes {list(self.class_ids)}")
         self.test_x = as_matrix(self.test_x)
         allowed = set(self.class_ids)
-        for name, y in (("train", self.train_y), ("test", self.test_y)):
+        for name, x, y in (("train", self.train_x, self.train_y),
+                           ("test", self.test_x, self.test_y)):
+            if len(x) != len(y):
+                raise ShapeMismatchError(
+                    f"{len(x)} {name} rows but {len(y)} {name} labels")
             bad = set(np.unique(y).tolist()) - allowed
             if bad:
                 raise LabelRangeError(
@@ -150,6 +159,9 @@ def split_by_class(x, y, classes_per_task: int, *, test_x, test_y,
     if test_x.shape[1] != x.shape[1]:
         raise ConfigError(f"train rows have {x.shape[1]} features, test rows "
                           f"{test_x.shape[1]}")
+    if classes_per_task < 1:
+        raise ConfigError(f"classes_per_task must be >= 1, got "
+                          f"{classes_per_task}")
     labels = np.unique(y)
     if len(labels) % classes_per_task != 0:
         raise ConfigError(

@@ -257,22 +257,25 @@ class Model:
                           lambda vals, aux: _encoder_forward(params, aux),
                           grad, aux={"x": self.as_input(x).copy()})
 
-    def logits_all_heads(self, f) -> np.ndarray:
+    def _heads_for(self, f: np.ndarray) -> list:
+        """:attr:`blocks`, checked to take the embeddings ``f``."""
         if not self.task_ids:
             raise NoHeadsError("no classification heads registered")
-        return _heads_forward(as_matrix(f), self.blocks)
+        if f.shape[1] != self.embed_dim:
+            raise ShapeMismatchError(
+                f"heads take {self.embed_dim}-wide embeddings, got "
+                f"{f.shape[1]} columns"
+            )
+        return self.blocks
+
+    def logits_all_heads(self, f) -> np.ndarray:
+        f = as_matrix(f)
+        return _heads_forward(f, self._heads_for(f))
 
     def build_logits(self, tape: Tape, leaf: int, f_node: int) -> int:
         """The heads op on the embedding node ``f_node`` over ``leaf``, the
         tape's 1 x P view of :attr:`buffer`; returns the logits node."""
-        if not self.task_ids:
-            raise NoHeadsError("no classification heads registered")
-        blocks = self.blocks
-        width, rows = tape.value(f_node).shape[1], blocks[0][0].shape[1]
-        if width != rows:
-            raise ShapeMismatchError(
-                f"heads take {rows}-wide embeddings, got {width} columns"
-            )
+        blocks = self._heads_for(tape.value(f_node))
 
         def grad(vals, out, aux, g):
             row = np.zeros((1, self.buffer.size))

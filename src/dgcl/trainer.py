@@ -87,6 +87,10 @@ class TrainerConfig:
             raise ValueError("batch_size must be >= 1")
         if self.iterations not in (1, 2, 3):
             raise ValueError("iterations must be 1, 2, or 3")
+        for name in ("lr", "lam", "tau"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
         if self.lam < 0:

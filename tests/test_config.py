@@ -108,6 +108,12 @@ def with_key(text, key, value):
      "stream.train_path: synth streams ignore it"),
     ("stream.test_path", "data/test.dgds",
      "stream.test_path: synth streams ignore it"),
+    ("trainer.lamda", "1", "unknown key 'trainer.lamda'"),
+    ("stream.tasks", "2.5", "stream.tasks: expected an integer, got '2.5'"),
+    ("trainer.tau", "abc", "trainer.tau: expected a finite number, "
+                           "got 'abc'"),
+    ("trainer.methods", ",", "trainer.methods: list must not be empty"),
+    ("stream.kind", "csv", "stream.kind must be synth or file, got 'csv'"),
 ])
 def test_bad_value_exits_2_before_running(tmp_path, capsys, key, value,
                                           error):
@@ -116,6 +122,30 @@ def test_bad_value_exits_2_before_running(tmp_path, capsys, key, value,
     assert main(["run", str(config)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,error", [
+    # grid()'s first line is stream.tasks
+    ("stream.tasks = 3\n" + grid(), "line 2: duplicate key 'stream.tasks'"),
+    ("seeds 2\n" + grid(), "line 1: expected key=value, got 'seeds 2'"),
+    ("stream.kind = file\nstream.train_path = data/train.dgds\n",
+     "file streams need stream.train_path and stream.test_path"),
+], ids=["duplicate-key", "no-equals", "file-without-test-path"])
+def test_bad_text_exits_2_before_running(tmp_path, capsys, text, error):
+    config = tmp_path / "bad.cfg"
+    config.write_text(with_key(text, "output_dir", tmp_path / "out"))
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {error}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_comments_and_blank_lines_do_not_change_the_hash():
+    lines = grid().splitlines()
+    commented = "\n".join(["# a grid", ""] + lines[:3] + ["", "  # seeds:"]
+                          + lines[3:]) + "\n\n"
+    assert parse_config(commented) == parse_config(grid())
+    assert config_hash(parse_config(commented)) == config_hash(
+        parse_config(grid()))
 
 
 FILE_STREAM = """\

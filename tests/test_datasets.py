@@ -15,6 +15,7 @@ from dgcl.errors import (
     BadMagicError,
     ConfigError,
     LabelRangeError,
+    ShapeMismatchError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -103,6 +104,13 @@ class TestSynthStream:
         with pytest.raises(ValueError):
             StreamSpec(seed=-1)
 
+    @pytest.mark.parametrize("name", ["separation", "noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_spec_rejected(self, name, value):
+        # nan <= 0 is false, so the bound alone let nan through
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            StreamSpec(**{name: value})
+
 
 class TestSplitByClass:
     def test_two_tasks_of_five(self):
@@ -120,6 +128,13 @@ class TestSplitByClass:
         with pytest.raises(ConfigError,
                            match="10 classes not divisible by 3 per task"):
             split_by_class(x, y, 3, test_x=x, test_y=y)
+
+    def test_zero_classes_per_task_rejected(self):
+        x = np.zeros((10, 2))
+        y = np.arange(10)
+        with pytest.raises(ConfigError,
+                           match="classes_per_task must be >= 1, got 0"):
+            split_by_class(x, y, 0, test_x=x, test_y=y)
 
     def test_partition_property(self):
         rng = np.random.default_rng(5)
@@ -190,6 +205,20 @@ class TestTaskDataValidation:
                            match=r"no examples of task 2's classes \[2, 3\]"):
             TaskData(2, (2, 3), np.zeros((2, 2)), np.array([2, 3]),
                      np.zeros((0, 2)), np.array([], dtype=np.int64))
+
+    def test_test_rows_must_match_labels(self):
+        # one label broadcast against 6 predictions read as an accuracy
+        with pytest.raises(ShapeMismatchError,
+                           match="6 test rows but 1 test labels"):
+            TaskData(1, (0, 1), np.zeros((2, 2)), np.array([0, 1]),
+                     np.zeros((6, 2)), np.array([0]))
+
+    def test_train_rows_must_match_labels(self):
+        # failed only mid-training, inside the cross-entropy
+        with pytest.raises(ShapeMismatchError,
+                           match="20 train rows but 10 train labels"):
+            TaskData(1, (0, 1), np.zeros((20, 2)), np.zeros(10),
+                     np.zeros((2, 2)), np.array([0, 1]))
 
 
 class TestTensorFile:

@@ -86,6 +86,13 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(seed=-1)
 
+    @pytest.mark.parametrize("name", ["lr", "lam", "tau"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_bounds_rejected(self, name, value):
+        # nan <= 0 is false, so the bounds alone let nan through
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainerConfig(**{name: value})
+
 
 class TestTrainStep:
     def test_finetune_never_writes_memory(self):
