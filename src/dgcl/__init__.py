@@ -2,7 +2,7 @@
 regularizers, evaluation metrics, and a deterministic benchmark CLI."""
 
 from .datasets import StreamSpec, TaskData, synth_stream
-from .losses import KispBatch, LossBreakdown, kisp_loss
+from .losses import LossBreakdown
 from .memory import EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift, fa, fm, ga, la
 from .model import Model
@@ -14,7 +14,6 @@ __all__ = [
     "AccuracyMatrix",
     "DriftLog",
     "EpisodicMemory",
-    "KispBatch",
     "LossBreakdown",
     "Model",
     "RunResult",
@@ -25,7 +24,6 @@ __all__ = [
     "fa",
     "fm",
     "ga",
-    "kisp_loss",
     "la",
     "run_stream",
     "synth_stream",

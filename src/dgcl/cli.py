@@ -7,8 +7,9 @@ Subcommands::
     dgcl drift <config>      paired lambda=0 vs first lambda>0 drift report
 
 ``run`` writes ``run-<config hash>/`` under ``output_dir``: three report
-files per cell and the aggregate ``summary.json``. The grid follows each
-method's ``losses.METHODS`` entry: lambda varies only for a method with a
+files per cell, named by the cell, and the aggregate ``summary.json``. A
+cell is the ``TrainerConfig`` it runs. The grid follows each method's
+``losses.METHODS`` entry: lambda varies only for a method with a
 regularizer, and a method that keeps no memory runs at the first M only.
 ``drift`` runs the two-cell grid of KISP at lambda=0 and at the first
 lambda>0 (first M and seed) the same way, into the directory a ``run`` of
@@ -29,31 +30,17 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import gradcheck, losses, metrics
-from .config import (RunConfig, build_tasks, config_hash, lambda_label,
-                     parse_config_file)
+from .config import RunConfig, build_tasks, config_hash, parse_config_file
 from .datasets import TaskData
 from .errors import ConfigError, DgclError
-from .trainer import run_stream
+from .trainer import TrainerConfig, lambda_label, run_stream
 
 
-@dataclass(frozen=True)
-class Cell:
-    method: str
-    lam: float
-    memory: int
-    seed: int
-
-    @property
-    def name(self) -> str:
-        return (f"{self.method}_lam{lambda_label(self.lam)}_M{self.memory}"
-                f"_seed{self.seed}")
-
-
-def _grid(cfg: RunConfig) -> list[Cell]:
+def _grid(cfg: RunConfig) -> list[TrainerConfig]:
     """The full grid, method-major: the order failures are reported in.
     Each method's axes follow its ``losses.METHODS`` entry."""
     cells = []
@@ -64,7 +51,8 @@ def _grid(cfg: RunConfig) -> list[Cell]:
         for lam in lams:
             for memory in memories:
                 for seed in cfg.seeds:
-                    cells.append(Cell(method, lam, memory, seed))
+                    cells.append(replace(cfg.trainer, method=method, lam=lam,
+                                         memory=memory, seed=seed))
     return cells
 
 
@@ -72,7 +60,7 @@ def _cell_dir(cfg: RunConfig) -> Path:
     return Path(cfg.output_dir) / f"run-{config_hash(cfg)}"
 
 
-def expand_cells(cfg: RunConfig) -> list[Cell]:
+def expand_cells(cfg: RunConfig) -> list[TrainerConfig]:
     """The full grid in run order: seed-major, so the cells that share a
     stream run back to back and :func:`_stream` builds it once."""
     return sorted(_grid(cfg), key=lambda cell: cfg.seeds.index(cell.seed))
@@ -97,15 +85,13 @@ def _stream(cfg: RunConfig, seed: int) -> list[TaskData]:
     return _STREAM[key]
 
 
-def execute_cell(cfg: RunConfig, cell: Cell, outdir: str) -> dict:
+def execute_cell(cfg: RunConfig, cell: TrainerConfig, outdir: str) -> dict:
     """Run one grid cell and write its three report files."""
-    tasks = _stream(cfg, cell.seed)
-    tc = cfg.trainer_config(cell.method, cell.lam, cell.memory, cell.seed)
-    result = run_stream(tc, tasks)
+    result = run_stream(cell, _stream(cfg, cell.seed))
     base = Path(outdir) / cell.name
     metrics.write_accuracy_csv(result.matrix, f"{base}.matrix.csv")
     metrics.write_drift_csv(result.drift, f"{base}.drift.csv")
-    summary = metrics.run_summary(tc, result.matrix)
+    summary = metrics.run_summary(cell, result.matrix)
     metrics.write_json(summary, f"{base}.summary.json")
     return summary
 
@@ -122,9 +108,10 @@ def _worker_count(n_cells: int) -> int:
     return min(cap, n_cells) if n_cells else 1
 
 
-def _aggregate(cfg: RunConfig, cells: list[Cell], summaries: dict[Cell, dict],
-               failures: list[tuple[Cell, BaseException]]) -> dict:
-    groups: dict[tuple, list[Cell]] = {}
+def _aggregate(cfg: RunConfig, cells: list[TrainerConfig],
+               summaries: dict[TrainerConfig, dict],
+               failures: list[tuple[TrainerConfig, BaseException]]) -> dict:
+    groups: dict[tuple, list[TrainerConfig]] = {}
     for cell in cells:
         if cell in summaries:
             groups.setdefault((cell.method, cell.lam, cell.memory),
@@ -180,7 +167,8 @@ def _run_grid(cfg: RunConfig) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         return _unwritable(outdir, e)
-    outcomes: dict[Cell, dict | Exception] = {}  # a summary or the error
+    # a summary or the error
+    outcomes: dict[TrainerConfig, dict | Exception] = {}
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {cell: pool.submit(execute_cell, cfg, cell, str(outdir))

@@ -19,6 +19,8 @@ rejected so typos fail loudly at parse time, and so are non-finite numbers
 and the keys the stream kind does not read. Bounds live in the section
 dataclasses, ``StreamSpec`` and ``TrainerConfig``; their errors become
 ``ConfigError("stream: ...")`` and ``ConfigError("trainer: ...")``.
+A grid cell is ``RunConfig.trainer`` with its method, lambda, M and seed
+replaced.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from operator import attrgetter
 
 from .datasets import StreamSpec, load_tensor_file, split_by_class, synth_stream
 from .errors import ConfigError, FileFormatError, LabelRangeError
-from .trainer import TrainerConfig
+from .trainer import TrainerConfig, lambda_label
 
 
 @dataclass
@@ -38,7 +40,7 @@ class RunConfig:
     stream: StreamSpec = field(default_factory=StreamSpec)
     train_path: str | None = None
     test_path: str | None = None
-    # the settings every cell shares; trainer_config fills in the rest
+    # what every cell shares; a cell replaces method, lam, memory and seed
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     methods: list[str] = field(default_factory=lambda: ["kisp"])
     lams: list[float] = field(default_factory=lambda: [1.0])
@@ -54,12 +56,6 @@ class RunConfig:
     @property
     def iterations(self) -> int:
         return self.trainer.iterations
-
-    def trainer_config(self, method: str, lam: float, memory: int,
-                       seed: int) -> TrainerConfig:
-        """The trainer settings of one (method, lambda, M, seed) cell."""
-        return replace(self.trainer, method=method, lam=lam,
-                       memory_size=memory, seed=seed)
 
 
 def _parse_str(key, raw):
@@ -81,11 +77,6 @@ def _parse_float(key, raw):
     if not math.isfinite(value):
         raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
     return value or 0.0  # -0 is 0, under one cell name and hash
-
-
-def lambda_label(lam: float) -> str:
-    """How a lambda is written in cell and output file names."""
-    return f"{lam:g}"
 
 
 def _list_of(conv, label=None):
@@ -185,11 +176,14 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("file streams need stream.train_path and "
                           "stream.test_path")
     # one trainer config per list position (a shorter list repeats its last
-    # value) puts every listed value through the trainer's bounds
+    # value) puts every listed value through the trainer's bounds, even a
+    # lambda that no cell takes, such as one listed for ER alone
     axes = (cfg.methods, cfg.lams, cfg.memories, cfg.seeds)
     for i in range(max(map(len, axes))):
-        _checked("trainer", cfg.trainer_config,
-                 *(axis[min(i, len(axis) - 1)] for axis in axes))
+        method, lam, memory, seed = (axis[min(i, len(axis) - 1)]
+                                     for axis in axes)
+        _checked("trainer", replace, cfg.trainer, method=method, lam=lam,
+                 memory=memory, seed=seed)
     return cfg
 
 

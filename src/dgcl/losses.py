@@ -36,10 +36,11 @@ for operand. The LFC and RLD functions likewise repeat their old primitive
 chains' products and sums.
 
 ``kisp_loss``, the KISP value on a throwaway tape, and its input
-``KispBatch`` have no consumer in the package: they stay because the
-benchmark's kernel sweep checks the node against them. The tests' other
-value forms (cross-entropy, the KISP probabilities) live in
-``tests/oracles.py``.
+``KispBatch`` have no consumer in the package and are not exported from
+it: they stay because the benchmark's kernel sweep checks the node against
+them. The tests' other value forms (cross-entropy, the KISP probabilities)
+live in ``tests/oracles.py``. The total, ``ce + lam * reg``, is summed in
+``trainer.update``, whose validated config holds a lambda >= 0.
 """
 from __future__ import annotations
 
@@ -84,10 +85,6 @@ class KispBatch:
             norms = np.linalg.norm(m, axis=1)
             if np.abs(norms - 1.0).max() > 1e-9:
                 raise ValueError(f"{name} rows are not unit-norm within 1e-9")
-
-    @property
-    def size(self) -> int:
-        return self.f_pre_norm.shape[0]
 
 
 @dataclass
@@ -299,7 +296,7 @@ def rld_node(tape: Tape, f_pre: np.ndarray, f_cur: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# one call per regularizer, and the total
+# one call per regularizer
 # ---------------------------------------------------------------------------
 
 # method -> (whether it replays from memory, its regularizer: forward,
@@ -342,12 +339,3 @@ def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
         return g
 
     return value, cur_grad
-
-
-def total_loss(ce: float, kisp: float, lam: float) -> float:
-    """ce + lam * kisp, with ``kisp`` the method's regularizer value (LFC,
-    RLD or KISP; 0 for finetune and ER); lam = 0 is the replay-only
-    ablation."""
-    if lam < 0:
-        raise ValueError("loss weight lam must be >= 0")
-    return ce + lam * kisp

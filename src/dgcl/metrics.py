@@ -186,7 +186,7 @@ def run_summary(config: TrainerConfig, matrix: AccuracyMatrix) -> dict:
         "seed": config.seed,
         "lambda": config.lam,
         "tau": config.tau,
-        "M": config.memory_size,
+        "M": config.memory,
         "fa": fa(matrix),
         "ga": ga(matrix),
         "fm": fm(matrix) if matrix.T >= 2 else None,

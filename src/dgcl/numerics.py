@@ -17,10 +17,10 @@ snapshot and live rows stacked, in one such pass, and chains
 ``_l2norm_grad`` after the regularizer's own gradient. Stacking keeps each
 row's bits: a row's norm is the pairwise sum over its own contiguous
 values whatever rows surround it, and the square, root and division are
-elementwise. ``l2_normalize`` is the one-block form. The other ops are
-coarse: the encoder pass, the head block and each loss. Each repeats the
-products, reductions and accumulation order of the primitive chain it
-replaced, so its gradients equal that chain's bit for bit.
+elementwise; ``normalize_rows(f, len(f))[0]`` is the one-block form. The
+other ops are coarse: the encoder pass, the head block and each loss. Each
+repeats the products, reductions and accumulation order of the primitive
+chain it replaced, so its gradients equal that chain's bit for bit.
 """
 from __future__ import annotations
 
@@ -63,12 +63,6 @@ def normalize_rows(f: np.ndarray, block: int
             f"row {bad[0] % block} has norm {norms[bad[0], 0]:.3e} "
             f"< {EPS_NORM:g}")
     return f / norms, norms
-
-
-def l2_normalize(f) -> np.ndarray:
-    """Scale each row to unit Euclidean norm."""
-    f = as_matrix(f)
-    return normalize_rows(f, len(f))[0]
 
 
 def _l2norm_grad(vals, out, aux, g):
@@ -130,8 +124,7 @@ class Tape:
         ``grad`` must leave them unchanged, so ``backward`` can run twice.
         Data the op reads but never differentiates (an input batch, the
         snapshot embeddings) goes in ``aux`` too, copied on entry: only the
-        tensors in ``inputs`` get gradients, and ``grad`` may return
-        ``None`` for an input it does not differentiate.
+        tensors in ``inputs`` get gradients.
         """
         vals = [self.records[i].value for i in inputs]
         return self._push(Record(op, inputs, fwd(vals, aux), aux, grad))
@@ -158,8 +151,6 @@ def backward(tape: Tape, loss: int) -> dict[int, np.ndarray]:
             continue
         vals = [tape.records[i].value for i in rec.inputs]
         for i, gi in zip(rec.inputs, rec.grad(vals, rec.value, rec.aux, g)):
-            if gi is None:
-                continue
             if i in adjoint:
                 adjoint[i] = adjoint[i] + gi
             else:

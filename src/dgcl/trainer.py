@@ -68,15 +68,23 @@ _ONE = np.ones((1, 1))
 _ONE.setflags(write=False)
 
 
-@dataclass
+def lambda_label(lam: float) -> str:
+    """How a lambda is written in cell and output file names."""
+    return f"{lam:g}"
+
+
+@dataclass(frozen=True)
 class TrainerConfig:
+    """The settings of one run. A grid cell is one of these: frozen, so it
+    keys the grid's outcome dicts, and named by its (method, lambda, M,
+    seed) coordinates."""
     method: str = "kisp"
     lam: float = 1.0
     tau: float = losses.DEFAULT_TAU
     lr: float = 0.05
     batch_size: int = 10
     iterations: int = 1
-    memory_size: int = 20
+    memory: int = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -97,14 +105,20 @@ class TrainerConfig:
             raise ValueError("lam must be >= 0")
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
-        if self.memory_size < 1:
-            raise ValueError("memory_size must be >= 1")
+        if self.memory < 1:
+            raise ValueError("memory must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
     @property
     def uses_memory(self) -> bool:
         return losses.METHODS[self.method][0]
+
+    @property
+    def name(self) -> str:
+        """The cell's name, which its report files carry."""
+        return (f"{self.method}_lam{lambda_label(self.lam)}_M{self.memory}"
+                f"_seed{self.seed}")
 
 
 @dataclass
@@ -125,7 +139,7 @@ def init_state(config: TrainerConfig, d_in: int) -> TrainerState:
     rng_sample = np.random.default_rng([config.seed, 202])
     model = Model.create(d_in, rng_init)
     return TrainerState(model=model,
-                        memory=EpisodicMemory(config.memory_size, d_in,
+                        memory=EpisodicMemory(config.memory, d_in,
                                               model.embed_dim),
                         rng_sample=rng_sample, rng_init=rng_init)
 
@@ -183,7 +197,7 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
                                            config.tau)
     ce_val = float(ce[0, 0])
     reg_val = 0.0 if reg is None else float(reg[0, 0])
-    total = losses.total_loss(ce_val, reg_val, config.lam)
+    total = ce_val + config.lam * reg_val
     # a finite total has finite parts: an infinite part makes it inf or
     # NaN, even at lam = 0, since 0 * inf is NaN
     if not math.isfinite(total):

@@ -15,13 +15,14 @@ scale for RLD, and add / scale for the loss sum in
 ``logistic_regression_fit`` is a plain full-batch classifier that
 calibrates the synthetic stream.
 
-The last five are forms the package itself has no use for.
+The last six are forms the package itself has no use for.
 ``cross_entropy`` runs the package's cross-entropy node on a throwaway tape,
 so the value tests check the functions training uses. ``total_node``
 records the weighted loss sum ce + lam * reg as a tape op, for tests that
-join two loss nodes, and ``l2_normalize_node`` the row normalization with
-the package's own value and gradient functions, for tests that chain it
-into a loss node. Those three are the imports from its numeric paths.
+join two loss nodes, ``l2_normalize_node`` the row normalization with the
+package's own value and gradient functions, for tests that chain it into a
+loss node, and ``l2_normalize`` the unit rows that normalization gives.
+Those four are the imports from its numeric paths.
 ``kisp_probs`` is the column softmax the KISP node forms, and
 ``class_means`` the class means ``synth_stream`` draws.
 ``parameter_views`` lists a model's views one parameter at a time, for
@@ -348,6 +349,12 @@ def total_node(tape, ce, reg, lam):
 def _l2norm_forward(vals, aux):
     out, aux["norms"] = normalize_rows(vals[0], len(vals[0]))
     return out
+
+
+def l2_normalize(f):
+    """The rows of ``f`` scaled to unit norm by the package's own pass,
+    ``normalize_rows`` over one block."""
+    return normalize_rows(f, len(f))[0]
 
 
 def l2_normalize_node(tape, a):

@@ -14,20 +14,17 @@ from dgcl.errors import (
 from dgcl.losses import (
     ONE_MINUS_P_FLOOR,
     KispBatch,
-    LossBreakdown,
     cross_entropy_node,
     kisp_loss,
     kisp_node,
     lfc_node,
     regularizer,
     rld_node,
-    total_loss,
 )
 from dgcl.numerics import (
     Tape,
     backward,
     finite_diff_check,
-    l2_normalize,
     row_norms,
 )
 
@@ -39,6 +36,7 @@ from oracles import (
     kisp_prob_loops,
     kisp_probs,
     kisp_sim_reference,
+    l2_normalize,
     l2_normalize_node,
     lfc_chain_reference,
     lfc_loops,
@@ -490,25 +488,6 @@ class TestSharedRegularizer:
 
 
 class TestTotalLoss:
-    def test_ablation_reduces_to_ce(self):
-        assert total_loss(1.2345, 9.9, 0.0) == 1.2345
-
-    def test_arithmetic(self):
-        assert total_loss(1.0, 2.0, 0.5) == 2.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            total_loss(1.0, 1.0, -0.1)
-
-    def test_breakdown_invariant(self):
-        rng = np.random.default_rng(35)
-        for _ in range(50):
-            ce = float(rng.uniform(0, 5))
-            kisp = float(rng.uniform(0, 5))
-            lam = float(rng.choice([0.0, 0.1, 1.0, 10.0]))
-            b = LossBreakdown(ce, kisp, total_loss(ce, kisp, lam), lam)
-            assert abs(b.total - (b.ce + b.lam * b.kisp)) < 1e-12
-
     def test_node_total_matches_value(self):
         rng = np.random.default_rng(36)
         logits = rng.standard_normal((4, 3))
@@ -521,7 +500,7 @@ class TestTotalLoss:
         reg_node = kisp_node(tape, pre,
                              l2_normalize_node(tape, tape.leaf(cur_raw)), 0.1)
         total = total_node(tape, ce_node, reg_node, lam)
-        expect = total_loss(cross_entropy(logits, labels),
-                            kisp_loss(KispBatch(pre, l2_normalize(cur_raw), 0.1)),
-                            lam)
+        expect = (cross_entropy(logits, labels)
+                  + lam * kisp_loss(KispBatch(pre, l2_normalize(cur_raw),
+                                              0.1)))
         assert abs(float(tape.value(total)[0, 0]) - expect) < 1e-12

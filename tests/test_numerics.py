@@ -10,11 +10,11 @@ from dgcl.numerics import (
     Tape,
     backward,
     finite_diff_check,
-    l2_normalize,
+    normalize_rows,
     worst_error,
 )
 
-from oracles import l2_normalize_node, matmul_loops, total_node
+from oracles import l2_normalize, l2_normalize_node, matmul_loops, total_node
 
 
 def linear(w, b):
@@ -105,25 +105,29 @@ class TestSoftmax:
 
 
 class TestL2Normalize:
+    """``normalize_rows`` over one block: the package's row normalization."""
+
     def test_three_four_five(self):
-        np.testing.assert_allclose(l2_normalize([[3.0, 4.0]]), [[0.6, 0.8]])
+        out, norms = normalize_rows(np.array([[3.0, 4.0]]), 1)
+        np.testing.assert_allclose(out, [[0.6, 0.8]])
+        np.testing.assert_allclose(norms, [[5.0]])
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         f = rng.standard_normal((7, 5))
-        once = l2_normalize(f)
-        np.testing.assert_array_equal(l2_normalize(once), once)
+        once = normalize_rows(f, 7)[0]
+        np.testing.assert_array_equal(normalize_rows(once, 7)[0], once)
 
     def test_unit_norms(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((50, 8)) * 100
-        norms = np.linalg.norm(l2_normalize(f), axis=1)
+        norms = np.linalg.norm(normalize_rows(f, 50)[0], axis=1)
         assert np.abs(norms - 1.0).max() < 1e-12
 
     def test_degenerate_row_reports_index(self):
         f = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         with pytest.raises(DegenerateFeatureError) as exc:
-            l2_normalize(f)
+            normalize_rows(f, 3)
         assert "row 1" in str(exc.value)
 
 

@@ -12,7 +12,7 @@ from dgcl.gradcheck import LOSS_NAMES, run_gradcheck
 from dgcl.losses import ONE_MINUS_P_FLOOR
 from dgcl.metrics import embedding_drift
 from dgcl.model import Model, _encoder_forward
-from dgcl.numerics import Tape, l2_normalize
+from dgcl.numerics import Tape
 from dgcl.trainer import (
     TrainerConfig,
     evaluate_accuracy,
@@ -22,7 +22,7 @@ from dgcl.trainer import (
     train_step,
 )
 
-from oracles import parameter_views, update_chain_reference
+from oracles import l2_normalize, parameter_views, update_chain_reference
 
 SMALL_SPEC = StreamSpec(tasks=3, classes_per_task=2, d_in=8,
                         train_per_class=30, test_per_class=20, seed=11)
@@ -408,12 +408,12 @@ class TestEvaluation:
 
 class TestMemoryInteraction:
     def test_memory_capacity_respected_during_run(self):
-        cfg = TrainerConfig(method="er", memory_size=7, seed=0)
+        cfg = TrainerConfig(method="er", memory=7, seed=0)
         result = run_stream(cfg, small_tasks())
         assert result is not None  # run completed under the cap
 
     def test_current_batch_written_after_step(self):
-        cfg = TrainerConfig(method="er", seed=0, memory_size=50)
+        cfg = TrainerConfig(method="er", seed=0, memory=50)
         state = init_state(cfg, 8)
         state.model.add_head(1, 2, state.rng_init)
         state.memory.register_task(1)
@@ -429,7 +429,7 @@ class TestMemoryInteraction:
         assert rows.ref.tobytes() == state.model.embed(x).tobytes()
 
     def test_refs_are_write_time_embeddings(self):
-        cfg = TrainerConfig(method="kisp", seed=2, memory_size=25)
+        cfg = TrainerConfig(method="kisp", seed=2, memory=25)
         state = init_state(cfg, SMALL_SPEC.d_in)
         for task in small_tasks()[:2]:
             state.model.add_head(task.task_id, 2, state.rng_init)
@@ -449,14 +449,14 @@ class TestMemoryInteraction:
         rows = state.memory.all_items()
         assert rows.ref.tobytes() != state.model.embed(rows.x).tobytes()
 
-    @pytest.mark.parametrize("memory_size", [1, 25])
-    def test_one_row_batches_store_write_time_embeddings(self, memory_size):
+    @pytest.mark.parametrize("memory", [1, 25])
+    def test_one_row_batches_store_write_time_embeddings(self, memory):
         # 25 rows per task in batches of 4 end on a 1-row batch; a 1-row
         # memory makes the drift probe's pool a single row too
         spec = StreamSpec(tasks=2, classes_per_task=1, d_in=8,
                           train_per_class=25, test_per_class=5, seed=5)
         cfg = TrainerConfig(method="kisp", seed=1, batch_size=4,
-                            memory_size=memory_size, iterations=2)
+                            memory=memory, iterations=2)
         state = init_state(cfg, spec.d_in)
         one_row_writes = 0
         for task in synth_stream(spec):
@@ -467,7 +467,7 @@ class TestMemoryInteraction:
                 stop = start + cfg.batch_size
                 bx = task.train_x[start:stop]
                 train_step(state, cfg, bx, task.train_y[start:stop])
-                kept = min(len(bx), memory_size)
+                kept = min(len(bx), memory)
                 written = state.memory.all_items()
                 assert written.x[-kept:].tobytes() == bx[-kept:].tobytes()
                 assert (written.ref[-kept:].tobytes()
@@ -479,7 +479,7 @@ class TestMemoryInteraction:
     def test_state_bounded_after_ten_task_stream(self):
         spec = StreamSpec(tasks=10, classes_per_task=2, d_in=8,
                           train_per_class=15, test_per_class=5, seed=3)
-        cfg = TrainerConfig(method="kisp", memory_size=7, seed=0)
+        cfg = TrainerConfig(method="kisp", memory=7, seed=0)
         state = init_state(cfg, spec.d_in)
         for seen, task in enumerate(synth_stream(spec), start=1):
             state.model.add_head(task.task_id, 2, state.rng_init)
@@ -494,7 +494,7 @@ class TestMemoryInteraction:
         # 7-row tasks registered one at a time regrow the store, and 4-row
         # batches evict; the probe reads the pool's views in place
         cfg = TrainerConfig(method="kisp", seed=3, batch_size=4,
-                            memory_size=7)
+                            memory=7)
         state = init_state(cfg, SMALL_SPEC.d_in)
         rows = []
         for task in small_tasks():
@@ -557,7 +557,7 @@ class TestAllocatorPolicy:
         tasks = synth_stream(StreamSpec(tasks=3, classes_per_task=2, d_in=8,
                                         train_per_class=300,
                                         test_per_class=20, seed=11))
-        cfg = TrainerConfig(method="kisp", batch_size=300, memory_size=150,
+        cfg = TrainerConfig(method="kisp", batch_size=300, memory=150,
                             iterations=3)
         run_stream(cfg, tasks)  # warm-up: the heap grows to its working size
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -598,7 +598,7 @@ class TestUpdateMatchesPrimitiveChain:
         n_batch = m if n_batch is None else n_batch
         d_in = 12
         config = TrainerConfig(method=method, lam=lam, tau=tau, batch_size=m,
-                               memory_size=m, seed=m)
+                               memory=m, seed=m)
         state = init_state(config, d_in)
         model = state.model
         rng = np.random.default_rng([47, m, heads])
@@ -660,18 +660,18 @@ class TestSharedPasses:
         monkeypatch.setattr(trainer, "encoder_rows", own_pass)
         monkeypatch.setattr(trainer, "_buffer_drift", probe_alone)
 
-    @pytest.mark.parametrize("method,memory_size,batch_size,iterations", [
+    @pytest.mark.parametrize("method,memory,batch_size,iterations", [
         ("kisp", 20, 7, 1), ("kisp", 1, 7, 3), ("kisp", 30, 2, 2),
         ("lfc", 5, 7, 2), ("rld", 20, 7, 1), ("er", 1, 7, 1),
     ])
     def test_run_equals_separate_passes(self, monkeypatch, method,
-                                        memory_size, batch_size, iterations):
+                                        memory, batch_size, iterations):
         # 50 rows per task: batches of 7 end on a 1-row batch
         tasks = synth_stream(StreamSpec(tasks=3, classes_per_task=2, d_in=8,
                                         train_per_class=25, test_per_class=10,
                                         seed=13))
         cfg = TrainerConfig(method=method, seed=3, batch_size=batch_size,
-                            memory_size=memory_size, iterations=iterations)
+                            memory=memory, iterations=iterations)
         shared = run_stream(cfg, tasks)
         self.separate_passes(monkeypatch)
         separate = run_stream(cfg, tasks)
