@@ -88,6 +88,11 @@ class TaskData:
                 f"test data has no examples of task {self.task_id}'s "
                 f"classes {list(self.class_ids)}")
         self.test_x = as_matrix(self.test_x)
+        widths = self.train_x.shape[1], self.test_x.shape[1]
+        if widths[0] != widths[1]:
+            raise ShapeMismatchError(
+                f"task {self.task_id}: train rows have {widths[0]} features, "
+                f"test rows {widths[1]}")
         allowed = set(self.class_ids)
         for name, x, y in (("train", self.train_x, self.train_y),
                            ("test", self.test_x, self.test_y)):

@@ -55,7 +55,7 @@ import numpy as np
 from . import losses
 from .datasets import TaskData
 from .errors import (DivergenceError, LabelRangeError, OverlappingClassesError,
-                     UnknownTaskError)
+                     ShapeMismatchError, UnknownTaskError)
 from .memory import Batch, EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
 from .model import (MIN_SHARED_ROWS, Model, _encoder_forward, _encoder_grad,
@@ -308,12 +308,16 @@ def run_stream(config: TrainerConfig, tasks: list[TaskData]) -> RunResult:
     """Train across the task sequence and fill the accuracy matrix. Each
     task's head takes the next logits columns, and a label is its column,
     so before any update each task's class ids must be exactly those
-    columns."""
+    columns, and its rows as wide as the first task's."""
     _keep_freed_heap()
     if not tasks:
         raise ValueError("need at least one task")
-    columns = 0
+    columns, width = 0, tasks[0].train_x.shape[1]
     for task in tasks:
+        if task.train_x.shape[1] != width:
+            raise ShapeMismatchError(
+                f"task {task.task_id} has {task.train_x.shape[1]} features, "
+                f"task {tasks[0].task_id} {width}")
         expected = list(range(columns, columns + len(task.class_ids)))
         if sorted(task.class_ids) != expected:
             reused = sorted(set(task.class_ids).intersection(range(columns)))

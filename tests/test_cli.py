@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +249,19 @@ def test_unwritable_summary_is_one_line(tmp_path, monkeypatch, capsys,
     assert len(list(run_dir.iterdir())) == 2 * 3 + 1
 
 
+def test_unwritable_drift_pairing_is_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    config = _grid_config(tmp_path, "p", "kisp", lams="0,1", seeds="0")
+    run_dir = cli._cell_dir(parse_config_file(config))
+    (run_dir / "drift_paired.csv").mkdir(parents=True)
+    assert main(["drift", str(config)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"cannot write {run_dir / 'drift_paired.csv'}: "
+                           "IsADirectoryError: ")
+    # both cells and the summary were written before the join
+    assert len(list(run_dir.iterdir())) == 2 * 3 + 2
+
+
 def test_drift_needs_a_nonzero_lambda(tmp_path, capsys):
     config = _grid_config(tmp_path, "zero", "kisp", lams="0", seeds="0")
     assert main(["drift", str(config)]) == 2
@@ -473,6 +490,18 @@ def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--instances", "10"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+def test_module_entry_runs_the_console_command():
+    # the path pyproject.toml's dgcl script takes: entry() exits with main()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "dgcl.cli", "gradcheck", "--instances", "1"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "PASS"
 
 
 @pytest.mark.parametrize("instances", ["0", "-5"])

@@ -103,6 +103,8 @@ def with_key(text, key, value):
     ("stream.train_per_class", "0", "stream: train_per_class must be >= 1"),
     ("stream.test_per_class", "0", "stream: test_per_class must be >= 1"),
     ("seeds", "-1", "trainer: seed must be >= 0"),
+    ("trainer.memory", "0", "trainer: memory must be >= 1"),
+    ("trainer.tau", "0", "trainer: tau must be > 0"),
     # keys a synth stream never reads would only change the run hash
     ("stream.train_path", "data/train.dgds",
      "stream.train_path: synth streams ignore it"),

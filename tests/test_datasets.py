@@ -94,6 +94,8 @@ class TestSynthStream:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             StreamSpec(tasks=0)
+        with pytest.raises(ValueError, match="classes_per_task must be >= 1"):
+            StreamSpec(classes_per_task=0)
         with pytest.raises(ValueError):
             StreamSpec(separation=0.0)
         with pytest.raises(ValueError):
@@ -220,6 +222,13 @@ class TestTaskDataValidation:
             TaskData(1, (0, 1), np.zeros((20, 2)), np.zeros(10),
                      np.zeros((2, 2)), np.array([0, 1]))
 
+    def test_train_and_test_widths_must_agree(self):
+        # trained in full, then failed only at evaluation
+        with pytest.raises(ShapeMismatchError, match=(
+                "^task 3: train rows have 8 features, test rows 5$")):
+            TaskData(3, (0, 1), np.zeros((4, 8)), np.array([0, 1, 0, 1]),
+                     np.zeros((2, 5)), np.array([0, 1]))
+
 
 class TestTensorFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -269,6 +278,14 @@ class TestTensorFile:
                 "^label block truncated: wanted 16 bytes, got 10$")):
             load_tensor_file(path)
 
+    def test_file_cut_inside_the_header(self, tmp_path):
+        path = tmp_path / "head.dgds"
+        save_tensor_file(path, np.ones((1, 1)), np.zeros(1, dtype=np.int64), 1)
+        path.write_bytes(path.read_bytes()[:12])
+        with pytest.raises(TruncatedFileError,
+                           match="^file ended inside the header$"):
+            load_tensor_file(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dgds"
         path.write_bytes(b"WHAT" + b"\x00" * 20)
@@ -292,6 +309,12 @@ class TestTensorFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(LabelRangeError):
             load_tensor_file(path)
+
+    def test_save_rejects_rows_that_do_not_match_labels(self, tmp_path):
+        path = tmp_path / "rows.dgds"
+        with pytest.raises(ShapeMismatchError, match="^3 rows but 2 labels$"):
+            save_tensor_file(path, np.ones((3, 2)), np.array([0, 1]), 2)
+        assert not path.exists()
 
     def test_save_rejects_out_of_range_labels(self, tmp_path):
         with pytest.raises(LabelRangeError):

@@ -14,6 +14,7 @@ from dgcl.errors import (
 from dgcl.losses import (
     ONE_MINUS_P_FLOOR,
     KispBatch,
+    ce_aux,
     cross_entropy_node,
     kisp_loss,
     kisp_node,
@@ -77,6 +78,11 @@ class TestCrossEntropy:
     def test_out_of_range_label(self):
         with pytest.raises(LabelRangeError):
             cross_entropy(np.zeros((1, 3)), [3])
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ShapeMismatchError,
+                           match="^3 logit rows but 2 labels$"):
+            ce_aux(np.zeros((3, 4)), [0, 1])
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_loop_oracle(self, seed):
@@ -152,6 +158,11 @@ class TestKispProbs:
 
 
 class TestKispLoss:
+    def test_node_needs_a_positive_tau(self):
+        tape = Tape()
+        with pytest.raises(ValueError, match="tau must be positive"):
+            kisp_node(tape, np.eye(2), tape.leaf(np.eye(2)), 0.0)
+
     def test_single_aligned_instance_is_zero(self):
         batch = KispBatch(np.array([[1.0]]), np.array([[1.0]]), 0.1)
         assert kisp_loss(batch) == 0.0

@@ -36,6 +36,10 @@ def assert_sample(out):
 
 
 class TestWrites:
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            EpisodicMemory(0, x_dim=1, ref_dim=2)
+
     def test_under_capacity_keeps_order(self):
         mem = memory(3)
         mem.register_task(1)

@@ -37,6 +37,13 @@ class TestAccuracyMatrix:
     def test_one_based_read(self):
         assert HAND_MATRIX.value(2, 1) == 0.7
 
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_row_outside_the_matrix_is_contract_error(self, i):
+        with pytest.raises(IndexError, match=f"row {i} outside"):
+            HAND_MATRIX.value(i, 1)
+        with pytest.raises(IndexError, match=f"row {i} outside"):
+            HAND_MATRIX.row(i)
+
 
 class TestHandValues:
     def test_fa(self):
@@ -60,6 +67,12 @@ class TestTrivialCases:
     def test_fm_single_task_undefined(self):
         with pytest.raises(UndefinedMetricError):
             fm(AccuracyMatrix([[0.9]]))
+
+    @pytest.mark.parametrize("metric", [fa, ga, la])
+    def test_empty_matrix_undefined(self, metric):
+        with pytest.raises(UndefinedMetricError,
+                           match="needs at least one task"):
+            metric(AccuracyMatrix())
 
     def test_constant_matrix(self):
         c = 0.4
@@ -120,6 +133,10 @@ class TestEmbeddingDrift:
     def test_zero_row_rejected(self):
         with pytest.raises(DegenerateFeatureError):
             embedding_drift(np.zeros((1, 3)), np.ones((1, 3)))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"shapes differ: \(2, 3\)"):
+            embedding_drift(np.ones((2, 3)), np.ones((3, 3)))
 
     @pytest.mark.parametrize("row", [0, 2])
     def test_zero_current_row_rejected(self, row):

@@ -8,6 +8,7 @@ from dgcl.losses import cross_entropy_node, kisp_node
 from dgcl.model import Model
 from dgcl.numerics import (
     Tape,
+    as_matrix,
     backward,
     finite_diff_check,
     normalize_rows,
@@ -129,6 +130,12 @@ class TestL2Normalize:
         with pytest.raises(DegenerateFeatureError) as exc:
             normalize_rows(f, 3)
         assert "row 1" in str(exc.value)
+
+
+def test_as_matrix_rejects_3d_input():
+    with pytest.raises(ShapeMismatchError,
+                       match=r"expected a 2-D array, got shape \(2, 3, 4\)"):
+        as_matrix(np.zeros((2, 3, 4)))
 
 
 class TestTape:

@@ -7,7 +7,8 @@ import pytest
 from dgcl import losses, trainer
 from dgcl.datasets import StreamSpec, TaskData, synth_stream
 from dgcl.errors import (DivergenceError, LabelRangeError,
-                         OverlappingClassesError, UnknownTaskError)
+                         OverlappingClassesError, ShapeMismatchError,
+                         UnknownTaskError)
 from dgcl.gradcheck import LOSS_NAMES, run_gradcheck
 from dgcl.losses import ONE_MINUS_P_FLOOR
 from dgcl.metrics import embedding_drift
@@ -85,6 +86,10 @@ class TestTrainerConfig:
             TrainerConfig(lam=-1.0)
         with pytest.raises(ValueError):
             TrainerConfig(seed=-1)
+        with pytest.raises(ValueError, match="tau must be > 0"):
+            TrainerConfig(tau=0.0)
+        with pytest.raises(ValueError, match="memory must be >= 1"):
+            TrainerConfig(memory=0)
 
     @pytest.mark.parametrize("name", ["lr", "lam", "tau"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -346,6 +351,26 @@ class TestRunStream:
         with pytest.raises(LabelRangeError, match="task [12] has class ids"):
             run_stream(TrainerConfig(method="er", seed=0), tasks)
         assert fed == []
+
+    def test_task_of_another_width_fails_before_any_update(self,
+                                                           monkeypatch):
+        # the second task's rows failed only in numpy's concatenate, after
+        # the first task had trained in full
+        fed = record_feeds(monkeypatch)
+        rng = np.random.default_rng(0)
+        tasks = []
+        for t, (classes, d) in enumerate([((0, 1), 8), ((2, 3), 5)], start=1):
+            y = np.array(classes * 3)
+            tasks.append(TaskData(t, classes, rng.standard_normal((6, d)), y,
+                                  rng.standard_normal((6, d)), y))
+        with pytest.raises(ShapeMismatchError,
+                           match="^task 2 has 5 features, task 1 8$"):
+            run_stream(TrainerConfig(method="er", seed=0), tasks)
+        assert fed == []
+
+    def test_no_tasks_rejected(self):
+        with pytest.raises(ValueError, match="need at least one task"):
+            run_stream(TrainerConfig(), [])
 
     def test_same_seed_is_bit_identical(self):
         tasks = small_tasks()
