@@ -43,6 +43,14 @@ def test_repeated_value_is_a_config_error(key, override, repeat):
     assert str(exc.value) == f"{key}: {repeat} repeats an earlier value"
 
 
+def test_lambda_no_cell_takes_is_still_checked():
+    # ER cells run at lambda 0 only, yet the listed lambda meets the bounds
+    assert [c.lam for c in expand_cells(parse_config(grid(methods="er")))] \
+        == [0.0] * 4
+    with pytest.raises(ConfigError, match="^trainer: lam must be >= 0$"):
+        parse_config(grid(methods="er", lams="-1"))
+
+
 def test_repeated_cells_exit_2_before_running(tmp_path, capsys):
     config = tmp_path / "twice.cfg"
     config.write_text(grid(out=tmp_path / "out", methods="er,er",
