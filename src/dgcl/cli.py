@@ -45,9 +45,9 @@ def _grid(cfg: RunConfig) -> list[TrainerConfig]:
     Each method's axes follow its ``losses.METHODS`` entry."""
     cells = []
     for method in cfg.methods:
-        replays, reg = losses.METHODS[method]
-        lams = cfg.lams if reg else [0.0]
-        memories = cfg.memories if replays else cfg.memories[:1]
+        entry = losses.METHODS[method]
+        lams = cfg.lams if entry.forward else [0.0]
+        memories = cfg.memories if entry.replays else cfg.memories[:1]
         for lam in lams:
             for memory in memories:
                 for seed in cfg.seeds:

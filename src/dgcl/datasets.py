@@ -25,6 +25,7 @@ from .errors import (
     ConfigError,
     LabelRangeError,
     ShapeMismatchError,
+    TrailingBytesError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -230,6 +231,9 @@ def load_tensor_file(path) -> tuple[np.ndarray, np.ndarray, int]:
                 raise TruncatedFileError(
                     f"{block} truncated: wanted {size} bytes, got {left}")
             left -= size
+        if left:
+            raise TrailingBytesError(
+                f"{left} trailing bytes after the label block")
         x = np.frombuffer(f.read(n * d * 8),
                           dtype="<f8").astype(np.float64).reshape(n, d)
         y = np.frombuffer(f.read(n * 4), dtype="<u4").astype(np.int64)

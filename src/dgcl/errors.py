@@ -57,6 +57,10 @@ class TruncatedFileError(FileFormatError):
     """The file ended before its declared payload was complete."""
 
 
+class TrailingBytesError(FileFormatError):
+    """The file holds bytes past its declared payload."""
+
+
 class ConfigError(DgclError):
     """A run configuration failed to parse or validate."""
 

@@ -6,7 +6,8 @@ differences coordinate-wise. No instance builds a tape: each runs the
 functions training runs. The ``ce`` instance calls cross-entropy's forward
 and gradient functions on random logits. Each regularizer in
 ``losses.METHODS`` has an instance that calls ``losses.regularizer`` on
-random raw snapshot and live rows, so the normalization is checked with the
+random raw snapshot and live rows, with the knob values of a default
+``TrainerConfig`` of that method, so the normalization is checked with the
 loss. The ``total`` instance is a training update as ``trainer.update``
 runs it, for a method drawn from er, lfc, rld and kisp: the encoder pass
 (one rectified hidden layer) and head block (two or three heads) into
@@ -51,10 +52,10 @@ def _regularizer_instance(method, rng):
     m = int(rng.integers(2, 7))
     d = int(rng.integers(2, 9))
     f_pre, f_cur = rng.standard_normal((m, d)), rng.standard_normal((m, d))
+    knobs = TrainerConfig(method).knobs
 
     def fn(params):
-        value, grad = losses.regularizer(method, f_pre, params[0],
-                                         losses.DEFAULT_TAU)
+        value, grad = losses.regularizer(method, f_pre, params[0], knobs)
         return float(value[0, 0]), [grad(_ONE)]
 
     return fn, [f_cur]
@@ -100,7 +101,7 @@ _BUILDERS = {"ce": _ce_instance, "total": _total_instance}
 def run_gradcheck(seed: int = 0, instances: int = 100) -> dict[str, float]:
     """Max relative finite-difference error per loss over seeded instances;
     NaN if any instance's is."""
-    regs = [method for method, (_, reg) in losses.METHODS.items() if reg]
+    regs = [name for name, entry in losses.METHODS.items() if entry.forward]
     worst = {}
     for li, name in enumerate(dict.fromkeys(LOSS_NAMES + tuple(regs))):
         builder = _BUILDERS.get(name) or partial(_regularizer_instance, name)

@@ -13,16 +13,18 @@ it away from the other snapshots (spread-out).
 Each loss is a forward function and a gradient function with the tape's
 ``fwd(vals, aux)`` / ``grad(vals, out, aux, g)`` signatures. A
 regularizer's ``aux`` holds the snapshot embeddings as ``pre``, data that
-is never differentiated, and the temperature as ``tau``, which only KISP
-reads. ``METHODS`` is the one table of training methods: whether each
-replays from memory (all but finetune), and its regularizer's forward,
-gradient and whether it acts on L2-normalized rows (LFC, KISP) or raw ones
-(RLD), or None (finetune, ER). Its readers keep no copy, so a patched entry
-takes effect everywhere;
-``regularizer``, the one call ``trainer.update`` and ``dgcl gradcheck``
-make, reads it per call. For LFC and KISP it normalizes the snapshot rows
-stacked on the live rows in one ``numerics.normalize_rows`` pass, which
-owns the norms; the gradient through the normalization reuses the live
+is never differentiated, and the values of its method's knobs under their
+``TrainerConfig`` field names: KISP's temperature as ``tau``, and nothing
+else for LFC and RLD. ``METHODS`` is the one table of training methods, one
+``Method`` record each: whether it replays from memory (all but finetune),
+and its regularizer's forward and gradient (None for finetune and ER),
+whether they act on L2-normalized rows (LFC, KISP) or raw ones (RLD), and
+the knobs they read. Its readers keep no copy, so a patched entry takes
+effect everywhere; ``regularizer``, the one call ``trainer.update`` and
+``dgcl gradcheck`` make, reads it per call. For LFC and KISP it normalizes
+the snapshot rows stacked on the live rows in one
+``numerics.normalize_rows`` pass, which owns the norms; the gradient
+through the normalization reuses the live
 rows' norms. The ``*_node`` functions record the same functions as tape
 ops, for the op tests and the benchmark. Cross-entropy and KISP
 keep their softmax pieces in a fresh ``aux`` dict per use, so the gradient
@@ -45,6 +47,7 @@ live in ``tests/oracles.py``. The total, ``ce + lam * reg``, is summed in
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,21 +302,35 @@ def rld_node(tape: Tape, f_pre: np.ndarray, f_cur: int) -> int:
 # one call per regularizer
 # ---------------------------------------------------------------------------
 
-# method -> (whether it replays from memory, its regularizer: forward,
-# gradient and whether it acts on L2-normalized rows, or None)
-METHODS = {"finetune": (False, None),
-           "er": (True, None),
-           "lfc": (True, (_lfc_forward, _lfc_grad, True)),
-           "rld": (True, (_rld_forward, _rld_grad, False)),
-           "kisp": (True, (_kisp_forward, _kisp_grad, True))}
+@dataclass(frozen=True)
+class Method:
+    """One training method: whether it replays from memory, and its
+    regularizer, if it has one: the forward and gradient functions, whether
+    they act on L2-normalized rows, and ``knobs``, the ``TrainerConfig``
+    fields they read from ``aux``. A knob's default and bounds live in
+    ``TrainerConfig``, its one home."""
+    replays: bool
+    forward: Callable | None = None
+    grad: Callable | None = None
+    unit_rows: bool = False
+    knobs: tuple[str, ...] = ()
+
+
+METHODS = {"finetune": Method(replays=False),
+           "er": Method(replays=True),
+           "lfc": Method(True, _lfc_forward, _lfc_grad, unit_rows=True),
+           "rld": Method(True, _rld_forward, _rld_grad),
+           "kisp": Method(True, _kisp_forward, _kisp_grad, unit_rows=True,
+                          knobs=("tau",))}
 
 
 def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
-                tau: float):
+                knobs: Mapping[str, float]):
     """The regularizer ``method`` of the live embeddings ``f_cur`` against
-    the snapshot embeddings ``f_pre``, both raw rows of equal shape: the
-    1 x 1 value, and a function taking the value's adjoint to the gradient
-    for ``f_cur``. Where ``METHODS`` says, both sides are normalized in one
+    the snapshot embeddings ``f_pre``, both raw rows of equal shape, with
+    ``knobs`` the values of the method's knobs: the 1 x 1 value, and a
+    function taking the value's adjoint to the gradient for ``f_cur``.
+    Where the method's ``unit_rows`` says, both sides are normalized in one
     ``normalize_rows`` pass over the snapshot rows stacked on the live
     rows, so a zero-norm snapshot row raises before a zero-norm live row
     and each names its row within its own side; the gradient then runs
@@ -322,19 +339,19 @@ def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
     if f_pre.shape != f_cur.shape:
         raise ShapeMismatchError(
             f"paired embeddings differ: {f_pre.shape} vs {f_cur.shape}")
-    fwd, grad, unit = METHODS[method][1]
+    entry = METHODS[method]
     pre, cur = f_pre, f_cur
-    if unit:
+    if entry.unit_rows:
         m = len(f_pre)
         both, norms = normalize_rows(np.concatenate((f_pre, f_cur)), m)
         pre, cur = both[:m], both[m:]
         norm_aux = {"norms": norms[m:]}
-    aux = {"pre": pre, "tau": float(tau)}
-    value = fwd([cur], aux)
+    aux = {"pre": pre, **knobs}
+    value = entry.forward([cur], aux)
 
     def cur_grad(g: np.ndarray) -> np.ndarray:
-        (g,) = grad([cur], value, aux, g)
-        if unit:
+        (g,) = entry.grad([cur], value, aux, g)
+        if entry.unit_rows:
             (g,) = _l2norm_grad([f_cur], cur, norm_aux, g)
         return g
 

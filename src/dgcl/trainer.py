@@ -11,8 +11,9 @@ inside its own step. The drift probe compares those stored embeddings with
 one forward pass over the whole memory. For a regularized method, the
 encoder snapshot, the tuple of encoder parameters ``Model.snapshot``
 copies, refreshes exactly once per task boundary; no other method reads it.
-Whether a method replays and which regularizer it adds are read from
-``losses.METHODS`` on each use; this module keeps no list of methods.
+Whether a method replays, which regularizer it adds and which config fields
+that regularizer reads are the fields of its ``losses.METHODS`` record,
+read on each use; this module keeps no list of methods or of their knobs.
 
 Each piece of an update is computed once. The regularizer's live embeddings
 are the replay rows of the cross-entropy's encoder pass, with their own
@@ -54,8 +55,9 @@ import numpy as np
 
 from . import losses
 from .datasets import TaskData
-from .errors import (DivergenceError, LabelRangeError, OverlappingClassesError,
-                     ShapeMismatchError, UnknownTaskError)
+from .errors import (DivergenceError, DuplicateTaskError, LabelRangeError,
+                     OverlappingClassesError, ShapeMismatchError,
+                     UnknownTaskError)
 from .memory import Batch, EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
 from .model import (MIN_SHARED_ROWS, Model, _encoder_forward, _encoder_grad,
@@ -112,7 +114,12 @@ class TrainerConfig:
 
     @property
     def uses_memory(self) -> bool:
-        return losses.METHODS[self.method][0]
+        return losses.METHODS[self.method].replays
+
+    @property
+    def knobs(self) -> dict[str, float]:
+        """The values of the fields the method's regularizer reads."""
+        return {k: getattr(self, k) for k in losses.METHODS[self.method].knobs}
 
     @property
     def name(self) -> str:
@@ -190,11 +197,12 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     ce_aux = losses.ce_aux(logits, y_all)
     ce = losses._ce_forward([logits], ce_aux)
     reg = None
-    if losses.METHODS[config.method][1] and snapshot is not None and replay:
+    if (losses.METHODS[config.method].forward and snapshot is not None
+            and replay):
         f_pre = _encoder_forward(snapshot, {"x": replay.x})
         f_cur, rows = encoder_rows(params, shared, f, len(batch_x))
         reg, reg_grad = losses.regularizer(config.method, f_pre, f_cur,
-                                           config.tau)
+                                           config.knobs)
     ce_val = float(ce[0, 0])
     reg_val = 0.0 if reg is None else float(reg[0, 0])
     total = ce_val + config.lam * reg_val
@@ -263,7 +271,7 @@ def run_task(state: TrainerState, config: TrainerConfig,
     # once per task, not per update: a full scan of every parameter
     if not np.isfinite(state.model.buffer).all():
         raise DivergenceError(state.update_index, state.task_id, "parameters")
-    if losses.METHODS[config.method][1]:
+    if losses.METHODS[config.method].forward:
         state.snapshot = state.model.snapshot()
     return state
 
@@ -308,12 +316,17 @@ def run_stream(config: TrainerConfig, tasks: list[TaskData]) -> RunResult:
     """Train across the task sequence and fill the accuracy matrix. Each
     task's head takes the next logits columns, and a label is its column,
     so before any update each task's class ids must be exactly those
-    columns, and its rows as wide as the first task's."""
+    columns, its id unlike any earlier task's, and its rows as wide as the
+    first task's."""
     _keep_freed_heap()
     if not tasks:
         raise ValueError("need at least one task")
-    columns, width = 0, tasks[0].train_x.shape[1]
+    columns, width, ids = 0, tasks[0].train_x.shape[1], set()
     for task in tasks:
+        if task.task_id in ids:
+            raise DuplicateTaskError(
+                f"task id {task.task_id} appears twice in the stream")
+        ids.add(task.task_id)
         if task.train_x.shape[1] != width:
             raise ShapeMismatchError(
                 f"task {task.task_id} has {task.train_x.shape[1]} features, "

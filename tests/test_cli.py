@@ -13,6 +13,7 @@ from dgcl import cli, gradcheck, losses, trainer
 from dgcl.cli import main
 from dgcl.config import parse_config, parse_config_file
 from dgcl.datasets import save_tensor_file
+from dgcl.errors import DivergenceError
 
 GRID = """\
 stream.tasks = 3
@@ -65,6 +66,33 @@ def test_failed_cells_are_recorded_in_summary(tmp_path, monkeypatch, capsys):
     # the same cell name and Type: message text as the stderr line
     assert [f"cell {f['cell']} failed: {f['error']}"
             for f in summary["failures"]] == lines
+
+
+def test_a_bug_shows_its_traceback_and_a_run_fault_one_line(
+        tmp_path, monkeypatch, capsys):
+    # a failure that is not a run fault is a bug: where it was raised
+    # follows its line; a run fault is its line alone
+    def fail(cell, tasks):
+        if cell.method == "finetune":
+            raise RuntimeError("a bug")
+        raise DivergenceError(3, 1, "drift")
+
+    monkeypatch.setattr(cli, "run_stream", fail)
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    config = _grid_config(tmp_path, "bug", "finetune,er")
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "cell finetune_lam0_M20_seed0 failed: RuntimeError: a bug"
+    assert err[1] == "Traceback (most recent call last):"
+    bug = err.index("cell finetune_lam0_M20_seed1 failed: RuntimeError: a bug")
+    assert err[bug + 1] == "Traceback (most recent call last):"
+    # the last two lines, one per run fault
+    assert err[-2:] == [
+        f"cell er_lam0_M20_seed{seed} failed: DivergenceError: non-finite "
+        "drift at update 3 of task 1" for seed in (0, 1)]
+    summary = json.loads(_run_files(tmp_path, "bug")["summary.json"])
+    assert [(f["method"], f["seed"]) for f in summary["failures"]] == [
+        ("finetune", 0), ("finetune", 1), ("er", 0), ("er", 1)]
 
 
 def test_successful_grid_has_no_failures_key(tmp_path):
@@ -345,6 +373,9 @@ BAD_STREAMS = {
                        f"{(2**32 - 1)**2 * 8} bytes, got 0"),
     "32GiB": (_header(2**20, 2**12), (8, 4, 2),
               "{train}: payload truncated: wanted 34359738368 bytes, got 0"),
+    # a valid file with 9 bytes appended loaded silently
+    "trailing": (_header(8, 4) + bytes(8 * 4 * 8 + 8 * 4 + 9), (8, 4, 2),
+                 "{train}: 9 trailing bytes after the label block"),
     "test-version": ((8, 4, 2), b"DGDS" + struct.pack("<IIII", 2, 8, 4, 6),
                      "{test}: tensor file version 2, reader supports 1"),
     # one row of width 1 whose label 9 lies past the declared 6 classes
@@ -423,11 +454,12 @@ def test_grid_axes_follow_each_method():
 
 def test_one_table_entry_adds_a_method(tmp_path, monkeypatch):
     # a regularizer added to losses.METHODS and nowhere else: a squared
-    # distance to the snapshot over unit rows
-    calls = []
+    # distance to the snapshot over unit rows, with a knob it reads
+    calls, seen = [], set()
 
     def forward(vals, aux):
         calls.append("forward")
+        seen.add((frozenset(aux), aux["lr"]))
         d = vals[0] - aux["pre"]
         return np.array([[0.5 * (d * d).sum()]])
 
@@ -436,15 +468,19 @@ def test_one_table_entry_adds_a_method(tmp_path, monkeypatch):
         return [(vals[0] - aux["pre"]) * g[0, 0]]
 
     before = gradcheck.run_gradcheck(instances=5)
-    monkeypatch.setitem(losses.METHODS, "pull", (True, (forward, grad, True)))
+    monkeypatch.setitem(losses.METHODS, "pull", losses.Method(
+        True, forward, grad, unit_rows=True, knobs=("lr",)))
     after = gradcheck.run_gradcheck(instances=5)
     # its own line after the others, whose values do not move
     assert list(after) == [*before, "pull"]
     assert {name: after[name] for name in before} == before
     assert after["pull"] < gradcheck.TOLERANCE
     calls.clear()
+    seen.clear()
     monkeypatch.delenv("DGCL_THREADS", raising=False)
     config = _grid_config(tmp_path, "pull", "er,pull", lams="0,1", seeds="0")
+    config.write_text(config.read_text().replace("trainer.lr = 0.05",
+                                                 "trainer.lr = 0.03"))
     assert [cell.name for cell in cli.expand_cells(
         parse_config_file(config))] == [
         "er_lam0_M20_seed0", "pull_lam0_M20_seed0", "pull_lam1_M20_seed0"]
@@ -452,6 +488,8 @@ def test_one_table_entry_adds_a_method(tmp_path, monkeypatch):
     assert len(_run_files(tmp_path, "pull")) == 3 * 3 + 1
     # lambda = 0 evaluates the value only; lambda = 1 also the gradient
     assert 0 < calls.count("gradient") < calls.count("forward")
+    # the cell's knob value reaches the forward, with no edit to update
+    assert seen == {(frozenset({"pre", "lr"}), 0.03)}
 
 
 GRADCHECK_OUT = """\
@@ -479,7 +517,7 @@ def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
         return [np.full_like(vals[0], np.nan)]
 
     monkeypatch.setitem(losses.METHODS, "broken",
-                        (True, (forward, grad, False)))
+                        losses.Method(True, forward, grad))
     assert math.isnan(gradcheck.run_gradcheck(instances=2)["broken"])
     assert main(["gradcheck", "--instances", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()

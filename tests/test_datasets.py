@@ -16,6 +16,7 @@ from dgcl.errors import (
     ConfigError,
     LabelRangeError,
     ShapeMismatchError,
+    TrailingBytesError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -276,6 +277,15 @@ class TestTensorFile:
         path.write_bytes(path.read_bytes()[:-6])
         with pytest.raises(TruncatedFileError, match=(
                 "^label block truncated: wanted 16 bytes, got 10$")):
+            load_tensor_file(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        # a valid file with bytes appended loaded silently
+        path = tmp_path / "tail.dgds"
+        save_tensor_file(path, np.ones((4, 3)), np.zeros(4, dtype=np.int64), 1)
+        path.write_bytes(path.read_bytes() + bytes(9))
+        with pytest.raises(TrailingBytesError, match=(
+                "^9 trailing bytes after the label block$")):
             load_tensor_file(path)
 
     def test_file_cut_inside_the_header(self, tmp_path):

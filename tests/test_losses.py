@@ -451,7 +451,7 @@ class TestSharedRegularizer:
         d = int(rng.integers(1, 33))
         tau = float(rng.choice([0.05, 0.1, 1.0]))
         f_pre, f_cur = rng.standard_normal((m, d)), rng.standard_normal((m, d))
-        value, grad = regularizer(method, f_pre, f_cur, tau)
+        value, grad = regularizer(method, f_pre, f_cur, {"tau": tau})
         tape = Tape()
         leaf = tape.leaf(f_cur)
         if method == "rld":
@@ -469,7 +469,7 @@ class TestSharedRegularizer:
     def test_shape_mismatch(self, method):
         # a one-row snapshot would otherwise broadcast against three rows
         with pytest.raises(ShapeMismatchError):
-            regularizer(method, np.ones((1, 4)), np.ones((3, 4)), 0.1)
+            regularizer(method, np.ones((1, 4)), np.ones((3, 4)), {"tau": 0.1})
 
     @pytest.mark.parametrize("method", ["lfc", "kisp"])
     def test_snapshot_row_checked_first(self, method):
@@ -477,9 +477,9 @@ class TestSharedRegularizer:
         pre[2] = 0.0
         cur[0] = 0.0
         with pytest.raises(DegenerateFeatureError, match="^row 2 "):
-            regularizer(method, pre, cur, 0.1)
+            regularizer(method, pre, cur, {"tau": 0.1})
         with pytest.raises(DegenerateFeatureError, match="^row 0 "):
-            regularizer(method, np.ones((3, 4)), cur, 0.1)
+            regularizer(method, np.ones((3, 4)), cur, {"tau": 0.1})
 
     @pytest.mark.parametrize("method", ["lfc", "kisp"])
     def test_row_norms_taken_once(self, method, monkeypatch):
@@ -493,7 +493,7 @@ class TestSharedRegularizer:
         monkeypatch.setattr(numerics, "row_norms", counted)
         rng = np.random.default_rng(6)
         f_pre, f_cur = rng.standard_normal((2, 5, 3))
-        _, grad = regularizer(method, f_pre, f_cur, 0.1)
+        _, grad = regularizer(method, f_pre, f_cur, {"tau": 0.1})
         grad(np.ones((1, 1)))
         assert calls == [(10, 3)]
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import sys
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from dgcl import losses, trainer
 from dgcl.datasets import StreamSpec, TaskData, synth_stream
-from dgcl.errors import (DivergenceError, LabelRangeError,
-                         OverlappingClassesError, ShapeMismatchError,
-                         UnknownTaskError)
+from dgcl.errors import (DivergenceError, DuplicateTaskError,
+                         LabelRangeError, OverlappingClassesError,
+                         ShapeMismatchError, UnknownTaskError)
 from dgcl.gradcheck import LOSS_NAMES, run_gradcheck
 from dgcl.losses import ONE_MINUS_P_FLOOR
 from dgcl.metrics import embedding_drift
@@ -97,6 +98,12 @@ class TestTrainerConfig:
         # nan <= 0 is false, so the bounds alone let nan through
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TrainerConfig(**{name: value})
+
+    @pytest.mark.parametrize("method,knobs", [
+        ("finetune", {}), ("er", {}), ("lfc", {}), ("rld", {}),
+        ("kisp", {"tau": 0.3})])
+    def test_knobs_are_the_fields_the_regularizer_reads(self, method, knobs):
+        assert TrainerConfig(method=method, tau=0.3).knobs == knobs
 
 
 class TestTrainStep:
@@ -199,6 +206,22 @@ class TestTrainStep:
             assert g.base is model.grad and g.shape == p.shape
             assert (g.ctypes.data - model.grad.ctypes.data
                     == p.ctypes.data - buffer.ctypes.data)
+
+    @pytest.mark.parametrize("method,keys", [
+        ("lfc", {"pre"}), ("rld", {"pre"}), ("kisp", {"pre", "tau"})])
+    def test_regularizer_gets_only_its_knobs(self, monkeypatch, method, keys):
+        # every regularizer's aux held KISP's temperature
+        seen = set()
+        entry = losses.METHODS[method]
+
+        def forward(vals, aux):
+            seen.add(frozenset(aux))
+            return entry.forward(vals, aux)
+
+        monkeypatch.setitem(losses.METHODS, method,
+                            dataclasses.replace(entry, forward=forward))
+        run_stream(TrainerConfig(method=method, seed=0), small_tasks()[:2])
+        assert seen == {frozenset(keys)}
 
     def test_gradcheck_without_tape(self, monkeypatch):
         # every gradcheck instance runs the functions training runs
@@ -365,6 +388,17 @@ class TestRunStream:
                                   rng.standard_normal((6, d)), y))
         with pytest.raises(ShapeMismatchError,
                            match="^task 2 has 5 features, task 1 8$"):
+            run_stream(TrainerConfig(method="er", seed=0), tasks)
+        assert fed == []
+
+    def test_repeated_task_id_fails_before_any_update(self, monkeypatch):
+        # the second task with id 1 failed in add_head, after the first had
+        # trained in full
+        fed = record_feeds(monkeypatch)
+        tasks = [dataclasses.replace(task, task_id=1)
+                 for task in small_tasks()[:2]]
+        with pytest.raises(DuplicateTaskError,
+                           match="^task id 1 appears twice in the stream$"):
             run_stream(TrainerConfig(method="er", seed=0), tasks)
         assert fed == []
 
