@@ -15,7 +15,10 @@ cross-entropy, plus the weighted regularizer on the replay rows of the same
 encoder pass, or of their own pass for a 1-row replay, against a second
 random model's snapshot. Its differences are taken on the model's parameter
 buffer itself, so they check the flat gradient the SGD step uses, with the
-relu mask and both branches' shared parameters.
+relu mask and both branches' shared parameters. Every other replaying
+method in ``losses.METHODS`` gets the same update instance with its method
+fixed, as its own ``total:<method>`` line after all the others, so adding
+a method moves no earlier line.
 """
 from __future__ import annotations
 
@@ -32,6 +35,8 @@ from .trainer import _ONE, TrainerConfig, update
 TOLERANCE = 1e-4
 # the first lines in seed order; other regularizers follow (run_gradcheck)
 LOSS_NAMES = ("ce", "kisp", "lfc", "rld", "total")
+# the methods the total instance draws from
+TOTAL_METHODS = ("er", "lfc", "rld", "kisp")
 
 
 def _ce_instance(rng):
@@ -68,12 +73,12 @@ def _random_model(rng, sizes):
                  [rng.standard_normal((1, cols)) for _, cols in layers])
 
 
-def _total_instance(rng):
+def _total_instance(rng, methods=TOTAL_METHODS):
     sizes = [int(rng.integers(2, 6)) for _ in range(3)]  # d_in, hidden, d_emb
     n = int(rng.integers(1, 5))
     m = int(rng.integers(1, 7))
     # fixed methods, so no seed moves; m = 1 takes the replay's own pass
-    config = TrainerConfig(str(rng.choice(("er", "lfc", "rld", "kisp"))),
+    config = TrainerConfig(str(rng.choice(methods)),
                            lam=float(rng.choice([0.1, 1.0, 10.0])))
     x_cur = rng.standard_normal((n, sizes[0]))
     x_mem = rng.standard_normal((m, sizes[0]))
@@ -102,9 +107,15 @@ def run_gradcheck(seed: int = 0, instances: int = 100) -> dict[str, float]:
     """Max relative finite-difference error per loss over seeded instances;
     NaN if any instance's is."""
     regs = [name for name, entry in losses.METHODS.items() if entry.forward]
+    builders = {name: _BUILDERS.get(name) or partial(_regularizer_instance,
+                                                     name)
+                for name in LOSS_NAMES + tuple(regs)}
+    builders.update(
+        (f"total:{name}", partial(_total_instance, methods=(name,)))
+        for name, entry in losses.METHODS.items()
+        if entry.replays and name not in TOTAL_METHODS)
     worst = {}
-    for li, name in enumerate(dict.fromkeys(LOSS_NAMES + tuple(regs))):
-        builder = _BUILDERS.get(name) or partial(_regularizer_instance, name)
+    for li, (name, builder) in enumerate(builders.items()):
         worst[name] = worst_error(
             [finite_diff_check(*builder(np.random.default_rng([seed, li, i])))
              for i in range(instances)])

@@ -29,7 +29,12 @@ rows' norms. The ``*_node`` functions record the same functions as tape
 ops, for the op tests and the benchmark. Cross-entropy and KISP
 keep their softmax pieces in a fresh ``aux`` dict per use, so the gradient
 reuses them: cross-entropy its shifted exponentials and their row sums,
-KISP its exponentials, column sums and leave-one-out sums. ``ce_aux`` turns
+KISP its exponentials, column sums, leave-one-out sums and a boolean mask
+of the clamped entries. KISP's gradient writes P over the exponentials and
+q over the leave-one-out sums and takes both out of ``aux``, so P and q
+take no m x m arrays of their own. It runs once per forward: a second call
+of the function ``regularizer`` returns raises. ``kisp_node`` hands it
+copies of the two, so a tape's ``backward`` can run twice. ``ce_aux`` turns
 the labels into one flat index of each row's label entry, through which the
 forward picks the label logits and the gradient subtracts one. The KISP
 forward forms the similarity matrix itself and its gradient returns that of
@@ -190,8 +195,10 @@ def _kisp_forward(vals, aux):
     ``aux["pre"]``. Fills ``aux`` with the intermediates the gradient
     reuses: shifted exponentials ``e``, column sums ``colsum``, leave-one-out
     column sums ``excl`` (a nonnegative masked product, so the
-    near-saturated (1 - P) values keep full relative precision) and their
-    raw ratio ``one_minus``."""
+    near-saturated (1 - P) values keep full relative precision) and the
+    boolean ``clamp``, true where their ratio (1 - P) is not above
+    ``ONE_MINUS_P_FLOOR``: the entries whose spread term is the constant
+    floor and whose gradient is zero."""
     s = _kisp_similarity(aux["pre"], vals[0], aux["tau"])
     m = s.shape[0]
     colmax = s.max(axis=0, keepdims=True)
@@ -203,7 +210,9 @@ def _kisp_forward(vals, aux):
     colsum = e.sum(axis=0, keepdims=True)
     excl = _leave_one_out(m) @ e
     one_minus = excl / colsum
-    aux.update(e=e, colsum=colsum, excl=excl, one_minus=one_minus)
+    clamp = one_minus > ONE_MINUS_P_FLOOR
+    np.logical_not(clamp, out=clamp)
+    aux.update(e=e, colsum=colsum, excl=excl, clamp=clamp)
     invariant = (np.log(colsum[0]) - diag_shifted).sum()
     # -log(1 - P[i,j]) = log colsum_j - log excl_ij, floored at the clamp,
     # over the off-diagonal entries in row order: past the first entry,
@@ -215,12 +224,21 @@ def _kisp_forward(vals, aux):
 
 
 def _kisp_grad(vals, out, aux, g):
-    e, colsum, excl = aux["e"], aux["colsum"], aux["excl"]
-    p = e / colsum
-    q = np.maximum(excl, 1e-300)
+    """The gradient for the live embeddings. It writes P over ``aux["e"]``
+    and q over ``aux["excl"]`` and takes both out of ``aux``, so it runs
+    once per forward; a second call raises."""
+    if "e" not in aux:
+        raise RuntimeError("the KISP gradient runs once per forward: its "
+                           "first call overwrote the forward's arrays")
+    colsum = aux["colsum"]
+    e, excl = aux.pop("e"), aux.pop("excl")
+    # q's diagonal reads e's, so it comes before P overwrites them
+    diag = -colsum[0] / np.maximum(np.diag(e), 1e-300)
+    p = np.divide(e, colsum, out=e)
+    q = np.maximum(excl, 1e-300, out=excl)
     np.divide(colsum, q, out=q)
-    np.copyto(q, 0.0, where=~(aux["one_minus"] > ONE_MINUS_P_FLOOR))
-    np.fill_diagonal(q, -colsum[0] / np.maximum(np.diag(e), 1e-300))
+    np.copyto(q, 0.0, where=aux["clamp"])
+    np.fill_diagonal(q, diag)
     # column-wise softmax Jacobian: dJ/dS[:,j] = P_j * (q_j - <q_j, P_j>)
     col_dot = (q * p).sum(axis=0, keepdims=True)
     q -= col_dot
@@ -230,6 +248,13 @@ def _kisp_grad(vals, out, aux, g):
     p *= 1.0 / aux["tau"]
     # back through S = pre @ cur.T / tau to the live embeddings
     return [(aux["pre"].T @ p).T]
+
+
+def _kisp_grad_on_copies(vals, out, aux, g):
+    """``_kisp_grad`` on copies of the two arrays it overwrites, so a tape
+    record's ``aux`` stays whole and ``backward`` can run twice."""
+    return _kisp_grad(vals, out, {**aux, "e": aux["e"].copy(),
+                                  "excl": aux["excl"].copy()}, g)
 
 
 def kisp_loss(batch: KispBatch) -> float:
@@ -246,13 +271,16 @@ def kisp_loss(batch: KispBatch) -> float:
 
 def kisp_node(tape: Tape, f_pre_norm: np.ndarray, f_cur_norm: int,
               tau: float) -> int:
-    """Tape-node KISP; the snapshot embeddings are data (no gradient)."""
+    """Tape-node KISP; the snapshot embeddings are data (no gradient). Its
+    gradient runs on copies of the forward's ``e`` and ``excl``, the two
+    m x m arrays ``_kisp_grad`` overwrites: a reverse sweep pays for them,
+    training does not."""
     if tau <= 0:
         raise ValueError("temperature tau must be positive")
     # a fresh dict per node: the forward fills it, the gradient reads it
     aux = {"pre": _snapshot(tape, f_pre_norm, f_cur_norm), "tau": float(tau)}
     return tape.apply("kisp_penalty", (f_cur_norm,), _kisp_forward,
-                      _kisp_grad, aux=aux)
+                      _kisp_grad_on_copies, aux=aux)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +357,8 @@ def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
     """The regularizer ``method`` of the live embeddings ``f_cur`` against
     the snapshot embeddings ``f_pre``, both raw rows of equal shape, with
     ``knobs`` the values of the method's knobs: the 1 x 1 value, and a
-    function taking the value's adjoint to the gradient for ``f_cur``.
+    function taking the value's adjoint to the gradient for ``f_cur``, to
+    be called once (KISP's overwrites its forward's arrays).
     Where the method's ``unit_rows`` says, both sides are normalized in one
     ``normalize_rows`` pass over the snapshot rows stacked on the live
     rows, so a zero-norm snapshot row raises before a zero-norm live row

@@ -36,9 +36,11 @@ buffer and of the gradient from the model's attributes: a model packs at
 construction and at each ``add_head``, never inside ``train_step``, so an
 update computes no layout. ``dgcl gradcheck`` checks the same function.
 The SGD step writes the buffer in place after the gradient: ``lr * g`` then
-the subtraction, the per-array step's two roundings. Each repeat's
-intermediates, such as KISP's m x m arrays, are freed when ``update``
-returns.
+the subtraction, the per-array step's two roundings. KISP's gradient
+overwrites its forward's m x m arrays, and ``update`` drops the
+regularizer's gradient function after the regularizer branch, so they are
+freed before the cross-entropy branch's products; the repeat's other
+intermediates are freed when ``update`` returns.
 
 ``run_stream`` first asks glibc to keep freed heap in the process: KISP's
 m x m temporaries (720 KB each at m=300) are otherwise unmapped on free and
@@ -217,6 +219,9 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     if branch:
         g = reg_grad(np.array([[config.lam]]))
         _encoder_grad(params, rows, g, model.grads)
+    # the gradient closure holds the regularizer's forward arrays (KISP's
+    # m x m ones): free them before the cross-entropy branch's products
+    reg_grad = None
     (g,) = losses._ce_grad([logits], ce, ce_aux, _ONE)
     g = _heads_grad(f, blocks, g, model.grad_blocks)
     # the encoder's two adjoints in either order: a sum of two commutes

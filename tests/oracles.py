@@ -89,9 +89,10 @@ def kisp_loss_loops(f_pre, f_cur, tau):
 
 def kisp_sim_reference(s, floor, g=1.0):
     """KISP value, ``g`` times its gradient with respect to the similarity
-    matrix s, and the number of off-diagonal (1 - P) entries under
-    ``floor``. Every piece is recomputed from s, with the leave-one-out mask
-    built as 1 - eye."""
+    matrix s, and the number of clamped entries: the off-diagonal (1 - P)
+    entries not above ``floor``, the ones whose gradient q zeroes. Every
+    piece is recomputed from s, with the leave-one-out mask built as
+    1 - eye."""
     m = s.shape[0]
     colmax = s.max(axis=0, keepdims=True)
     e = np.exp(s - colmax)
@@ -105,7 +106,7 @@ def kisp_sim_reference(s, floor, g=1.0):
     q = np.where(one_minus > floor, colsum / np.maximum(excl, 1e-300), 0.0)
     q[np.eye(m, dtype=bool)] = -colsum[0] / np.maximum(np.diag(e), 1e-300)
     col_dot = (q * p).sum(axis=0, keepdims=True)
-    clamped = int((one_minus[off] < floor).sum())
+    clamped = int((~(one_minus[off] > floor)).sum())
     return float(invariant + spread), g * p * (q - col_dot), clamped
 
 

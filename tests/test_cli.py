@@ -471,10 +471,12 @@ def test_one_table_entry_adds_a_method(tmp_path, monkeypatch):
     monkeypatch.setitem(losses.METHODS, "pull", losses.Method(
         True, forward, grad, unit_rows=True, knobs=("lr",)))
     after = gradcheck.run_gradcheck(instances=5)
-    # its own line after the others, whose values do not move
-    assert list(after) == [*before, "pull"]
+    # its own lines after the others, whose values do not move: the
+    # regularizer's, then the whole update's with it
+    assert list(after) == [*before, "pull", "total:pull"]
     assert {name: after[name] for name in before} == before
     assert after["pull"] < gradcheck.TOLERANCE
+    assert after["total:pull"] < gradcheck.TOLERANCE
     calls.clear()
     seen.clear()
     monkeypatch.delenv("DGCL_THREADS", raising=False)
@@ -518,11 +520,15 @@ def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
 
     monkeypatch.setitem(losses.METHODS, "broken",
                         losses.Method(True, forward, grad))
-    assert math.isnan(gradcheck.run_gradcheck(instances=2)["broken"])
+    errors = gradcheck.run_gradcheck(instances=2)
+    assert math.isnan(errors["broken"])
+    assert math.isnan(errors["total:broken"])
     assert main(["gradcheck", "--instances", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2] == "  broken max_rel_err=nan  FAIL"
-    assert lines[-1] == "FAIL: broken exceeded 0.0001"
+    # the regularizer's line, then the whole update's through it
+    assert lines[-3] == "  broken max_rel_err=nan  FAIL"
+    assert lines[-2] == "  total:broken max_rel_err=nan  FAIL"
+    assert lines[-1] == "FAIL: broken, total:broken exceeded 0.0001"
 
 
 def test_gradcheck_passes(capsys):

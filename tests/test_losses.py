@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dgcl.errors import (
 from dgcl.losses import (
     ONE_MINUS_P_FLOOR,
     KispBatch,
+    _leave_one_out,
     ce_aux,
     cross_entropy_node,
     kisp_loss,
@@ -38,6 +40,7 @@ from oracles import (
     kisp_probs,
     kisp_sim_reference,
     l2_normalize,
+    l2_normalize_chain_reference,
     l2_normalize_node,
     lfc_chain_reference,
     lfc_loops,
@@ -464,6 +467,52 @@ class TestSharedRegularizer:
         assert np.array_equal(value, tape.value(node))
         assert np.array_equal(grad(np.array([[lam]])),
                               backward(tape, loss)[leaf])
+
+    @pytest.mark.parametrize("lam", [1.0, 0.7])
+    @pytest.mark.parametrize("m", [2, 40, 300])
+    def test_kisp_clamp_equals_chain_reference(self, m, lam):
+        # the path training runs, where the clamp fires: the in-place
+        # gradient itself, not a tape's run on copies
+        rng = np.random.default_rng([39, m])
+        f_pre = rng.standard_normal((m, 8))
+        scale = rng.uniform(0.5, 2.0, size=(m, 1))
+        f_cur = scale * near_next_rows(rng, l2_normalize(f_pre))
+        tau = 1e-3
+        value, grad = regularizer("kisp", f_pre, f_cur, {"tau": tau})
+        cur, _ = l2_normalize_chain_reference(f_cur)
+        ref_value, d_cur, clamped = kisp_chain_reference(
+            l2_normalize_chain_reference(f_pre)[0], cur, tau,
+            ONE_MINUS_P_FLOOR, lam)
+        assert clamped > 0
+        assert float(value[0, 0]) == ref_value
+        _, expected = l2_normalize_chain_reference(f_cur, d_cur)
+        assert np.array_equal(grad(np.array([[lam]])), expected)
+
+    def test_kisp_gradient_runs_once(self):
+        # it overwrites the forward's arrays, so a second call would
+        # return a wrong gradient if it did not raise
+        rng = np.random.default_rng(40)
+        f_pre, f_cur = rng.standard_normal((2, 5, 3))
+        _, grad = regularizer("kisp", f_pre, f_cur, {"tau": 0.1})
+        grad(np.ones((1, 1)))
+        with pytest.raises(RuntimeError, match="runs once"):
+            grad(np.ones((1, 1)))
+
+    def test_kisp_peak_is_at_most_five_square_arrays(self):
+        # forward plus gradient at m = 300, the cached leave-one-out mask
+        # aside: the gradient writes over the forward's m x m arrays
+        m = 300
+        rng = np.random.default_rng(41)
+        f_pre, f_cur = rng.standard_normal((2, m, 32))
+        _leave_one_out(m)
+        tracemalloc.start()
+        try:
+            _, grad = regularizer("kisp", f_pre, f_cur, {"tau": 0.1})
+            grad(np.ones((1, 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * m * m * 8
 
     @pytest.mark.parametrize("method", ["lfc", "rld", "kisp"])
     def test_shape_mismatch(self, method):
