@@ -29,7 +29,6 @@ import argparse
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -170,6 +169,8 @@ def _run_grid(cfg: RunConfig) -> int:
     # a summary or the error
     outcomes: dict[TrainerConfig, dict | Exception] = {}
     if workers > 1:
+        # imported here: a serial run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {cell: pool.submit(execute_cell, cfg, cell, str(outdir))
                        for cell in cells}

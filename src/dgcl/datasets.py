@@ -113,34 +113,45 @@ class TaskData:
 
 
 def synth_stream(spec: StreamSpec) -> list[TaskData]:
-    """Generate the full task list for a spec; bit-identical per seed."""
+    """Generate the full task list for a spec; bit-identical per seed.
+
+    Every task's arrays are read-only views of one train block and one test
+    block and of their two label blocks. Each class's rows are drawn straight
+    into its stretch of the blocks, in class order, and each task's train
+    stretch is then permuted in place, so no row is held twice."""
     rng = np.random.default_rng(spec.seed)
     n_classes = spec.tasks * spec.classes_per_task
     means = []
     for _ in range(n_classes):
         v = rng.standard_normal(spec.d_in)
         means.append(spec.separation * v / np.linalg.norm(v))
-    train_blocks, test_blocks = [], []
+    per_class = (spec.train_per_class, spec.test_per_class)
+    blocks = [np.empty((n_classes * n, spec.d_in)) for n in per_class]
+    labels = [np.repeat(np.arange(n_classes, dtype=np.int64), n)
+              for n in per_class]
     for c in range(n_classes):
-        train_blocks.append(
-            means[c] + spec.noise * rng.standard_normal((spec.train_per_class,
-                                                         spec.d_in)))
-        test_blocks.append(
-            means[c] + spec.noise * rng.standard_normal((spec.test_per_class,
-                                                         spec.d_in)))
+        for block, n in zip(blocks, per_class):
+            rows = block[c * n:(c + 1) * n]
+            rng.standard_normal(out=rows)
+            rows *= spec.noise
+            np.add(means[c], rows, out=rows)
+    train_x, test_x = blocks
+    train_y, test_y = labels
+    per_task = [n * spec.classes_per_task for n in per_class]
+    for t in range(spec.tasks):
+        part = slice(t * per_task[0], (t + 1) * per_task[0])
+        order = rng.permutation(per_task[0])
+        train_x[part] = train_x[part][order]
+        train_y[part] = train_y[part][order]
+    for a in (*blocks, *labels):
+        a.setflags(write=False)
     tasks = []
     for t in range(spec.tasks):
         classes = tuple(range(t * spec.classes_per_task,
                               (t + 1) * spec.classes_per_task))
-        train_x = np.concatenate([train_blocks[c] for c in classes], axis=0)
-        train_y = np.concatenate(
-            [np.full(spec.train_per_class, c, dtype=np.int64) for c in classes])
-        order = rng.permutation(train_x.shape[0])
-        test_x = np.concatenate([test_blocks[c] for c in classes], axis=0)
-        test_y = np.concatenate(
-            [np.full(spec.test_per_class, c, dtype=np.int64) for c in classes])
-        tasks.append(TaskData(t + 1, classes, train_x[order], train_y[order],
-                              test_x, test_y))
+        train, test = (slice(t * n, (t + 1) * n) for n in per_task)
+        tasks.append(TaskData(t + 1, classes, train_x[train], train_y[train],
+                              test_x[test], test_y[test]))
     return tasks
 
 
@@ -178,11 +189,12 @@ def split_by_class(x, y, classes_per_task: int, *, test_x, test_y,
     for start in range(0, len(labels), classes_per_task):
         block = labels[start:start + classes_per_task]
         mask, tmask = np.isin(y, block), np.isin(test_y, block)
-        order = rng.permutation(np.count_nonzero(mask))
+        rows = np.flatnonzero(mask)
+        rows = rows[rng.permutation(len(rows))]
         tasks.append(TaskData(
             start // classes_per_task + 1,
             tuple(range(start, start + classes_per_task)),
-            x[mask][order], np.searchsorted(labels, y[mask])[order],
+            x[rows], np.searchsorted(labels, y[rows]),
             test_x[tmask], np.searchsorted(labels, test_y[tmask])))
     return tasks
 
@@ -234,8 +246,13 @@ def load_tensor_file(path) -> tuple[np.ndarray, np.ndarray, int]:
         if left:
             raise TrailingBytesError(
                 f"{left} trailing bytes after the label block")
-        x = np.frombuffer(f.read(n * d * 8),
-                          dtype="<f8").astype(np.float64).reshape(n, d)
+        # read straight into the array, so the payload is held once
+        x = np.empty(n * d, dtype="<f8")
+        got = f.readinto(x)
+        if got != x.nbytes:
+            raise TruncatedFileError(
+                f"payload truncated: wanted {x.nbytes} bytes, got {got}")
+        x = x.astype(np.float64, copy=False).reshape(n, d)
         y = np.frombuffer(f.read(n * 4), dtype="<u4").astype(np.int64)
         if n and y.max() >= class_count:
             raise LabelRangeError(

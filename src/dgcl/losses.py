@@ -30,9 +30,14 @@ ops, for the op tests and the benchmark. Cross-entropy and KISP
 keep their softmax pieces in a fresh ``aux`` dict per use, so the gradient
 reuses them: cross-entropy its shifted exponentials and their row sums,
 KISP its exponentials, column sums, leave-one-out sums and a boolean mask
-of the clamped entries. KISP's gradient writes P over the exponentials and
+of the clamped entries. The mask covers the off-diagonal entries only, laid
+out as the (m - 1) x m rows of their row order, the layout in which the
+forward forms (1 - P) and sums the spread terms; the full m x m (1 - P) is
+never formed. KISP's gradient writes P over the exponentials and
 q over the leave-one-out sums and takes both out of ``aux``, so P and q
-take no m x m arrays of their own. It runs once per forward: a second call
+take no m x m arrays of their own: forward plus gradient hold at most
+three m x m float arrays and the mask at once, the cached leave-one-out
+matrix aside. It runs once per forward: a second call
 of the function ``regularizer`` returns raises. ``kisp_node`` hands it
 copies of the two, so a tape's ``backward`` can run twice. ``ce_aux`` turns
 the labels into one flat index of each row's label entry, through which the
@@ -190,6 +195,16 @@ def _leave_one_out(m: int) -> np.ndarray:
     return mask
 
 
+def _off_diagonal(a: np.ndarray, m: int) -> np.ndarray:
+    """The off-diagonal entries of the C-ordered m x m ``a`` in row order,
+    as an (m - 1) x m view: past the first entry, each run of m + 1 entries
+    ends on a diagonal one, which the view's row stride steps over. Its
+    entry (r, c) lies in column (r + 1 + c) mod m."""
+    size = a.itemsize
+    return np.ndarray((m - 1, m), a.dtype, buffer=a, offset=size,
+                      strides=(size * (m + 1), size))
+
+
 def _kisp_forward(vals, aux):
     """KISP value for the live embeddings ``vals[0]`` against the snapshot
     ``aux["pre"]``. Fills ``aux`` with the intermediates the gradient
@@ -198,7 +213,11 @@ def _kisp_forward(vals, aux):
     near-saturated (1 - P) values keep full relative precision) and the
     boolean ``clamp``, true where their ratio (1 - P) is not above
     ``ONE_MINUS_P_FLOOR``: the entries whose spread term is the constant
-    floor and whose gradient is zero."""
+    floor and whose gradient is zero. ``clamp`` covers the off-diagonal
+    entries only, in ``_off_diagonal``'s (m - 1) x m row-order layout.
+    Besides ``e`` and ``excl`` the forward holds one m x m float array at
+    a time: (1 - P) at the off-diagonal entries, in that layout, which
+    becomes the spread terms in place."""
     s = _kisp_similarity(aux["pre"], vals[0], aux["tau"])
     m = s.shape[0]
     colmax = s.max(axis=0, keepdims=True)
@@ -209,24 +228,31 @@ def _kisp_forward(vals, aux):
     np.exp(e, out=e)
     colsum = e.sum(axis=0, keepdims=True)
     excl = _leave_one_out(m) @ e
-    one_minus = excl / colsum
+    # (1 - P) = excl / colsum at the off-diagonal entries: entry (r, c) of
+    # their layout divides by column (r + 1 + c) mod m's sum, entry
+    # r + 1 + c of the column sums laid twice end to end
+    twice = np.concatenate((colsum, colsum), axis=1)
+    size = twice.itemsize
+    divisor = np.ndarray((m - 1, m), twice.dtype, buffer=twice, offset=size,
+                         strides=(size, size))
+    one_minus = np.divide(_off_diagonal(excl, m), divisor)
     clamp = one_minus > ONE_MINUS_P_FLOOR
     np.logical_not(clamp, out=clamp)
     aux.update(e=e, colsum=colsum, excl=excl, clamp=clamp)
     invariant = (np.log(colsum[0]) - diag_shifted).sum()
     # -log(1 - P[i,j]) = log colsum_j - log excl_ij, floored at the clamp,
-    # over the off-diagonal entries in row order: past the first entry,
-    # each run of m + 1 entries ends on a diagonal one, which [:, :m] drops
-    off = one_minus.reshape(-1)[1:].reshape(m - 1, m + 1)[:, :m]
-    floored = np.maximum(off, ONE_MINUS_P_FLOOR)
-    spread = -np.log(floored, out=floored).sum()
+    # summed over the contiguous layout in the row order of the entries
+    np.maximum(one_minus, ONE_MINUS_P_FLOOR, out=one_minus)
+    spread = -np.log(one_minus, out=one_minus).sum()
     return np.array([[float(invariant + spread)]])
 
 
 def _kisp_grad(vals, out, aux, g):
     """The gradient for the live embeddings. It writes P over ``aux["e"]``
     and q over ``aux["excl"]`` and takes both out of ``aux``, so it runs
-    once per forward; a second call raises."""
+    once per forward; a second call raises. It zeroes q's clamped entries
+    through the off-diagonal view of q that ``aux["clamp"]`` is laid out
+    in. Its only m x m float array of its own is the product ``q * p``."""
     if "e" not in aux:
         raise RuntimeError("the KISP gradient runs once per forward: its "
                            "first call overwrote the forward's arrays")
@@ -237,7 +263,7 @@ def _kisp_grad(vals, out, aux, g):
     p = np.divide(e, colsum, out=e)
     q = np.maximum(excl, 1e-300, out=excl)
     np.divide(colsum, q, out=q)
-    np.copyto(q, 0.0, where=aux["clamp"])
+    np.copyto(_off_diagonal(q, len(q)), 0.0, where=aux["clamp"])
     np.fill_diagonal(q, diag)
     # column-wise softmax Jacobian: dJ/dS[:,j] = P_j * (q_j - <q_j, P_j>)
     col_dot = (q * p).sum(axis=0, keepdims=True)

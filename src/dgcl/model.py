@@ -59,6 +59,13 @@ DEFAULT_EMBED_DIM = 32
 # whatever the other rows are (BLAS runs a matrix product); a single row goes
 # through a matrix-vector product and can differ in the last bits. So rows
 # may be taken from a larger pass only when there are at least this many.
+# That row independence holds for the encoder's shapes on this BLAS, which
+# tests/test_model.py's TestSharedRows pins; it is not a property of every
+# product. With OpenBLAS 0.3.31 on one thread, a 300 x 32 @ 32 x 300 product
+# split into 104-row blocks differs from the whole in the last bits, while
+# a 200 x 32 @ 32 x 200 one split into 156-row blocks does not. So row
+# blocks of the KISP similarity, say to get under OpenBLAS's small-matrix
+# cutoff, would change its bits.
 MIN_SHARED_ROWS = 2
 
 

@@ -12,6 +12,10 @@ hconcat for the heads, transpose / matmul / scale for KISP, constant / mul
 / sum_all / scale / add_scalar for LFC, constant / sub / mul / sum_all /
 scale for RLD, and add / scale for the loss sum in
 ``update_chain_reference``, a whole regularized update.
+``synth_stream_reference`` and ``split_by_class_reference`` likewise keep
+the stream builders' former construction (per-class blocks concatenated
+and permuted into copies; a mask gather, then a permuting one) for the
+in-place builders to match bit for bit.
 ``logistic_regression_fit`` is a plain full-batch classifier that
 calibrates the synthetic stream.
 
@@ -385,6 +389,55 @@ def class_means(spec):
         v = rng.standard_normal(spec.d_in)
         means[c] = spec.separation * v / np.linalg.norm(v)
     return means
+
+
+def synth_stream_reference(spec):
+    """``synth_stream``'s arrays as it once built them, per task: one block
+    per class, concatenated per task, the train rows then permuted into a
+    copy. A list of (class ids, train_x, train_y, test_x, test_y)."""
+    rng = np.random.default_rng(spec.seed)
+    n_classes = spec.tasks * spec.classes_per_task
+    means = []
+    for _ in range(n_classes):
+        v = rng.standard_normal(spec.d_in)
+        means.append(spec.separation * v / np.linalg.norm(v))
+    train_blocks, test_blocks = [], []
+    for c in range(n_classes):
+        train_blocks.append(
+            means[c] + spec.noise * rng.standard_normal((spec.train_per_class,
+                                                         spec.d_in)))
+        test_blocks.append(
+            means[c] + spec.noise * rng.standard_normal((spec.test_per_class,
+                                                         spec.d_in)))
+    tasks = []
+    for t in range(spec.tasks):
+        classes = tuple(range(t * spec.classes_per_task,
+                              (t + 1) * spec.classes_per_task))
+        train_x = np.concatenate([train_blocks[c] for c in classes], axis=0)
+        train_y = np.concatenate(
+            [np.full(spec.train_per_class, c, dtype=np.int64) for c in classes])
+        order = rng.permutation(train_x.shape[0])
+        test_x = np.concatenate([test_blocks[c] for c in classes], axis=0)
+        test_y = np.concatenate(
+            [np.full(spec.test_per_class, c, dtype=np.int64) for c in classes])
+        tasks.append((classes, train_x[order], train_y[order], test_x, test_y))
+    return tasks
+
+
+def split_by_class_reference(x, y, classes_per_task, test_x, test_y, seed):
+    """``split_by_class``'s arrays as it once gathered them: each task's rows
+    by its class mask, then permuted in a second gather. A list of
+    (train_x, train_y, test_x, test_y); no input checks."""
+    labels = np.unique(y)
+    rng = np.random.default_rng(seed)
+    tasks = []
+    for start in range(0, len(labels), classes_per_task):
+        block = labels[start:start + classes_per_task]
+        mask, tmask = np.isin(y, block), np.isin(test_y, block)
+        order = rng.permutation(np.count_nonzero(mask))
+        tasks.append((x[mask][order], np.searchsorted(labels, y[mask])[order],
+                      test_x[tmask], np.searchsorted(labels, test_y[tmask])))
+    return tasks
 
 
 def parameter_views(model):

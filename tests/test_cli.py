@@ -135,6 +135,26 @@ def test_successful_grid_is_identical_serial_and_parallel(tmp_path,
     assert files["2"] == files["1"]
 
 
+def test_serial_run_loads_no_process_pool(tmp_path):
+    # the pool and its multiprocessing import are paid only by a parallel
+    # run; a fresh process shows what a serial one loads
+    config = _grid_config(tmp_path, "serial", "er", seeds="0")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("DGCL_THREADS", None)
+    script = ("import sys\n"
+              "from dgcl.cli import main\n"
+              f"assert main(['run', {str(config)!r}]) == 0\n"
+              "print(sorted(m for m in ('concurrent.futures.process',\n"
+              "                         'multiprocessing')\n"
+              "             if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_each_seed_stream_is_built_once(tmp_path, monkeypatch):
     monkeypatch.delenv("DGCL_THREADS", raising=False)
     built, ran, writable = [], [], []

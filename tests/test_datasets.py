@@ -1,8 +1,11 @@
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dgcl import datasets
 from dgcl.datasets import (
     StreamSpec,
     TaskData,
@@ -21,7 +24,8 @@ from dgcl.errors import (
     VersionMismatchError,
 )
 
-from oracles import class_means, logistic_regression_fit
+from oracles import (class_means, logistic_regression_fit,
+                     split_by_class_reference, synth_stream_reference)
 
 DEFAULT = StreamSpec()  # T=5 x 2 classes, d=16, 200/200 per class, s=4, noise=1
 
@@ -43,6 +47,50 @@ class TestSynthStream:
             assert ta.train_x.tobytes() == tb.train_x.tobytes()
             assert ta.train_y.tobytes() == tb.train_y.tobytes()
             assert ta.test_x.tobytes() == tb.test_x.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        DEFAULT,
+        # wide-replay's stream at workload seed 11
+        StreamSpec(tasks=10, classes_per_task=2, train_per_class=1500,
+                   seed=34),
+        StreamSpec(tasks=3, classes_per_task=1, d_in=4, train_per_class=7,
+                   test_per_class=3, seed=2),
+        StreamSpec(tasks=4, classes_per_task=3, d_in=5, train_per_class=1,
+                   test_per_class=1, seed=5),
+        StreamSpec(tasks=2, classes_per_task=2, d_in=1, train_per_class=9,
+                   test_per_class=4, seed=6),
+    ])
+    def test_equals_per_class_construction(self, spec):
+        # the same draws and roundings as per-class blocks concatenated and
+        # permuted into copies
+        tasks = synth_stream(spec)
+        want = synth_stream_reference(spec)
+        assert len(tasks) == len(want)
+        for t, (task, ref) in enumerate(zip(tasks, want), start=1):
+            assert task.task_id == t and task.class_ids == ref[0]
+            for name, array in zip(("train_x", "train_y", "test_x", "test_y"),
+                                   ref[1:]):
+                got = getattr(task, name)
+                assert got.dtype == array.dtype
+                assert got.shape == array.shape
+                assert got.tobytes() == array.tobytes()
+
+    def test_stream_has_no_writable_way_in(self):
+        # every task is a view of one block per array kind, and neither the
+        # views nor the blocks they share can be written
+        tasks = synth_stream(DEFAULT)
+        for name in ("train_x", "train_y", "test_x", "test_y"):
+            arrays = [getattr(task, name) for task in tasks]
+            (block,) = {id(a.base) for a in arrays}
+            base = arrays[0].base
+            assert block == id(base) and not base.flags.writeable
+            assert sum(len(a) for a in arrays) == len(base)
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a.setflags(write=True)
+                with pytest.raises(ValueError):
+                    a[0] = 0
 
     def test_different_seeds_differ(self):
         a = synth_stream(DEFAULT)
@@ -188,6 +236,25 @@ class TestSplitByClass:
             for name in ("train_x", "train_y", "test_x", "test_y"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gather_equals_two_step_gather(self, seed):
+        # one gather per task, through the permuted row indices, equals a
+        # mask gather followed by a permuting one, on uneven classes
+        rng = np.random.default_rng([9, seed])
+        x, tx = rng.standard_normal((97, 3)), rng.standard_normal((31, 3))
+        y = rng.choice([2, 4, 5, 9, 11, 12], size=97, p=[.4, .05, .1, .2,
+                                                         .15, .1])
+        y[:6] = [2, 4, 5, 9, 11, 12]
+        ty = rng.choice([2, 4, 5, 9, 11, 12], size=31)
+        ty[:3] = [2, 5, 11]
+        got = split_by_class(x, y, 3, test_x=tx, test_y=ty, seed=seed)
+        want = split_by_class_reference(x, y, 3, tx, ty, seed)
+        assert len(got) == len(want) == 2
+        for task, ref in zip(got, want):
+            for name, array in zip(("train_x", "train_y", "test_x", "test_y"),
+                                   ref):
+                assert getattr(task, name).tobytes() == array.tobytes()
+
     def test_test_rows_of_labels_train_lacks_are_dropped(self):
         x = np.arange(8.0).reshape(4, 2)
         tasks = split_by_class(x, [1, 1, 3, 3], 2, test_x=x,
@@ -242,6 +309,39 @@ class TestTensorFile:
         assert rx.tobytes() == x.tobytes()
         assert ry.tolist() == y.tolist()
         assert c == 2
+
+    def test_load_holds_the_payload_once(self, tmp_path):
+        # the payload is read straight into the returned array, with no
+        # bytes object or float copy beside it
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((4000, 64))
+        y = rng.integers(0, 10, size=4000)
+        path = tmp_path / "big.dgds"
+        save_tensor_file(path, x, y, class_count=10)
+        tracemalloc.start()
+        try:
+            rx, ry, _ = load_tensor_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rx.dtype == np.float64 and rx.flags.c_contiguous
+        assert rx.tobytes() == x.tobytes()
+        assert ry.tolist() == y.tolist()
+        assert peak <= 1.25 * x.nbytes
+
+    def test_payload_cut_after_the_size_check(self, tmp_path, monkeypatch):
+        # a file that shrinks after its size is read is a truncation, not
+        # rows of uninitialized memory
+        path = tmp_path / "cut.dgds"
+        save_tensor_file(path, np.ones((3, 2)), [0, 1, 0], class_count=2)
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:full - 12 - 8])
+        real = os.fstat
+        monkeypatch.setattr(datasets.os, "fstat", lambda fd: os.stat_result(
+            (*real(fd)[:6], full, *real(fd)[7:])))
+        with pytest.raises(TruncatedFileError,
+                           match="payload truncated: wanted 48 bytes, got 40"):
+            load_tensor_file(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.dgds"

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgcl import numerics
+from dgcl import losses, numerics
 from dgcl.errors import (
     DegenerateFeatureError,
     LabelRangeError,
@@ -470,7 +471,7 @@ class TestSharedRegularizer:
 
     @pytest.mark.parametrize("lam", [1.0, 0.7])
     @pytest.mark.parametrize("m", [2, 40, 300])
-    def test_kisp_clamp_equals_chain_reference(self, m, lam):
+    def test_kisp_clamp_equals_chain_reference(self, m, lam, monkeypatch):
         # the path training runs, where the clamp fires: the in-place
         # gradient itself, not a tape's run on copies
         rng = np.random.default_rng([39, m])
@@ -478,12 +479,25 @@ class TestSharedRegularizer:
         scale = rng.uniform(0.5, 2.0, size=(m, 1))
         f_cur = scale * near_next_rows(rng, l2_normalize(f_pre))
         tau = 1e-3
+        auxes = []
+        entry = losses.METHODS["kisp"]
+
+        def forward(vals, aux):
+            auxes.append(aux)
+            return entry.forward(vals, aux)
+
+        monkeypatch.setitem(losses.METHODS, "kisp",
+                            replace(entry, forward=forward))
         value, grad = regularizer("kisp", f_pre, f_cur, {"tau": tau})
+        # the mask holds the off-diagonal entries only, in row order
+        (clamp,) = (aux["clamp"] for aux in auxes)
+        assert clamp.dtype == bool and clamp.shape == (m - 1, m)
         cur, _ = l2_normalize_chain_reference(f_cur)
         ref_value, d_cur, clamped = kisp_chain_reference(
             l2_normalize_chain_reference(f_pre)[0], cur, tau,
             ONE_MINUS_P_FLOOR, lam)
         assert clamped > 0
+        assert np.count_nonzero(clamp) == clamped
         assert float(value[0, 0]) == ref_value
         _, expected = l2_normalize_chain_reference(f_cur, d_cur)
         assert np.array_equal(grad(np.array([[lam]])), expected)
@@ -498,9 +512,10 @@ class TestSharedRegularizer:
         with pytest.raises(RuntimeError, match="runs once"):
             grad(np.ones((1, 1)))
 
-    def test_kisp_peak_is_at_most_five_square_arrays(self):
+    def test_kisp_peak_is_at_most_four_square_arrays(self):
         # forward plus gradient at m = 300, the cached leave-one-out mask
-        # aside: the gradient writes over the forward's m x m arrays
+        # aside: the gradient writes over the forward's m x m arrays, and
+        # the forward forms (1 - P) at the off-diagonal entries only
         m = 300
         rng = np.random.default_rng(41)
         f_pre, f_cur = rng.standard_normal((2, m, 32))
@@ -512,7 +527,7 @@ class TestSharedRegularizer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * m * m * 8
+        assert peak <= 4 * m * m * 8
 
     @pytest.mark.parametrize("method", ["lfc", "rld", "kisp"])
     def test_shape_mismatch(self, method):
