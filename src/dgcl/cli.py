@@ -71,16 +71,13 @@ _STREAM: dict[tuple[str, int], list[TaskData]] = {}
 
 def _stream(cfg: RunConfig, seed: int) -> list[TaskData]:
     """``build_tasks(cfg, seed)``, kept for the next cell with the same
-    config and seed. One stream at a time is held, with read-only arrays,
-    since every cell that reads it must see the same data."""
+    config and seed. One stream at a time is held; its arrays are
+    read-only, as ``datasets`` hands them out, since every cell that reads
+    it must see the same data."""
     key = (config_hash(cfg), seed)
     if key not in _STREAM:
         _STREAM.clear()
-        tasks = build_tasks(cfg, seed)
-        for task in tasks:
-            for a in (task.train_x, task.train_y, task.test_x, task.test_y):
-                a.setflags(write=False)
-        _STREAM[key] = tasks
+        _STREAM[key] = build_tasks(cfg, seed)
     return _STREAM[key]
 
 

@@ -162,7 +162,8 @@ def split_by_class(x, y, classes_per_task: int, *, test_x, test_y,
     The sorted distinct train labels become class ids 0..K-1, in train and
     test rows alike. Within-task train order is shuffled by ``seed``; test
     examples are split with the same class blocks, unshuffled, and test rows
-    of a label the train rows lack are dropped. No train rows, rows without
+    of a label the train rows lack are dropped. Every task array is
+    read-only, as ``synth_stream``'s are. No train rows, rows without
     features, or train and test rows of different widths are ConfigErrors.
     """
     x = as_matrix(x)
@@ -191,11 +192,14 @@ def split_by_class(x, y, classes_per_task: int, *, test_x, test_y,
         mask, tmask = np.isin(y, block), np.isin(test_y, block)
         rows = np.flatnonzero(mask)
         rows = rows[rng.permutation(len(rows))]
-        tasks.append(TaskData(
+        task = TaskData(
             start // classes_per_task + 1,
             tuple(range(start, start + classes_per_task)),
             x[rows], np.searchsorted(labels, y[rows]),
-            test_x[tmask], np.searchsorted(labels, test_y[tmask])))
+            test_x[tmask], np.searchsorted(labels, test_y[tmask]))
+        for a in (task.train_x, task.train_y, task.test_x, task.test_y):
+            a.setflags(write=False)
+        tasks.append(task)
     return tasks
 
 

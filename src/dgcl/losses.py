@@ -33,11 +33,12 @@ KISP its exponentials, column sums, leave-one-out sums and a boolean mask
 of the clamped entries. The mask covers the off-diagonal entries only, laid
 out as the (m - 1) x m rows of their row order, the layout in which the
 forward forms (1 - P) and sums the spread terms; the full m x m (1 - P) is
-never formed. KISP's gradient writes P over the exponentials and
-q over the leave-one-out sums and takes both out of ``aux``, so P and q
-take no m x m arrays of their own: forward plus gradient hold at most
-three m x m float arrays and the mask at once, the cached leave-one-out
-matrix aside. It runs once per forward: a second call
+never formed: the forward writes it over the leave-one-out matrix it
+builds per call, which no call keeps. KISP's gradient writes P over the
+exponentials and q over the leave-one-out sums and takes both out of
+``aux``, so P and q take no m x m arrays of their own: forward plus
+gradient hold at most three m x m float arrays and the clamp mask at
+once, and none once they return. It runs once per forward: a second call
 of the function ``regularizer`` returns raises. ``kisp_node`` hands it
 copies of the two, so a tape's ``backward`` can run twice. ``ce_aux`` turns
 the labels into one flat index of each row's label entry, through which the
@@ -56,7 +57,6 @@ live in ``tests/oracles.py``. The total, ``ce + lam * reg``, is summed in
 """
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
@@ -185,16 +185,6 @@ def _kisp_similarity(f_pre_norm: np.ndarray, f_cur_norm: np.ndarray,
     return s
 
 
-@functools.lru_cache(maxsize=1)
-def _leave_one_out(m: int) -> np.ndarray:
-    """The m x m matrix of ones with a zero diagonal, read-only. Only the
-    latest m is kept, so a large mask does not outlive its replay size."""
-    mask = np.ones((m, m))
-    np.fill_diagonal(mask, 0.0)
-    mask.setflags(write=False)
-    return mask
-
-
 def _off_diagonal(a: np.ndarray, m: int) -> np.ndarray:
     """The off-diagonal entries of the C-ordered m x m ``a`` in row order,
     as an (m - 1) x m view: past the first entry, each run of m + 1 entries
@@ -215,8 +205,10 @@ def _kisp_forward(vals, aux):
     ``ONE_MINUS_P_FLOOR``: the entries whose spread term is the constant
     floor and whose gradient is zero. ``clamp`` covers the off-diagonal
     entries only, in ``_off_diagonal``'s (m - 1) x m row-order layout.
-    Besides ``e`` and ``excl`` the forward holds one m x m float array at
-    a time: (1 - P) at the off-diagonal entries, in that layout, which
+    Besides ``e`` and ``excl`` the forward holds one m x m float array,
+    built on each call: first the leave-one-out matrix, ones with a zero
+    diagonal, then, once ``excl`` is formed, (1 - P) at the off-diagonal
+    entries in that layout over its first (m - 1) * m entries, which
     becomes the spread terms in place."""
     s = _kisp_similarity(aux["pre"], vals[0], aux["tau"])
     m = s.shape[0]
@@ -227,7 +219,10 @@ def _kisp_forward(vals, aux):
     e -= colmax
     np.exp(e, out=e)
     colsum = e.sum(axis=0, keepdims=True)
-    excl = _leave_one_out(m) @ e
+    # the leave-one-out matrix, built per call so no call keeps one
+    w = np.ones((m, m))
+    np.fill_diagonal(w, 0.0)
+    excl = w @ e
     # (1 - P) = excl / colsum at the off-diagonal entries: entry (r, c) of
     # their layout divides by column (r + 1 + c) mod m's sum, entry
     # r + 1 + c of the column sums laid twice end to end
@@ -235,7 +230,9 @@ def _kisp_forward(vals, aux):
     size = twice.itemsize
     divisor = np.ndarray((m - 1, m), twice.dtype, buffer=twice, offset=size,
                          strides=(size, size))
-    one_minus = np.divide(_off_diagonal(excl, m), divisor)
+    # over w's first (m - 1) * m entries, which the product has read
+    one_minus = np.divide(_off_diagonal(excl, m), divisor,
+                          out=w.reshape(-1)[:(m - 1) * m].reshape(m - 1, m))
     clamp = one_minus > ONE_MINUS_P_FLOOR
     np.logical_not(clamp, out=clamp)
     aux.update(e=e, colsum=colsum, excl=excl, clamp=clamp)
@@ -252,7 +249,8 @@ def _kisp_grad(vals, out, aux, g):
     and q over ``aux["excl"]`` and takes both out of ``aux``, so it runs
     once per forward; a second call raises. It zeroes q's clamped entries
     through the off-diagonal view of q that ``aux["clamp"]`` is laid out
-    in. Its only m x m float array of its own is the product ``q * p``."""
+    in, and skips that copy when nothing is clamped. Its only m x m float
+    array of its own is the product ``q * p``."""
     if "e" not in aux:
         raise RuntimeError("the KISP gradient runs once per forward: its "
                            "first call overwrote the forward's arrays")
@@ -263,7 +261,10 @@ def _kisp_grad(vals, out, aux, g):
     p = np.divide(e, colsum, out=e)
     q = np.maximum(excl, 1e-300, out=excl)
     np.divide(colsum, q, out=q)
-    np.copyto(_off_diagonal(q, len(q)), 0.0, where=aux["clamp"])
+    clamp = aux["clamp"]
+    # an empty mask, the usual case, would copy nothing
+    if clamp.any():
+        np.copyto(_off_diagonal(q, len(q)), 0.0, where=clamp)
     np.fill_diagonal(q, diag)
     # column-wise softmax Jacobian: dJ/dS[:,j] = P_j * (q_j - <q_j, P_j>)
     col_dot = (q * p).sum(axis=0, keepdims=True)

@@ -44,8 +44,8 @@ intermediates are freed when ``update`` returns.
 
 ``run_stream`` first asks glibc to keep freed heap in the process: KISP's
 m x m temporaries (720 KB each at m=300; at most three float ones and a
-boolean clamp mask live at once, besides the cached leave-one-out matrix)
-are otherwise unmapped on free and page-faulted back in on every update.
+boolean clamp mask live at once, the leave-one-out matrix among them) are
+otherwise unmapped on free and page-faulted back in on every update.
 """
 from __future__ import annotations
 

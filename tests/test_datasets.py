@@ -255,6 +255,15 @@ class TestSplitByClass:
                                    ref):
                 assert getattr(task, name).tobytes() == array.tobytes()
 
+    def test_arrays_are_read_only(self):
+        # every cell of a grid reads the same stream, so none may write it
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((20, 2))
+        y = np.repeat(np.arange(4), 5)
+        for task in split_by_class(x, y, 2, test_x=x, test_y=y):
+            for a in (task.train_x, task.train_y, task.test_x, task.test_y):
+                assert not a.flags.writeable
+
     def test_test_rows_of_labels_train_lacks_are_dropped(self):
         x = np.arange(8.0).reshape(4, 2)
         tasks = split_by_class(x, [1, 1, 3, 3], 2, test_x=x,

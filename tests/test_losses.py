@@ -16,7 +16,6 @@ from dgcl.errors import (
 from dgcl.losses import (
     ONE_MINUS_P_FLOOR,
     KispBatch,
-    _leave_one_out,
     ce_aux,
     cross_entropy_node,
     kisp_loss,
@@ -469,16 +468,15 @@ class TestSharedRegularizer:
         assert np.array_equal(grad(np.array([[lam]])),
                               backward(tape, loss)[leaf])
 
-    @pytest.mark.parametrize("lam", [1.0, 0.7])
-    @pytest.mark.parametrize("m", [2, 40, 300])
-    def test_kisp_clamp_equals_chain_reference(self, m, lam, monkeypatch):
-        # the path training runs, where the clamp fires: the in-place
-        # gradient itself, not a tape's run on copies
+    @staticmethod
+    def kisp_against_chain(m, lam, tau, monkeypatch):
+        """The path training runs, the in-place gradient itself, not a
+        tape's run on copies, against the chain reference bit for bit, on
+        live rows near the next snapshot row; returns the clamp count."""
         rng = np.random.default_rng([39, m])
         f_pre = rng.standard_normal((m, 8))
         scale = rng.uniform(0.5, 2.0, size=(m, 1))
         f_cur = scale * near_next_rows(rng, l2_normalize(f_pre))
-        tau = 1e-3
         auxes = []
         entry = losses.METHODS["kisp"]
 
@@ -496,11 +494,24 @@ class TestSharedRegularizer:
         ref_value, d_cur, clamped = kisp_chain_reference(
             l2_normalize_chain_reference(f_pre)[0], cur, tau,
             ONE_MINUS_P_FLOOR, lam)
-        assert clamped > 0
         assert np.count_nonzero(clamp) == clamped
         assert float(value[0, 0]) == ref_value
         _, expected = l2_normalize_chain_reference(f_cur, d_cur)
         assert np.array_equal(grad(np.array([[lam]])), expected)
+        return clamped
+
+    @pytest.mark.parametrize("lam", [1.0, 0.7])
+    @pytest.mark.parametrize("m", [2, 40, 300])
+    def test_kisp_clamp_equals_chain_reference(self, m, lam, monkeypatch):
+        # at tau=1e-3 the clamp fires and the gradient zeroes through it
+        assert self.kisp_against_chain(m, lam, 1e-3, monkeypatch) > 0
+
+    @pytest.mark.parametrize("lam", [1.0, 0.7])
+    @pytest.mark.parametrize("m", [2, 40, 300])
+    def test_kisp_empty_clamp_equals_chain_reference(self, m, lam,
+                                                     monkeypatch):
+        # at tau=0.1 the clamp is empty and the gradient skips it
+        assert self.kisp_against_chain(m, lam, 0.1, monkeypatch) == 0
 
     def test_kisp_gradient_runs_once(self):
         # it overwrites the forward's arrays, so a second call would
@@ -512,14 +523,15 @@ class TestSharedRegularizer:
         with pytest.raises(RuntimeError, match="runs once"):
             grad(np.ones((1, 1)))
 
-    def test_kisp_peak_is_at_most_four_square_arrays(self):
-        # forward plus gradient at m = 300, the cached leave-one-out mask
-        # aside: the gradient writes over the forward's m x m arrays, and
-        # the forward forms (1 - P) at the off-diagonal entries only
-        m = 300
+    def test_kisp_peak_is_at_most_three_and_a_half_square_arrays(self):
+        # forward plus gradient, the leave-one-out mask counted: the
+        # forward writes (1 - P) over the mask at the off-diagonal entries
+        # only, and the gradient writes over the forward's m x m arrays.
+        # No other test replays 310 rows, so a mask cached by an earlier
+        # test would not be ready-made here
+        m = 310
         rng = np.random.default_rng(41)
         f_pre, f_cur = rng.standard_normal((2, m, 32))
-        _leave_one_out(m)
         tracemalloc.start()
         try:
             _, grad = regularizer("kisp", f_pre, f_cur, {"tau": 0.1})
@@ -527,7 +539,23 @@ class TestSharedRegularizer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * m * m * 8
+        assert peak <= 3.5 * m * m * 8
+
+    def test_kisp_keeps_no_square_array(self):
+        # once the value and gradient are dropped, no m x m array is left
+        # behind, such as a per-size mask cache
+        m = 1001
+        rng = np.random.default_rng(42)
+        f_pre, f_cur = rng.standard_normal((2, m, 16))
+        tracemalloc.start()
+        try:
+            value, grad = regularizer("kisp", f_pre, f_cur, {"tau": 0.1})
+            g = grad(np.ones((1, 1)))
+            del value, grad, g
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current < 0.1 * m * m * 8
 
     @pytest.mark.parametrize("method", ["lfc", "rld", "kisp"])
     def test_shape_mismatch(self, method):
