@@ -160,26 +160,29 @@ def _run_grid(cfg: RunConfig) -> int:
         raise ConfigError(str(e)) from None
     outdir = _cell_dir(cfg)
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        return _unwritable(outdir, e)
-    # a summary or the error
-    outcomes: dict[TrainerConfig, dict | Exception] = {}
-    if workers > 1:
-        # imported here: a serial run loads no multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {cell: pool.submit(execute_cell, cfg, cell, str(outdir))
-                       for cell in cells}
-        for cell, fut in futures.items():
-            outcomes[cell] = fut.exception() or fut.result()
-    else:
-        for cell in cells:
-            try:
-                outcomes[cell] = execute_cell(cfg, cell, str(outdir))
-            except Exception as e:  # one failed cell must not stop the grid
-                outcomes[cell] = e
-    _STREAM.clear()  # a later run in this process builds its own
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            return _unwritable(outdir, e)
+        # a summary or the error
+        outcomes: dict[TrainerConfig, dict | Exception] = {}
+        if workers > 1:
+            # imported here: a serial run loads no multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futures = {cell: pool.submit(execute_cell, cfg, cell,
+                                             str(outdir))
+                           for cell in cells}
+            for cell, fut in futures.items():
+                outcomes[cell] = fut.exception() or fut.result()
+        else:
+            for cell in cells:
+                try:
+                    outcomes[cell] = execute_cell(cfg, cell, str(outdir))
+                except Exception as e:  # a failed cell must not stop the grid
+                    outcomes[cell] = e
+    finally:
+        _STREAM.clear()  # a later run in this process builds its own
     summaries = {c: s for c, s in outcomes.items() if isinstance(s, dict)}
     failures = [(c, outcomes[c]) for c in _grid(cfg) if c not in summaries]
     for cell, exc in failures:

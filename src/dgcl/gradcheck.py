@@ -60,8 +60,8 @@ def _regularizer_instance(method, rng):
     knobs = TrainerConfig(method).knobs
 
     def fn(params):
-        value, grad = losses.regularizer(method, f_pre, params[0], knobs)
-        return float(value[0, 0]), [grad(_ONE)]
+        value, grad = losses.regularizer(method, f_pre, params[0], knobs, 1.0)
+        return float(value[0, 0]), [grad]
 
     return fn, [f_cur]
 

@@ -21,13 +21,13 @@ and its regularizer's forward and gradient (None for finetune and ER),
 whether they act on L2-normalized rows (LFC, KISP) or raw ones (RLD), and
 the knobs they read. Its readers keep no copy, so a patched entry takes
 effect everywhere; ``regularizer``, the one call ``trainer.update`` and
-``dgcl gradcheck`` make, reads it per call. For LFC and KISP it normalizes
-the snapshot rows stacked on the live rows in one
-``numerics.normalize_rows`` pass, which owns the norms; the gradient
-through the normalization reuses the live
-rows' norms. The ``*_node`` functions record the same functions as tape
-ops, for the op tests and the benchmark. Cross-entropy and KISP
-keep their softmax pieces in a fresh ``aux`` dict per use, so the gradient
+``dgcl gradcheck`` make, reads it per call and returns the value with the
+lambda-weighted gradient. For LFC and KISP it normalizes the snapshot
+rows stacked on the live rows in one ``numerics.normalize_rows`` pass,
+which owns the norms; the gradient through the normalization reuses the
+live rows' norms. The ``*_node`` functions record the same functions as
+tape ops, for the op tests and the benchmark. Cross-entropy and KISP keep
+their softmax pieces in a fresh ``aux`` dict per use, so the gradient
 reuses them: cross-entropy its shifted exponentials and their row sums,
 KISP its exponentials, column sums, leave-one-out sums and a boolean mask
 of the clamped entries. The mask covers the off-diagonal entries only, laid
@@ -38,13 +38,13 @@ builds per call, which no call keeps. KISP's gradient writes P over the
 exponentials and q over the leave-one-out sums and takes both out of
 ``aux``, so P and q take no m x m arrays of their own: forward plus
 gradient hold at most three m x m float arrays and the clamp mask at
-once, and none once they return. It runs once per forward: a second call
-of the function ``regularizer`` returns raises. ``kisp_node`` hands it
-copies of the two, so a tape's ``backward`` can run twice. ``ce_aux`` turns
-the labels into one flat index of each row's label entry, through which the
-forward picks the label logits and the gradient subtracts one. The KISP
-forward forms the similarity matrix itself and its gradient returns that of
-the similarity-matrix chain (transpose, product, temperature scale) operand
+once, and none once they return. It runs once per forward, as
+``regularizer`` runs it; ``kisp_node`` hands it copies of the two, so a
+tape's ``backward`` can run twice. ``ce_aux`` turns the labels into one
+flat index of each row's label entry, through which the forward picks the
+label logits and the gradient subtracts one. The KISP forward forms the
+similarity matrix itself and its gradient returns that of the
+similarity-matrix chain (transpose, product, temperature scale) operand
 for operand. The LFC and RLD functions likewise repeat their old primitive
 chains' products and sums.
 
@@ -247,10 +247,10 @@ def _kisp_forward(vals, aux):
 def _kisp_grad(vals, out, aux, g):
     """The gradient for the live embeddings. It writes P over ``aux["e"]``
     and q over ``aux["excl"]`` and takes both out of ``aux``, so it runs
-    once per forward; a second call raises. It zeroes q's clamped entries
-    through the off-diagonal view of q that ``aux["clamp"]`` is laid out
-    in, and skips that copy when nothing is clamped. Its only m x m float
-    array of its own is the product ``q * p``."""
+    once per forward, as ``regularizer`` runs it; a second call raises. It
+    zeroes q's clamped entries through the off-diagonal view of q that
+    ``aux["clamp"]`` is laid out in, and skips that copy when nothing is
+    clamped. Its only m x m float array of its own is ``q * p``."""
     if "e" not in aux:
         raise RuntimeError("the KISP gradient runs once per forward: its "
                            "first call overwrote the forward's arrays")
@@ -380,12 +380,13 @@ METHODS = {"finetune": Method(replays=False),
 
 
 def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
-                knobs: Mapping[str, float]):
+                knobs: Mapping[str, float], lam: float):
     """The regularizer ``method`` of the live embeddings ``f_cur`` against
     the snapshot embeddings ``f_pre``, both raw rows of equal shape, with
-    ``knobs`` the values of the method's knobs: the 1 x 1 value, and a
-    function taking the value's adjoint to the gradient for ``f_cur``, to
-    be called once (KISP's overwrites its forward's arrays).
+    ``knobs`` the values of the method's knobs: the 1 x 1 value, and the
+    gradient of ``lam`` times it for ``f_cur``, formed in this call (KISP's
+    m x m arrays die on return); at ``lam`` = 0 only the forward runs and
+    the gradient is None.
     Where the method's ``unit_rows`` says, both sides are normalized in one
     ``normalize_rows`` pass over the snapshot rows stacked on the live
     rows, so a zero-norm snapshot row raises before a zero-norm live row
@@ -401,14 +402,11 @@ def regularizer(method: str, f_pre: np.ndarray, f_cur: np.ndarray,
         m = len(f_pre)
         both, norms = normalize_rows(np.concatenate((f_pre, f_cur)), m)
         pre, cur = both[:m], both[m:]
-        norm_aux = {"norms": norms[m:]}
     aux = {"pre": pre, **knobs}
     value = entry.forward([cur], aux)
-
-    def cur_grad(g: np.ndarray) -> np.ndarray:
-        (g,) = entry.grad([cur], value, aux, g)
-        if entry.unit_rows:
-            (g,) = _l2norm_grad([f_cur], cur, norm_aux, g)
-        return g
-
-    return value, cur_grad
+    if lam == 0.0:
+        return value, None
+    (g,) = entry.grad([cur], value, aux, np.array([[lam]]))
+    if entry.unit_rows:
+        (g,) = _l2norm_grad([f_cur], cur, {"norms": norms[m:]}, g)
+    return value, g

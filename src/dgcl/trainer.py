@@ -28,7 +28,8 @@ gets its own pass, so every value is the one separate passes give.
 functions of the encoder, heads and losses, the finiteness checks, then
 their gradient functions in the order a tape's reverse sweep would visit
 them. The regularizer is one ``losses.regularizer`` call, which holds the
-rule for each method's operands. It writes each parameter adjoint into
+rule for each method's operands and also returns the regularizer's
+gradient, already weighted by lambda. It writes each parameter adjoint into
 ``Model.grad``, which has the parameter buffer's layout: the heads' once,
 the encoder's from the regularizer branch and then, added, from the
 cross-entropy branch. It reads the encoder's and the heads' views of the
@@ -36,11 +37,10 @@ buffer and of the gradient from the model's attributes: a model packs at
 construction and at each ``add_head``, never inside ``train_step``, so an
 update computes no layout. ``dgcl gradcheck`` checks the same function.
 The SGD step writes the buffer in place after the gradient: ``lr * g`` then
-the subtraction, the per-array step's two roundings. KISP's gradient
-overwrites its forward's m x m arrays, and ``update`` drops the
-regularizer's gradient function after the regularizer branch, so they are
-freed before the cross-entropy branch's products; the repeat's other
-intermediates are freed when ``update`` returns.
+the subtraction, the per-array step's two roundings. KISP's m x m arrays
+are freed when ``losses.regularizer`` returns, before the cross-entropy
+branch's products; the repeat's other intermediates are freed when
+``update`` returns.
 
 ``run_stream`` first asks glibc to keep freed heap in the process: KISP's
 m x m temporaries (720 KB each at m=300; at most three float ones and a
@@ -184,10 +184,11 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     cross-entropy over the batch plus ``replay`` and, for a regularized
     method with a snapshot and replay rows, of ``config.lam`` times the
     regularizer on the replay rows' embeddings by the live encoder and by
-    ``snapshot``'s parameters. The forward half ends with
-    the finiteness checks, which name ``update_index`` and ``task_id``; the
-    gradient half runs the ops' gradients in the order the reverse sweep of
-    a tape would."""
+    ``snapshot``'s parameters. The forward half ends with the finiteness
+    checks, which name ``update_index`` and ``task_id``; the regularizer's
+    gradient is formed before them, inside its ``losses.regularizer`` call.
+    The gradient half runs the ops' gradients in the order the reverse
+    sweep of a tape would."""
     if replay:
         x_all = np.concatenate([batch_x, replay.x], axis=0)
         y_all = np.concatenate([batch_y, replay.y])
@@ -199,13 +200,13 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     logits = _heads_forward(f, blocks)
     ce_aux = losses.ce_aux(logits, y_all)
     ce = losses._ce_forward([logits], ce_aux)
-    reg = None
+    reg = g_reg = None
     if (losses.METHODS[config.method].forward and snapshot is not None
             and replay):
         f_pre = _encoder_forward(snapshot, {"x": replay.x})
         f_cur, rows = encoder_rows(params, shared, f, len(batch_x))
-        reg, reg_grad = losses.regularizer(config.method, f_pre, f_cur,
-                                           config.knobs)
+        reg, g_reg = losses.regularizer(config.method, f_pre, f_cur,
+                                        config.knobs, config.lam)
     ce_val = float(ce[0, 0])
     reg_val = 0.0 if reg is None else float(reg[0, 0])
     total = ce_val + config.lam * reg_val
@@ -214,19 +215,13 @@ def update(model: Model, config: TrainerConfig, batch_x, batch_y,
     if not math.isfinite(total):
         _require_finite(update_index, task_id, ce=ce_val,
                         regularizer=reg_val, total=total)
-    # lam = 0 keeps the value for the breakdown but skips the gradient
-    # branch, so the trajectory matches plain replay bit for bit
-    branch = reg is not None and config.lam != 0.0
-    if branch:
-        g = reg_grad(np.array([[config.lam]]))
-        _encoder_grad(params, rows, g, model.grads)
-    # the gradient closure holds the regularizer's forward arrays (KISP's
-    # m x m ones): free them before the cross-entropy branch's products
-    reg_grad = None
+    # none at lam = 0, so the trajectory matches plain replay bit for bit
+    if g_reg is not None:
+        _encoder_grad(params, rows, g_reg, model.grads)
     (g,) = losses._ce_grad([logits], ce, ce_aux, _ONE)
     g = _heads_grad(f, blocks, g, model.grad_blocks)
     # the encoder's two adjoints in either order: a sum of two commutes
-    _encoder_grad(params, shared, g, model.grads, add=branch)
+    _encoder_grad(params, shared, g, model.grads, add=g_reg is not None)
     return losses.LossBreakdown(ce_val, reg_val, total, config.lam)
 
 

@@ -280,6 +280,7 @@ def test_unwritable_output_dir_is_one_line(tmp_path, monkeypatch, capsys,
     assert line.startswith(f"cannot write {tmp_path / 'file' / 'out'}/run-")
     assert ": NotADirectoryError: " in line
     assert captured.out == ""
+    assert cli._STREAM == {}  # released on this path too
 
 
 @pytest.mark.parametrize("command", ["run", "drift"])

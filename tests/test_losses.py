@@ -454,7 +454,7 @@ class TestSharedRegularizer:
         d = int(rng.integers(1, 33))
         tau = float(rng.choice([0.05, 0.1, 1.0]))
         f_pre, f_cur = rng.standard_normal((m, d)), rng.standard_normal((m, d))
-        value, grad = regularizer(method, f_pre, f_cur, {"tau": tau})
+        value, grad = regularizer(method, f_pre, f_cur, {"tau": tau}, lam)
         tape = Tape()
         leaf = tape.leaf(f_cur)
         if method == "rld":
@@ -465,8 +465,7 @@ class TestSharedRegularizer:
         node = self.NODES[method](tape, pre, cur, *args)
         loss = total_node(tape, tape.leaf([[0.0]]), node, lam)
         assert np.array_equal(value, tape.value(node))
-        assert np.array_equal(grad(np.array([[lam]])),
-                              backward(tape, loss)[leaf])
+        assert np.array_equal(grad, backward(tape, loss)[leaf])
 
     @staticmethod
     def kisp_against_chain(m, lam, tau, monkeypatch):
@@ -486,7 +485,7 @@ class TestSharedRegularizer:
 
         monkeypatch.setitem(losses.METHODS, "kisp",
                             replace(entry, forward=forward))
-        value, grad = regularizer("kisp", f_pre, f_cur, {"tau": tau})
+        value, grad = regularizer("kisp", f_pre, f_cur, {"tau": tau}, lam)
         # the mask holds the off-diagonal entries only, in row order
         (clamp,) = (aux["clamp"] for aux in auxes)
         assert clamp.dtype == bool and clamp.shape == (m - 1, m)
@@ -497,7 +496,7 @@ class TestSharedRegularizer:
         assert np.count_nonzero(clamp) == clamped
         assert float(value[0, 0]) == ref_value
         _, expected = l2_normalize_chain_reference(f_cur, d_cur)
-        assert np.array_equal(grad(np.array([[lam]])), expected)
+        assert np.array_equal(grad, expected)
         return clamped
 
     @pytest.mark.parametrize("lam", [1.0, 0.7])
@@ -514,14 +513,32 @@ class TestSharedRegularizer:
         assert self.kisp_against_chain(m, lam, 0.1, monkeypatch) == 0
 
     def test_kisp_gradient_runs_once(self):
-        # it overwrites the forward's arrays, so a second call would
-        # return a wrong gradient if it did not raise
+        # it overwrites the forward's arrays, so a second call on the same
+        # aux would return a wrong gradient if it did not raise
         rng = np.random.default_rng(40)
-        f_pre, f_cur = rng.standard_normal((2, 5, 3))
-        _, grad = regularizer("kisp", f_pre, f_cur, {"tau": 0.1})
-        grad(np.ones((1, 1)))
+        pre, cur = (l2_normalize(a) for a in rng.standard_normal((2, 5, 3)))
+        aux = {"pre": pre, "tau": 0.1}
+        value = losses._kisp_forward([cur], aux)
+        losses._kisp_grad([cur], value, aux, np.ones((1, 1)))
         with pytest.raises(RuntimeError, match="runs once"):
-            grad(np.ones((1, 1)))
+            losses._kisp_grad([cur], value, aux, np.ones((1, 1)))
+
+    @pytest.mark.parametrize("method", ["lfc", "rld", "kisp"])
+    def test_lambda_zero_runs_the_forward_only(self, method, monkeypatch):
+        # a weightless regularizer keeps its value for the breakdown and
+        # never calls its gradient function
+        rng = np.random.default_rng(43)
+        f_pre, f_cur = rng.standard_normal((2, 5, 3))
+        expected, _ = regularizer(method, f_pre, f_cur, {"tau": 0.1}, 1.0)
+
+        def grad(vals, out, aux, g):
+            raise AssertionError("the gradient ran at lam = 0")
+
+        monkeypatch.setitem(losses.METHODS, method,
+                            replace(losses.METHODS[method], grad=grad))
+        value, g = regularizer(method, f_pre, f_cur, {"tau": 0.1}, 0.0)
+        assert g is None
+        assert np.array_equal(value, expected)
 
     def test_kisp_peak_is_at_most_three_and_a_half_square_arrays(self):
         # forward plus gradient, the leave-one-out mask counted: the
@@ -534,8 +551,7 @@ class TestSharedRegularizer:
         f_pre, f_cur = rng.standard_normal((2, m, 32))
         tracemalloc.start()
         try:
-            _, grad = regularizer("kisp", f_pre, f_cur, {"tau": 0.1})
-            grad(np.ones((1, 1)))
+            regularizer("kisp", f_pre, f_cur, {"tau": 0.1}, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -549,9 +565,8 @@ class TestSharedRegularizer:
         f_pre, f_cur = rng.standard_normal((2, m, 16))
         tracemalloc.start()
         try:
-            value, grad = regularizer("kisp", f_pre, f_cur, {"tau": 0.1})
-            g = grad(np.ones((1, 1)))
-            del value, grad, g
+            value, g = regularizer("kisp", f_pre, f_cur, {"tau": 0.1}, 1.0)
+            del value, g
             current = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -561,7 +576,8 @@ class TestSharedRegularizer:
     def test_shape_mismatch(self, method):
         # a one-row snapshot would otherwise broadcast against three rows
         with pytest.raises(ShapeMismatchError):
-            regularizer(method, np.ones((1, 4)), np.ones((3, 4)), {"tau": 0.1})
+            regularizer(method, np.ones((1, 4)), np.ones((3, 4)),
+                        {"tau": 0.1}, 1.0)
 
     @pytest.mark.parametrize("method", ["lfc", "kisp"])
     def test_snapshot_row_checked_first(self, method):
@@ -569,9 +585,9 @@ class TestSharedRegularizer:
         pre[2] = 0.0
         cur[0] = 0.0
         with pytest.raises(DegenerateFeatureError, match="^row 2 "):
-            regularizer(method, pre, cur, {"tau": 0.1})
+            regularizer(method, pre, cur, {"tau": 0.1}, 1.0)
         with pytest.raises(DegenerateFeatureError, match="^row 0 "):
-            regularizer(method, np.ones((3, 4)), cur, {"tau": 0.1})
+            regularizer(method, np.ones((3, 4)), cur, {"tau": 0.1}, 1.0)
 
     @pytest.mark.parametrize("method", ["lfc", "kisp"])
     def test_row_norms_taken_once(self, method, monkeypatch):
@@ -585,8 +601,7 @@ class TestSharedRegularizer:
         monkeypatch.setattr(numerics, "row_norms", counted)
         rng = np.random.default_rng(6)
         f_pre, f_cur = rng.standard_normal((2, 5, 3))
-        _, grad = regularizer(method, f_pre, f_cur, {"tau": 0.1})
-        grad(np.ones((1, 1)))
+        regularizer(method, f_pre, f_cur, {"tau": 0.1}, 1.0)
         assert calls == [(10, 3)]
 
 
