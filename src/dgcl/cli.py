@@ -22,6 +22,7 @@ configuration errors, which create nothing: among them any fault of the
 stream, which building the first cell's stream finds first. Set the
 ``DGCL_THREADS`` environment variable to a positive integer to run grid
 cells in that many worker processes; output files are identical either way.
+Each process runs BLAS on one thread, whatever the host's core count.
 """
 from __future__ import annotations
 
@@ -71,9 +72,11 @@ _STREAM: dict[tuple[str, int], list[TaskData]] = {}
 
 def _stream(cfg: RunConfig, seed: int) -> list[TaskData]:
     """``build_tasks(cfg, seed)``, kept for the next cell with the same
-    config and seed. One stream at a time is held; its arrays are
-    read-only, as ``datasets`` hands them out, since every cell that reads
-    it must see the same data."""
+    config and seed. One stream at a time is held: for a synthetic stream
+    its test rows, labels and the draws of its train rows, which each cell
+    draws task by task as it runs; for a file stream every row. Every array
+    it holds or draws is read-only, as ``datasets`` hands them out, since
+    every cell that reads it must see the same data."""
     key = (config_hash(cfg), seed)
     if key not in _STREAM:
         _STREAM.clear()

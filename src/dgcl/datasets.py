@@ -4,7 +4,11 @@ tensor-file loader, split into disjoint-class tasks.
 Synthetic streams draw one mean per global class uniformly on a radius-s
 sphere and sample isotropic gaussian points around it. Classes are assigned
 to tasks in consecutive blocks, labels are global, and everything is a
-deterministic function of the spec (seed included).
+deterministic function of the spec (seed included). As the online setting
+has each task's stream arrive once, in order, a synthetic stream holds its
+test rows and labels but not its train rows: a task's train rows are drawn
+when its ``train_x`` is read, as a run starts the task, and live as long as
+that read is held. A file stream holds every row it loaded.
 
 A task's class ids are the model's logits columns: task t's are the next
 ``classes_per_task`` after task t-1's. Synthetic labels already are; a file
@@ -69,18 +73,59 @@ class StreamSpec:
             raise ValueError("seed must be >= 0")
 
 
+def _draw_rows(rng: np.random.Generator, rows: np.ndarray, mean,
+               noise: float) -> None:
+    """Fill ``rows`` with one class's points: ``mean + noise * N(0, 1)``,
+    drawn in place."""
+    rng.standard_normal(out=rows)
+    rows *= noise
+    np.add(mean, rows, out=rows)
+
+
+class SynthRows:
+    """A synthetic task's train rows as the draws that make them: per class,
+    the generator state its train draw starts at and its mean, then the
+    task's permutation. ``draw`` redraws them through the stream's one
+    generator; ``shape`` is theirs, known without a draw."""
+
+    def __init__(self, rng: np.random.Generator, states: list[dict], means,
+                 noise: float, order: np.ndarray):
+        self._rng, self._states, self._means = rng, states, means
+        self._noise, self._order = noise, order
+        self.shape = (len(order), len(means[0]))
+
+    def draw(self) -> np.ndarray:
+        """The rows, read-only: each class's block drawn from its recorded
+        state, in class order, then permuted."""
+        x = np.empty(self.shape)
+        n = len(x) // len(self._states)
+        for k, (state, mean) in enumerate(zip(self._states, self._means)):
+            self._rng.bit_generator.state = state
+            _draw_rows(self._rng, x[k * n:(k + 1) * n], mean, self._noise)
+        x = x[self._order]
+        x.setflags(write=False)
+        return x
+
+
 @dataclass
 class TaskData:
-    """One task's stream: global class ids, ordered train data, test data."""
+    """One task's stream: global class ids, ordered train rows, test data.
+
+    Test rows and all labels are held. ``train_rows`` is an array for a
+    file stream, whose rows are held, and a ``SynthRows`` for a synthetic
+    task, whose rows are drawn on each read of ``train_x``. Widths and row
+    counts come from shapes, which never draw.
+    """
     task_id: int
     class_ids: tuple[int, ...]
-    train_x: np.ndarray
+    train_rows: np.ndarray | SynthRows
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
 
     def __post_init__(self):
-        self.train_x = as_matrix(self.train_x)
+        if not isinstance(self.train_rows, SynthRows):
+            self.train_rows = as_matrix(self.train_rows)
         self.train_y = np.asarray(self.train_y, dtype=np.int64).reshape(-1)
         self.test_y = np.asarray(self.test_y, dtype=np.int64).reshape(-1)
         # a task without test rows could never be evaluated
@@ -89,17 +134,17 @@ class TaskData:
                 f"test data has no examples of task {self.task_id}'s "
                 f"classes {list(self.class_ids)}")
         self.test_x = as_matrix(self.test_x)
-        widths = self.train_x.shape[1], self.test_x.shape[1]
+        widths = self.d_in, self.test_x.shape[1]
         if widths[0] != widths[1]:
             raise ShapeMismatchError(
                 f"task {self.task_id}: train rows have {widths[0]} features, "
                 f"test rows {widths[1]}")
         allowed = set(self.class_ids)
-        for name, x, y in (("train", self.train_x, self.train_y),
-                           ("test", self.test_x, self.test_y)):
-            if len(x) != len(y):
+        for name, n, y in (("train", self.n_train, self.train_y),
+                           ("test", len(self.test_x), self.test_y)):
+            if n != len(y):
                 raise ShapeMismatchError(
-                    f"{len(x)} {name} rows but {len(y)} {name} labels")
+                    f"{n} {name} rows but {len(y)} {name} labels")
             bad = set(np.unique(y).tolist()) - allowed
             if bad:
                 raise LabelRangeError(
@@ -108,49 +153,70 @@ class TaskData:
                 )
 
     @property
+    def train_x(self) -> np.ndarray:
+        """The train rows in stream order. A synthetic task draws them again
+        on each read, into a new read-only array of the same bits, so a
+        caller reads this once per task and drops it when done."""
+        rows = self.train_rows
+        return rows.draw() if isinstance(rows, SynthRows) else rows
+
+    @property
     def n_train(self) -> int:
-        return self.train_x.shape[0]
+        return self.train_rows.shape[0]
+
+    @property
+    def d_in(self) -> int:
+        """The width of the task's rows."""
+        return self.train_rows.shape[1]
 
 
 def synth_stream(spec: StreamSpec) -> list[TaskData]:
     """Generate the full task list for a spec; bit-identical per seed.
 
-    Every task's arrays are read-only views of one train block and one test
-    block and of their two label blocks. Each class's rows are drawn straight
-    into its stretch of the blocks, in class order, and each task's train
-    stretch is then permuted in place, so no row is held twice."""
+    The stream holds the test rows, the labels, each class's generator
+    state and each task's permutation; a task's train rows exist only while
+    a read of its ``train_x`` is held. The draw order is the one a stream
+    that held every row would use: the means, then per class its train rows
+    and its test rows, then the tasks' permutations. Building it draws each
+    class's train rows into one reused scratch buffer, only to move the
+    generator past them. Test rows, test labels and train labels are
+    read-only views of one block per kind."""
     rng = np.random.default_rng(spec.seed)
     n_classes = spec.tasks * spec.classes_per_task
     means = []
     for _ in range(n_classes):
         v = rng.standard_normal(spec.d_in)
         means.append(spec.separation * v / np.linalg.norm(v))
-    per_class = (spec.train_per_class, spec.test_per_class)
-    blocks = [np.empty((n_classes * n, spec.d_in)) for n in per_class]
-    labels = [np.repeat(np.arange(n_classes, dtype=np.int64), n)
-              for n in per_class]
+    n_train, n_test = spec.train_per_class, spec.test_per_class
+    scratch = np.empty((n_train, spec.d_in))
+    test_x = np.empty((n_classes * n_test, spec.d_in))
+    states = []
     for c in range(n_classes):
-        for block, n in zip(blocks, per_class):
-            rows = block[c * n:(c + 1) * n]
-            rng.standard_normal(out=rows)
-            rows *= spec.noise
-            np.add(means[c], rows, out=rows)
-    train_x, test_x = blocks
-    train_y, test_y = labels
-    per_task = [n * spec.classes_per_task for n in per_class]
+        states.append(rng.bit_generator.state)
+        rng.standard_normal(out=scratch)
+        _draw_rows(rng, test_x[c * n_test:(c + 1) * n_test], means[c],
+                   spec.noise)
+    del scratch
+    train_y, test_y = (np.repeat(np.arange(n_classes, dtype=np.int64), n)
+                       for n in (n_train, n_test))
+    per_task = [n * spec.classes_per_task for n in (n_train, n_test)]
+    orders = []
     for t in range(spec.tasks):
         part = slice(t * per_task[0], (t + 1) * per_task[0])
-        order = rng.permutation(per_task[0])
-        train_x[part] = train_x[part][order]
-        train_y[part] = train_y[part][order]
-    for a in (*blocks, *labels):
+        orders.append(rng.permutation(per_task[0]))
+        train_y[part] = train_y[part][orders[-1]]
+    for a in (test_x, train_y, test_y):
         a.setflags(write=False)
+    # every task redraws through this one generator, from a set state
+    redraw = np.random.default_rng(spec.seed)
     tasks = []
     for t in range(spec.tasks):
-        classes = tuple(range(t * spec.classes_per_task,
-                              (t + 1) * spec.classes_per_task))
+        classes = range(t * spec.classes_per_task,
+                        (t + 1) * spec.classes_per_task)
+        rows = SynthRows(redraw, [states[c] for c in classes],
+                         [means[c] for c in classes], spec.noise, orders[t])
         train, test = (slice(t * n, (t + 1) * n) for n in per_task)
-        tasks.append(TaskData(t + 1, classes, train_x[train], train_y[train],
+        tasks.append(TaskData(t + 1, tuple(classes), rows, train_y[train],
                               test_x[test], test_y[test]))
     return tasks
 

@@ -61,6 +61,11 @@ class TrailingBytesError(FileFormatError):
     """The file holds bytes past its declared payload."""
 
 
+class BlasThreadsError(DgclError):
+    """numpy's BLAS offers no call that pins it to one thread, so a run's
+    outputs would depend on the host's core count."""
+
+
 class ConfigError(DgclError):
     """A run configuration failed to parse or validate."""
 

@@ -45,7 +45,9 @@ branch's products; the repeat's other intermediates are freed when
 ``run_stream`` first asks glibc to keep freed heap in the process: KISP's
 m x m temporaries (720 KB each at m=300; at most three float ones and a
 boolean clamp mask live at once, the leave-one-out matrix among them) are
-otherwise unmapped on free and page-faulted back in on every update.
+otherwise unmapped on free and page-faulted back in on every update. It
+then pins numpy's BLAS to one thread, since the outputs depend on the
+thread count.
 """
 from __future__ import annotations
 
@@ -58,9 +60,9 @@ import numpy as np
 
 from . import losses
 from .datasets import TaskData
-from .errors import (DivergenceError, DuplicateTaskError, LabelRangeError,
-                     OverlappingClassesError, ShapeMismatchError,
-                     UnknownTaskError)
+from .errors import (BlasThreadsError, DivergenceError, DuplicateTaskError,
+                     LabelRangeError, OverlappingClassesError,
+                     ShapeMismatchError, UnknownTaskError)
 from .memory import Batch, EpisodicMemory
 from .metrics import AccuracyMatrix, DriftLog, embedding_drift
 from .model import (MIN_SHARED_ROWS, Model, _encoder_forward, _encoder_grad,
@@ -259,16 +261,17 @@ def train_step(state: TrainerState, config: TrainerConfig, batch_x,
 def run_task(state: TrainerState, config: TrainerConfig,
              task: TaskData) -> TrainerState:
     """Single pass over one task's stream; for a regularized method, the
-    snapshot refresh at the end."""
+    snapshot refresh at the end. The task's train rows are read once, when
+    the task starts (a synthetic task draws them then), and dropped when it
+    ends."""
     if task.task_id not in state.model.task_ids:
         raise UnknownTaskError(f"head for task {task.task_id} must be "
                                "registered before running the task")
     state.task_id = task.task_id
-    n = task.n_train
-    for start in range(0, n, config.batch_size):
-        stop = min(start + config.batch_size, n)
-        train_step(state, config, task.train_x[start:stop],
-                   task.train_y[start:stop])
+    x, y = task.train_x, task.train_y
+    for start in range(0, len(x), config.batch_size):
+        stop = min(start + config.batch_size, len(x))
+        train_step(state, config, x[start:stop], y[start:stop])
     # once per task, not per update: a full scan of every parameter
     if not np.isfinite(state.model.buffer).all():
         raise DivergenceError(state.update_index, state.task_id, "parameters")
@@ -306,6 +309,35 @@ def _keep_freed_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+# the thread-count setter of the scipy-openblas build numpy 2 bundles
+_BLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
+
+
+@functools.cache
+def _one_blas_thread() -> None:
+    """Run numpy's BLAS on one thread from here on, in this process: a
+    multi-threaded GEMM sums in another order, so the outputs would depend
+    on the host's core count. The setter is looked up through numpy's core
+    extension, which links the OpenBLAS numpy bundles. Any other BLAS
+    raises BlasThreadsError, before any update, rather than train on a
+    thread count nothing fixes."""
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        lib = None
+    setter = getattr(lib, _BLAS_SET_THREADS, None)
+    if setter is None:
+        raise BlasThreadsError(
+            "numpy's BLAS is not the OpenBLAS numpy bundles, so its thread "
+            "count cannot be pinned to 1 and the outputs would depend on "
+            "the host's cores")
+    setter.argtypes = (ctypes.c_int,)
+    setter.restype = None
+    setter(1)
+
+
 @dataclass
 class RunResult:
     matrix: AccuracyMatrix
@@ -318,19 +350,20 @@ def run_stream(config: TrainerConfig, tasks: list[TaskData]) -> RunResult:
     task's head takes the next logits columns, and a label is its column,
     so before any update each task's class ids must be exactly those
     columns, its id unlike any earlier task's, and its rows as wide as the
-    first task's."""
+    first task's. BLAS runs on one thread from the first call on."""
     _keep_freed_heap()
+    _one_blas_thread()
     if not tasks:
         raise ValueError("need at least one task")
-    columns, width, ids = 0, tasks[0].train_x.shape[1], set()
+    columns, width, ids = 0, tasks[0].d_in, set()
     for task in tasks:
         if task.task_id in ids:
             raise DuplicateTaskError(
                 f"task id {task.task_id} appears twice in the stream")
         ids.add(task.task_id)
-        if task.train_x.shape[1] != width:
+        if task.d_in != width:
             raise ShapeMismatchError(
-                f"task {task.task_id} has {task.train_x.shape[1]} features, "
+                f"task {task.task_id} has {task.d_in} features, "
                 f"task {tasks[0].task_id} {width}")
         expected = list(range(columns, columns + len(task.class_ids)))
         if sorted(task.class_ids) != expected:
@@ -342,7 +375,7 @@ def run_stream(config: TrainerConfig, tasks: list[TaskData]) -> RunResult:
                 f"task {task.task_id} has class ids {list(task.class_ids)}, "
                 f"expected {expected}: its head's logits columns")
         columns += len(task.class_ids)
-    state = init_state(config, tasks[0].train_x.shape[1])
+    state = init_state(config, width)
     matrix = AccuracyMatrix()
     # a non-finite loss, drift or parameter raises DivergenceError; numpy's
     # overflow warnings on the way there would only bury that one line

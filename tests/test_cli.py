@@ -552,6 +552,59 @@ def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
     assert lines[-1] == "FAIL: broken, total:broken exceeded 0.0001"
 
 
+# a KISP cell at replay size m=300 whose drift CSV two OpenBLAS threads
+# would change: a multi-threaded GEMM sums in another order
+WIDE_KISP = """\
+stream.tasks = 2
+stream.classes_per_task = 2
+stream.train_per_class = 1500
+trainer.methods = kisp
+trainer.lambda = 1
+trainer.tau = 0.1
+trainer.memory = 100
+trainer.batch_size = 300
+trainer.iterations = 3
+seeds = 11
+output_dir = {out}
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each run is a fresh process, so OpenBLAS reads the variable as it
+    # loads; dgcl must still run the GEMMs on one thread
+    src = str(Path(cli.__file__).resolve().parents[1])
+    files = {}
+    for threads in ("1", "2"):
+        config = tmp_path / f"blas{threads}.cfg"
+        config.write_text(WIDE_KISP.format(out=tmp_path / f"blas{threads}"))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("DGCL_THREADS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "dgcl.cli", "run", str(config)], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        files[threads] = _run_files(tmp_path, f"blas{threads}")
+    assert len(files["1"]) == 3 + 1
+    assert files["2"] == files["1"]
+
+
+def test_a_blas_without_a_thread_setter_fails_every_cell(tmp_path,
+                                                         monkeypatch, capsys):
+    # outputs must never silently depend on the core count
+    monkeypatch.delenv("DGCL_THREADS", raising=False)
+    monkeypatch.setattr(trainer, "_BLAS_SET_THREADS", "no_such_symbol")
+    monkeypatch.setattr(trainer, "_one_blas_thread",
+                        trainer._one_blas_thread.__wrapped__)
+    config = _grid_config(tmp_path, "noblas", "er", seeds="0")
+    assert main(["run", str(config)]) == 1
+    (line,) = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("cell ")]
+    assert line.startswith("cell er_lam0_M20_seed0 failed: BlasThreadsError: "
+                           "numpy's BLAS is not the OpenBLAS numpy bundles")
+
+
 def test_gradcheck_passes(capsys):
     assert main(["gradcheck", "--instances", "10"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dgcl import datasets
 from dgcl.datasets import (
@@ -23,6 +25,7 @@ from dgcl.errors import (
     TruncatedFileError,
     VersionMismatchError,
 )
+from dgcl.trainer import TrainerConfig, run_stream
 
 from oracles import (class_means, logistic_regression_fit,
                      split_by_class_reference, synth_stream_reference)
@@ -63,6 +66,26 @@ class TestSynthStream:
     def test_equals_per_class_construction(self, spec):
         # the same draws and roundings as per-class blocks concatenated and
         # permuted into copies
+        self.check_equals_reference(spec)
+
+    # one class per task, one row per class and one feature among them
+    specs = st.builds(
+        StreamSpec, tasks=st.integers(1, 4), classes_per_task=st.integers(1, 3),
+        d_in=st.integers(1, 6), train_per_class=st.integers(1, 12),
+        test_per_class=st.integers(1, 4), separation=st.floats(0.5, 8.0),
+        noise=st.floats(0.1, 3.0), seed=st.integers(0, 2**32 - 1))
+
+    @settings(database=None, deadline=None, max_examples=60)
+    @given(specs)
+    @example(StreamSpec(tasks=3, classes_per_task=1, d_in=1,
+                        train_per_class=1, test_per_class=1, seed=0))
+    @example(StreamSpec(tasks=2, classes_per_task=1, d_in=1,
+                        train_per_class=1, test_per_class=1, seed=2**32 - 1))
+    def test_equals_per_class_construction_sweep(self, spec):
+        self.check_equals_reference(spec)
+
+    @staticmethod
+    def check_equals_reference(spec):
         tasks = synth_stream(spec)
         want = synth_stream_reference(spec)
         assert len(tasks) == len(want)
@@ -75,11 +98,12 @@ class TestSynthStream:
                 assert got.shape == array.shape
                 assert got.tobytes() == array.tobytes()
 
-    def test_stream_has_no_writable_way_in(self):
-        # every task is a view of one block per array kind, and neither the
-        # views nor the blocks they share can be written
+    def test_stream_arrays_are_read_only(self):
+        # every cell of a grid reads the same stream, so none may write it:
+        # the held arrays are views of one read-only block per kind, and the
+        # drawn train rows are read-only and the same on every read
         tasks = synth_stream(DEFAULT)
-        for name in ("train_x", "train_y", "test_x", "test_y"):
+        for name in ("train_y", "test_x", "test_y"):
             arrays = [getattr(task, name) for task in tasks]
             (block,) = {id(a.base) for a in arrays}
             base = arrays[0].base
@@ -91,6 +115,41 @@ class TestSynthStream:
                     a.setflags(write=True)
                 with pytest.raises(ValueError):
                     a[0] = 0
+        for task in tasks:
+            first, second = task.train_x, task.train_x
+            assert first is not second
+            assert first.tobytes() == second.tobytes()
+            for a in (first, second):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0
+
+    def test_stream_holds_one_tasks_train_rows(self):
+        # many train rows and few test rows per task: from 4 tasks to 16,
+        # neither what a built stream keeps nor the peak of a run over it
+        # may grow by one task's train rows, as they would if the stream
+        # held every task's rows
+        def spec(tasks):
+            return StreamSpec(tasks=tasks, d_in=128, train_per_class=1000,
+                              test_per_class=2, seed=4)
+        one_task = 2 * 1000 * 128 * 8
+        config = TrainerConfig(method="finetune", batch_size=50)
+        # a first run's one-time allocations stay out of the figures
+        run_stream(config, synth_stream(spec(1)))
+        kept, peak = {}, {}
+        for tasks in (4, 16):
+            tracemalloc.start()
+            try:
+                stream = synth_stream(spec(tasks))
+                kept[tasks] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                run_stream(config, stream)
+                peak[tasks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del stream
+        assert kept[16] - kept[4] < one_task
+        assert peak[16] - peak[4] < one_task
 
     def test_different_seeds_differ(self):
         a = synth_stream(DEFAULT)

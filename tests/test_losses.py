@@ -605,6 +605,119 @@ class TestSharedRegularizer:
         assert calls == [(10, 3)]
 
 
+REGULARIZERS = [name for name, entry in losses.METHODS.items()
+                if entry.forward]
+
+
+class TestRegularizerMetamorphic:
+    """Properties that follow from what each regularizer depends on, not
+    from a transcription of its formula, so a misreading shared by the code
+    and a loop oracle still shows. All three depend only on inner products
+    or distances of the rows, pair snapshot row i with live row i, and a
+    ``unit_rows`` method sees only the rows' directions. So a joint row
+    permutation or a joint rotation of both sides keeps the value and moves
+    the gradient with the rows, and a positive scale of a live row keeps
+    the value and divides that gradient row by the scale.
+
+    LFC and RLD hold these to a relative bound. KISP's value is held to
+    twice ``KISP_ERROR``: each evaluation lies within that of the exact
+    value, measured against a longdouble reference. Its floor of 4.5e-14 is
+    needed where every P_ii is near 1: both log terms then take the log of
+    a number within a few ulps of 1, so a tiny loss keeps no relative
+    accuracy, as the saturated case below pins. KISP's gradient takes the
+    same mixed form with a looser constant, 10 times the largest seen in
+    4000 draws (m 1-32, d 2-24, tau 0.05-1). Live rows are snapshot rows
+    plus 0.3 times gaussian noise."""
+
+    REL = 1e-12
+    KISP_ERROR = 4.5e-14
+    KISP_GRAD = 1e-11
+
+    draws = st.tuples(st.integers(1, 32), st.integers(2, 24),
+                      st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+
+    @staticmethod
+    def rows(m, d, seed):
+        rng = np.random.default_rng(seed)
+        f_pre = rng.standard_normal((m, d))
+        return f_pre, f_pre + 0.3 * rng.standard_normal((m, d)), rng
+
+    @staticmethod
+    def call(method, f_pre, f_cur, tau):
+        knobs = {k: tau for k in losses.METHODS[method].knobs}
+        value, grad = regularizer(method, f_pre, f_cur, knobs, 1.0)
+        return float(value[0, 0]), grad
+
+    def check(self, method, want, got):
+        (value, grad), (value2, grad2) = want, got
+        scale = np.abs(grad).max()
+        if method == "kisp":
+            assert abs(value2 - value) <= (2 * self.KISP_ERROR
+                                           * max(1.0, abs(value)))
+            assert np.abs(grad2 - grad).max() <= (self.KISP_GRAD
+                                                  * max(1.0, scale))
+        else:
+            assert abs(value2 - value) <= self.REL * abs(value)
+            assert np.abs(grad2 - grad).max() <= self.REL * scale
+
+    @pytest.mark.parametrize("method", REGULARIZERS)
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(draws)
+    def test_joint_row_permutation(self, method, draw):
+        m, d, tau, seed = draw
+        f_pre, f_cur, rng = self.rows(m, d, seed)
+        value, grad = self.call(method, f_pre, f_cur, tau)
+        order = rng.permutation(m)
+        self.check(method, (value, grad[order]),
+                   self.call(method, f_pre[order], f_cur[order], tau))
+
+    @pytest.mark.parametrize("method", REGULARIZERS)
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(draws)
+    def test_joint_orthogonal_rotation(self, method, draw):
+        m, d, tau, seed = draw
+        f_pre, f_cur, rng = self.rows(m, d, seed)
+        value, grad = self.call(method, f_pre, f_cur, tau)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        self.check(method, (value, grad @ q),
+                   self.call(method, f_pre @ q, f_cur @ q, tau))
+
+    @pytest.mark.parametrize("method", [
+        name for name in REGULARIZERS if losses.METHODS[name].unit_rows])
+    @settings(database=None, deadline=None, max_examples=40)
+    @given(draws)
+    def test_positive_live_row_scaling(self, method, draw):
+        m, d, tau, seed = draw
+        f_pre, f_cur, rng = self.rows(m, d, seed)
+        value, grad = self.call(method, f_pre, f_cur, tau)
+        s = np.exp(rng.uniform(-3.0, 3.0, (m, 1)))
+        self.check(method, (value, grad / s),
+                   self.call(method, f_pre, f_cur * s, tau))
+
+    @settings(database=None, deadline=None, max_examples=20)
+    @given(draws)
+    def test_kisp_of_one_row_is_exactly_zero(self, draw):
+        _, d, tau, seed = draw
+        f_pre, f_cur, _ = self.rows(1, d, seed)
+        value, grad = self.call("kisp", f_pre, f_cur, tau)
+        assert value == 0.0
+        assert not grad.any()
+
+    def test_saturated_kisp_needs_the_absolute_floor(self):
+        # live rows equal to near-orthogonal snapshot rows at tau 0.05:
+        # every P_ii is within 1e-7 of 1 and the loss about 8.6e-7, and a
+        # permutation of the rows moves it by 1.5e-9 of itself, far past
+        # any relative bound, but by about 1e-15, inside the floor
+        rng = np.random.default_rng(11)
+        f_pre = rng.standard_normal((8, 32))
+        order = rng.permutation(8)
+        value, grad = self.call("kisp", f_pre, f_pre.copy(), 0.05)
+        value2, grad2 = self.call("kisp", f_pre[order], f_pre[order], 0.05)
+        assert 0.0 < value < 1e-6
+        assert abs(value2 - value) > 1e-10 * value
+        self.check("kisp", (value, grad[order]), (value2, grad2))
+
+
 class TestTotalLoss:
     def test_node_total_matches_value(self):
         rng = np.random.default_rng(36)
